@@ -81,14 +81,10 @@ class ExperimentReport:
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.generic):  # np.bool_, np.int64, ...
         return x.item()
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
     raise TypeError(f"not serializable: {type(x)}")
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats as sps
 
-from .likelihood import SIGMA_EPS, log_eppf_grid
+from .likelihood import log_eppf_grid
 from .numerics import log_sum_exp
 
 _GRID_EPS = 1e-6
@@ -124,8 +124,7 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
     Returns (log unnormalized density, optional per-node conditional
     (E[phi|sigma], E[phi^2|sigma]) for phi = (1 - sigma)/(n + M))."""
     m_nodes = prior.M_nodes()
-    cols = np.stack([log_eppf_grid(stats, sigma_nodes, M) for M in m_nodes],
-                    axis=1)
+    cols = log_eppf_grid(stats, sigma_nodes, m_nodes)
     if m_nodes.size == 1:
         lp = cols[:, 0]
         if not collect_phi:
@@ -222,13 +221,28 @@ def posterior_mean_and_interval(post, level=0.95):
     return post.mean, post.sd, (post.quantile(tail), post.quantile(1.0 - tail))
 
 
+@dataclass(frozen=True)
+class ForensicLR:
+    """Likelihood ratio for an unseen type and the (sigma, M) posterior it
+    integrates over; unpacks as (lr, phi_mean, phi_sd)."""
+
+    lr: float
+    phi_mean: float
+    phi_sd: float
+    posterior: PosteriorGrid
+
+    def __iter__(self):
+        return iter((self.lr, self.phi_mean, self.phi_sd))
+
+
 def forensic_lr(stats_with_crime, prior=None):
     """Likelihood ratio 1 / E[(1 - sigma)/(n + 1 + M) | data] for a crime
     profile already appended to the database as a new singleton.
 
     stats_with_crime covers all n + 1 profiles; the posterior is the grid
     posterior over (sigma, M); phi = (1 - sigma)/(n + 1 + M) is integrated
-    on the same grid.  Returns (lr, phi_mean, phi_sd).
+    on the same grid.  Returns a ForensicLR, which unpacks as
+    (lr, phi_mean, phi_sd).
     """
     if stats_with_crime.N[-1] != 1:
         raise ValueError("the crime-scene profile must be a new singleton")
@@ -236,16 +250,17 @@ def forensic_lr(stats_with_crime, prior=None):
     post = posterior_sigma(stats_with_crime, prior, collect_phi=True)
     phi_mean, phi_sq = post.phi_moments
     phi_var = max(phi_sq - phi_mean ** 2, 0.0)
-    return 1.0 / phi_mean, phi_mean, math.sqrt(phi_var)
+    return ForensicLR(lr=1.0 / phi_mean, phi_mean=phi_mean,
+                      phi_sd=math.sqrt(phi_var), posterior=post)
 
 
 def forensic_report(stats_with_crime, prior=None, seed=None):
     prior = prior or PriorSpec()
-    lr, phi_mean, phi_sd = forensic_lr(stats_with_crime, prior)
-    post = posterior_sigma(stats_with_crime, prior)
+    res = forensic_lr(stats_with_crime, prior)
+    post = res.posterior
     return {
         "n": stats_with_crime.n - 1, "K": stats_with_crime.K,
-        "lr": lr, "phi_mean": phi_mean, "phi_sd": phi_sd,
+        "lr": res.lr, "phi_mean": res.phi_mean, "phi_sd": res.phi_sd,
         "sigma_posterior_summary": {
             "mean": post.mean, "sd": post.sd,
             "interval95": list(posterior_mean_and_interval(post)[2]),

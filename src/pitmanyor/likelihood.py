@@ -1,6 +1,7 @@
 """Marginal likelihood surface of the two-parameter model.
 
-Log-EPPF in occupancy-count form (O(n) per evaluation), its first and second
+Log-EPPF in closed form over block-size counts (O(distinct sizes) per
+(sigma, M) node, vectorized over a sigma x M grid), its first and second
 derivatives in sigma, and the h correction term used by the profile analysis.
 """
 
@@ -9,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
+
+from .numerics import log_ascending_factorial
 
 SIGMA_EPS = 1e-9
 
@@ -36,95 +40,78 @@ def log_eppf(stats, params, M=None):
 
     Lambda_n(sigma, M) = sum_{l=1}^{K-1} ln(M + l sigma)
                        + sum_{l=1}^{max(N)-1} Z_{l+1} ln(l - sigma)
-                       - sum_{i=1}^{n-1} ln(M + i).
+                       - sum_{i=1}^{n-1} ln(M + i),
 
-    sigma outside [SIGMA_EPS, 1 - SIGMA_EPS] returns -inf (boundary clamp);
-    sigma -> 1 with a tie present also drives the value to -inf.
+    evaluated in the closed form of `log_eppf_grid`.  sigma outside
+    [SIGMA_EPS, 1 - SIGMA_EPS] returns -inf (boundary clamp); sigma -> 1
+    with a tie present also drives the value to -inf.
     """
     sigma, M = _coerce(params, M)
-    if M < 0.0:
-        raise ValueError("M must be nonnegative")
-    if not SIGMA_EPS <= sigma <= 1.0 - SIGMA_EPS:
-        return -np.inf
-    if M == 0.0 and sigma <= 0.0:
-        raise ValueError("need M + sigma > 0")
-    n, K = stats.n, stats.K
-    l_new = np.arange(1, K, dtype=float)
-    out = float(np.sum(np.log(M + l_new * sigma)))
-    if stats.Z.size > 1:
-        l_old = np.arange(1, stats.Z.size, dtype=float)
-        out += float(np.sum(stats.Z[1:] * np.log(l_old - sigma)))
-    out -= float(np.sum(np.log(M + np.arange(1, n, dtype=float))))
-    return out
-
-
-_GRID_TAIL_START = 256  # exact below, sigma/l power series above
+    return float(_log_eppf_kernel(stats, np.array([sigma]), M)[0])
 
 
 def log_eppf_grid(stats, sigmas, M):
-    """Vectorized log_eppf over an array of sigma values at fixed M.
+    """log_eppf on every (sigma, M) pair: shape sigmas.shape + shape(M).
 
-    The occupancy sum sum_l Z_{l+1} ln(l - sigma) is evaluated exactly for
-    l < 256 and via ln(l - sigma) = ln l - sum_p sigma^p/(p l^p) (p <= 4)
-    beyond, which caps the truncation error near 1e-7 log-units while making
-    the cost per node independent of the largest multiplicity.
+    With a = M/sigma and c_s blocks of size s,
+
+        Lambda = sum_s c_s [lnGamma(s - sigma) - lnGamma(1 - sigma)]
+               + (K - 1) ln sigma + ln (a + 1)^[K-1] - ln (M + 1)^[n-1],
+
+    where x^[m] = x(x+1)...(x+m-1).  The size-count sum and ln sigma are
+    computed once per sigma node; only the two rising factorials span the
+    sigma x M grid.  Cost O(nodes x (distinct sizes + M nodes)).
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    out = np.full(sigmas.shape, -np.inf)
+    return _log_eppf_kernel(stats, np.asarray(sigmas, dtype=float), M)
+
+
+def _log_eppf_kernel(stats, sigmas, M):
+    M = np.asarray(M, dtype=float)
+    if np.any(M < 0.0):
+        raise ValueError("M must be nonnegative")
+    out = np.full(sigmas.shape + M.shape, -np.inf)
     ok = (sigmas >= SIGMA_EPS) & (sigmas <= 1.0 - SIGMA_EPS)
     if not np.any(ok):
         return out
     s = sigmas[ok]
-    n, K = stats.n, stats.K
-    val = np.zeros(s.size)
-    if K > 1:
-        l_new = np.arange(1, K, dtype=float)
-        val += np.sum(np.log(M + np.outer(s, l_new)), axis=1)
-    cut = min(stats.Z.size, _GRID_TAIL_START)
-    if cut > 1:
-        l_old = np.arange(1, cut, dtype=float)
-        z = stats.Z[1:cut].astype(float)
-        val += np.log(l_old[None, :] - s[:, None]) @ z
-    if stats.Z.size > cut:
-        l_tail = np.arange(cut, stats.Z.size, dtype=float)
-        z_tail = stats.Z[cut:].astype(float)
-        val += float(np.sum(z_tail * np.log(l_tail)))
-        for p in range(1, 5):
-            val -= s ** p / p * float(np.sum(z_tail / l_tail ** p))
-    val -= float(np.sum(np.log(M + np.arange(1, n, dtype=float))))
-    out[ok] = val
+    sizes, counts = stats.size_counts
+    occupancy = (special.gammaln(sizes[None, :] - s[:, None])
+                 - special.gammaln(1.0 - s)[:, None]) @ counts
+    k1 = stats.K - 1
+    head = occupancy + k1 * np.log(s)
+    s_col = s.reshape(s.shape + (1,) * M.ndim)
+    new_blocks = log_ascending_factorial(M / s_col + 1.0, k1)
+    denominator = log_ascending_factorial(M + 1.0, stats.n - 1)
+    out[ok] = head.reshape(s_col.shape) + new_blocks - denominator
     return out
 
 
 def score_sigma(stats, params, M=None):
     """d/d sigma of log_eppf:
-    sum_{l<K} l/(M + l sigma) - sum_l Z_{l+1}/(l - sigma)."""
+    sum_{l<K} l/(M + l sigma) - sum_s c_s [psi(s - sigma) - psi(1 - sigma)].
+
+    The first sum stays a direct O(K) sum: its digamma form cancels
+    catastrophically at sigma = SIGMA_EPS."""
     sigma, M = _coerce(params, M)
+    sizes, counts = stats.size_counts
     l_new = np.arange(1, stats.K, dtype=float)
     out = float(np.sum(l_new / (M + l_new * sigma)))
-    if stats.Z.size > 1:
-        l_old = np.arange(1, stats.Z.size, dtype=float)
-        out -= float(np.sum(stats.Z[1:] / (l_old - sigma)))
+    out -= float(counts @ (special.digamma(sizes - sigma)
+                           - special.digamma(1.0 - sigma)))
     return out
 
 
 def hess_sigma(stats, params, M=None):
-    """Second sigma-derivative; strictly negative for n >= 2."""
+    """Second sigma-derivative; strictly negative for n >= 2:
+    -sum_{l<K} (l/(M + l sigma))^2
+    - sum_s c_s [psi'(1 - sigma) - psi'(s - sigma)]."""
     sigma, M = _coerce(params, M)
+    sizes, counts = stats.size_counts
     l_new = np.arange(1, stats.K, dtype=float)
     out = -float(np.sum((l_new / (M + l_new * sigma)) ** 2))
-    if stats.Z.size > 1:
-        l_old = np.arange(1, stats.Z.size, dtype=float)
-        out -= float(np.sum(stats.Z[1:] / (l_old - sigma) ** 2))
+    out -= float(counts @ (special.polygamma(1, 1.0 - sigma)
+                           - special.polygamma(1, sizes - sigma)))
     return out
-
-
-def occupied_sum(stats, sigma):
-    """G_n(sigma) = sum_l Z_{l+1}/(l - sigma)."""
-    if stats.Z.size <= 1:
-        return 0.0
-    l_old = np.arange(1, stats.Z.size, dtype=float)
-    return float(np.sum(stats.Z[1:] / (l_old - sigma)))
 
 
 def eppf_total_mass(n, sigma, M):

@@ -52,21 +52,40 @@ def log_gamma(x):
     return float(out) if out.ndim == 0 else out
 
 
-def log_ascending_factorial(a, n):
-    """ln a^[n] = ln a(a+1)...(a+n-1), with a^[0] = 1.
+_STIRLING_FROM = 1e3  # below: gammaln difference; above: Stirling difference
 
-    Direct summation for short products, gammaln difference otherwise.
+
+def _stirling_tail(x):
+    """lnGamma(x) - [(x - 1/2) ln x - x + ln(2 pi)/2], three terms."""
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0))
+
+
+def log_ascending_factorial(a, n):
+    """ln a^[n] = ln a(a+1)...(a+n-1), with a^[0] = 1 (broadcasts).
+
+    lnGamma(a + n) - lnGamma(a) for a < 1e3.  Beyond, that difference of
+    two large numbers loses digits (1e-5 relative at a = 5e10), so the
+    Stirling expansions are subtracted analytically:
+    (a - 1/2) log1p(n/a) + n (ln(a + n) - 1) + c(a + n) - c(a),
+    whose truncation error is below 1e-20 there.
     """
-    if a <= 0:
+    a = np.asarray(a, dtype=float)
+    n = np.asarray(n, dtype=float)
+    if np.any(a <= 0):
         raise ValueError("log_ascending_factorial requires a > 0")
-    n = int(n)
-    if n < 0:
+    if np.any(n < 0):
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0.0
-    if n <= 32:
-        return float(np.sum(np.log(a + np.arange(n))))
-    return float(special.gammaln(a + n) - special.gammaln(a))
+    a, n = np.broadcast_arrays(a, n)
+    out = np.empty(a.shape)
+    small = a < _STIRLING_FROM
+    out[small] = special.gammaln(a[small] + n[small]) - special.gammaln(a[small])
+    big = ~small
+    ab, nb = a[big], n[big]
+    out[big] = ((ab - 0.5) * np.log1p(nb / ab) + nb * (np.log(ab + nb) - 1.0)
+                + _stirling_tail(ab + nb) - _stirling_tail(ab))
+    return float(out) if out.ndim == 0 else out
 
 
 def g_sigma(m, sigma):

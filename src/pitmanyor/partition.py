@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +46,12 @@ class PartitionStats:
 
     def __hash__(self):
         return hash((self.n, self.K, tuple(self.N.tolist())))
+
+    @cached_property
+    def size_counts(self):
+        """(distinct block sizes ascending, number of blocks of each size);
+        the EPPF depends on the blocks only through these."""
+        return np.unique(self.N, return_counts=True)
 
     @property
     def max_multiplicity(self):
@@ -88,11 +96,10 @@ def from_sizes(sizes):
 
 def from_observations(labels):
     """Build the sufficient statistic from a sequence of opaque labels."""
-    labels = list(labels)
-    if not labels:
+    counts = Counter(labels)
+    if not counts:
         raise ValueError("empty observation sequence")
-    _, counts = np.unique(np.asarray(labels, dtype=object), return_counts=True)
-    return from_sizes(counts)
+    return from_sizes(list(counts.values()))
 
 
 def from_occupancy(counts):

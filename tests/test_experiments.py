@@ -84,6 +84,20 @@ def test_run_tau1_mc_liveness():
     assert rep.results["jackknife_se"] == 0.0  # too few reps for a SE
     rep = ex.run_tau1_mc(make_power_law(2.0), 10 ** 4, 8, seed=1)
     assert rep.results["jackknife_se"] > 0.0
+    json.loads(rep.to_json())
+
+
+def test_report_json_numpy_scalars():
+    rep = ex.ExperimentReport(
+        "tau1_mc", {"seed": np.int64(3)},
+        {"within": np.bool_(True), "ratio": np.float64(0.5),
+         "count": np.int64(7), "limit": math.inf},
+        np.bool_(False), 1.0)
+    assert json.loads(rep.to_json()) == {
+        "check": "tau1_mc", "config": {"seed": 3},
+        "results": {"within": True, "ratio": 0.5, "count": 7,
+                    "limit": math.inf},
+        "passed": False, "wall_clock": 1.0}
 
 
 def test_run_precision_profile_singleton_grid():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor.numerics import (IntegrationError, SeriesTolerance,
@@ -37,6 +39,26 @@ def test_log_ascending_factorial_against_product():
             direct = float(np.sum(np.log(a + np.arange(n)))) if n else 0.0
             got = log_ascending_factorial(a, n)
             assert abs(got - direct) <= 1e-12 * max(abs(direct), 1.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(log10_a=hst.floats(-3.0, 12.0), n=hst.integers(0, 3000))
+def test_log_ascending_factorial_against_fsum(log10_a, n):
+    a = 10.0 ** log10_a
+    ref = math.fsum(math.log(a + l) for l in range(n))
+    got = log_ascending_factorial(a, n)
+    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def test_log_ascending_factorial_broadcasts():
+    a = np.array([0.5, 999.0, 1e3, 5e10])
+    n = np.array([[0], [1], [9999]])
+    got = log_ascending_factorial(a, n)
+    assert got.shape == (3, 4)
+    for i, j in np.ndindex(got.shape):
+        assert got[i, j] == log_ascending_factorial(float(a[j]), int(n[i, 0]))
+    with pytest.raises(ValueError):
+        log_ascending_factorial(np.array([1.0, 0.0]), 2)
 
 
 def test_log_ascending_factorial_examples():
