@@ -1,9 +1,17 @@
-"""Limit theory as computable objects.
+"""Limit theory as computable objects, and the occupancy engine under it.
 
 Centering function E0n and its root sigma0n, the limiting function E0 and its
 negated slope tau2_sq, the sandwich numerator tau1_sq, and the precision-limit
-pair (K0, M0).  Slow series (terms ~ m^{-1-sigma0} log m) are truncated with
-analytic Hurwitz-zeta tail corrections rather than brute force.
+pair (K0, M0).  Two routines carry every occupancy quantity:
+
+- `stirling_zeta_series`: the limit series sum_m Gamma(m+1-gamma)/m! h(m)
+  behind E0, tau1, tau2 and the occupancy-lemma limits.  Its slow tails
+  (terms ~ m^{-1-gamma} log^k m) are truncated with analytic Hurwitz-zeta
+  corrections rather than summed by brute force.
+- `poisson_g_moments`: per-atom Poisson expectations of g_sigma and its
+  powers and sigma-derivative, summed over `Population.intensities` by E0n
+  and by the occupancy-lemma left-hand sides; `tail_g_moments` is the same
+  quantity over the atoms folded into power sums.
 """
 
 from __future__ import annotations
@@ -15,70 +23,88 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize, special
 
-from .numerics import DEFAULT_TOLERANCE, g_sigma_values, log_gamma
+from .numerics import g_sigma_values, log_gamma
 
 # ---------------------------------------------------------------------------
-# tail helpers
+# Stirling-ratio series with Hurwitz-zeta tails
+
+_ZETA_STEP = 1e-5  # step in s of the first difference; x10 for the second
+_SERIES_HEAD = (100_000, 1_000_000, 1_000_000)  # terms summed, by g-power k
 
 
-def _hurwitz(s, a):
-    return float(special.zeta(s, a))
+def _zeta_log(s, a, k):
+    """sum_{m >= a} m^{-s} log^k m = (-d/ds)^k zeta(s, a), k <= 2, the
+    derivatives by central differences."""
+    if k == 0:
+        return float(special.zeta(s, a))
+    h = _ZETA_STEP if k == 1 else 10.0 * _ZETA_STEP
+    lo, hi = special.zeta(s - h, a), special.zeta(s + h, a)
+    if k == 1:
+        return float((lo - hi) / (2.0 * h))
+    return float((lo - 2.0 * special.zeta(s, a) + hi) / h ** 2)
 
 
-def _hurwitz_log(s, a, step=1e-5):
-    """sum_{m >= a} m^{-s} log m = -d/ds zeta(s, a), by central difference."""
-    return float((special.zeta(s - step, a) - special.zeta(s + step, a))
-                 / (2.0 * step))
+def stirling_zeta_series(gamma, sigma, p, k):
+    """sum_{m >= 1} Gamma(m+1-gamma)/(m! (m-sigma)^p) G_k(m), k <= 2, with
+    G_0 = 1, G_1 = g(m+1) + g(m), G_2 = g(m+1)^2 + g(m+1) g(m) + g(m)^2 and
+    g = g_gamma.
+
+    The head is summed directly; the tail uses
+    Gamma(m+1-gamma)/m! = m^{-gamma}(1 - gamma(1-gamma)/(2m) + O(m^-2)).
+    For k = 0 it keeps that second order,
+    m^{-p-gamma}(1 + (p sigma - gamma(1-gamma)/2)/m), accurate to
+    ~m_star^{-1-p-gamma}; for k >= 1 it keeps the leading
+    G_k ~ (k+1)(log m - psi(1-gamma))^k, a log-zeta sum.
+    """
+    m_star = _SERIES_HEAD[k]
+    m = np.arange(1, m_star + 1, dtype=float)
+    # built in place: at m_star = 1e6 each temporary costs 8 MB
+    terms = special.gammaln(m + 1.0 - gamma)
+    terms -= special.gammaln(m + 1.0)
+    np.exp(terms, out=terms)
+    terms /= (m - sigma) ** p
+    del m
+    if k:
+        g = g_sigma_values(np.arange(1, m_star + 2), gamma)
+        g0, g1 = g[:-1], g[1:]  # g(m), g(m+1)
+        terms *= g1 + g0 if k == 1 else g1 ** 2 + g1 * g0 + g0 ** 2
+    head = float(np.sum(terms))
+    a, s = m_star + 1, p + gamma
+    if k == 0:
+        second = p * sigma - gamma * (1.0 - gamma) / 2.0
+        return head + _zeta_log(s, a, 0) + second * _zeta_log(s + 1.0, a, 0)
+    B = -float(special.digamma(1.0 - gamma))
+    return head + (k + 1) * sum(
+        math.comb(k, j) * B ** (k - j) * _zeta_log(s, a, j)
+        for j in range(k + 1))
 
 
 # ---------------------------------------------------------------------------
 # limiting function E0 and tau2
 
 
-def E0_series(sigma, sigma0, tol=DEFAULT_TOLERANCE, m_star=100_000):
-    """E0(sigma) = Gamma(1-sigma0)/sigma - sum_m Gamma(m+1-sigma0)/(m!(m-sigma)).
-
-    Head summed directly to m_star; the tail uses the Stirling-ratio expansion
-    Gamma(m+1-sigma0)/m! = m^{-sigma0}(1 - sigma0(1-sigma0)/(2m) + O(m^-2)),
-    giving Hurwitz-zeta corrections accurate to ~m_star^{-1-sigma0}.
-    """
+def E0_series(sigma, sigma0):
+    """E0(sigma) = Gamma(1-sigma0)/sigma
+    - sum_m Gamma(m+1-sigma0)/(m!(m-sigma))."""
     if not 0.0 < sigma < 1.0 or not 0.0 < sigma0 < 1.0:
         raise ValueError("sigma and sigma0 must lie in (0, 1)")
-    m = np.arange(1, m_star + 1, dtype=float)
-    ratio = np.exp(special.gammaln(m + 1.0 - sigma0) - special.gammaln(m + 1.0))
-    head = float(np.sum(ratio / (m - sigma)))
-    a = m_star + 1
-    tail = _hurwitz(1.0 + sigma0, a) \
-        + (sigma - sigma0 * (1.0 - sigma0) / 2.0) * _hurwitz(2.0 + sigma0, a)
-    return math.exp(log_gamma(1.0 - sigma0)) / sigma - head - tail
+    return math.exp(log_gamma(1.0 - sigma0)) / sigma \
+        - stirling_zeta_series(sigma0, sigma, 1, 0)
 
 
-def gamma_ratio_sum(gamma, m_star=100_000):
+def gamma_ratio_sum(gamma):
     """sum_m Gamma(m-gamma)/m!  (equals Gamma(1-gamma)/gamma)."""
-    m = np.arange(1, m_star + 1, dtype=float)
-    head = float(np.sum(np.exp(special.gammaln(m - gamma)
-                               - special.gammaln(m + 1.0))))
-    a = m_star + 1
-    # Gamma(m-gamma)/m! = m^{-1-gamma}(1 + gamma(1+gamma)/(2m) + O(m^-2))
-    tail = _hurwitz(1.0 + gamma, a) \
-        + gamma * (1.0 + gamma) / 2.0 * _hurwitz(2.0 + gamma, a)
-    return head + tail
+    return stirling_zeta_series(gamma, gamma, 1, 0)
 
 
 @lru_cache(maxsize=256)
-def tau2_sq(sigma0, m_star=100_000):
+def tau2_sq(sigma0):
     """-E0'(sigma0) = Gamma(1-sigma0)/sigma0^2
     + sum_m Gamma(m+1-sigma0)/(m!(m-sigma0)^2)."""
     if not 0.0 < sigma0 < 1.0:
         raise ValueError("sigma0 must lie in (0, 1)")
-    m = np.arange(1, m_star + 1, dtype=float)
-    ratio = np.exp(special.gammaln(m + 1.0 - sigma0) - special.gammaln(m + 1.0))
-    head = float(np.sum(ratio / (m - sigma0) ** 2))
-    a = m_star + 1
-    tail = _hurwitz(2.0 + sigma0, a) \
-        + (2.0 * sigma0 - sigma0 * (1.0 - sigma0) / 2.0) \
-        * _hurwitz(3.0 + sigma0, a)
-    out = math.exp(log_gamma(1.0 - sigma0)) / sigma0 ** 2 + head + tail
+    out = math.exp(log_gamma(1.0 - sigma0)) / sigma0 ** 2 \
+        + stirling_zeta_series(sigma0, sigma0, 2, 0)
     if out <= 0.0:
         raise ArithmeticError("tau2_sq must be positive")
     return out
@@ -87,159 +113,159 @@ def tau2_sq(sigma0, m_star=100_000):
 # ---------------------------------------------------------------------------
 # tau1 (sandwich numerator)
 
-
-def _tau1_component2(sigma0, m_star=1_000_000):
-    """sum_m Gamma(m-sigma0)(g(m+1)+g(m))/m! with log-corrected zeta tail."""
-    m = np.arange(1, m_star + 1, dtype=float)
-    ratio = np.exp(special.gammaln(m - sigma0) - special.gammaln(m + 1.0))
-    g = g_sigma_values(np.arange(0, m_star + 2), sigma0)
-    head = float(np.sum(ratio * (g[2:m_star + 2] + g[1:m_star + 1])))
-    # tail term ~ m^{-1-sigma0} (2 log m + A) with A = -2 psi(1 - sigma0)
-    a = m_star + 1
-    A = -2.0 * float(special.digamma(1.0 - sigma0))
-    tail = 2.0 * _hurwitz_log(1.0 + sigma0, a) + A * _hurwitz(1.0 + sigma0, a)
-    return head + tail
+_DIAGONALS = 10_000  # diagonals of the tau1 double series summed directly
+_FIT_DECADE = 10.0  # its tail is fitted on the last 1/_FIT_DECADE of them
 
 
-def _tau1_component4(sigma0, m_max=400):
-    """sum_{m>=2} g(m) Gamma(m-sigma0)/(m! 2^{m-sigma0-1}) (geometric decay)."""
-    m = np.arange(2, m_max + 1, dtype=float)
+def _tau1_component4(sigma0):
+    """sum_{m=2}^{400} g(m) Gamma(m-sigma0)/(m! 2^{m-sigma0-1}); the terms
+    decay geometrically."""
+    m = np.arange(2, 401, dtype=float)
     logs = special.gammaln(m - sigma0) - special.gammaln(m + 1.0) \
         - (m - sigma0 - 1.0) * math.log(2.0)
-    g = g_sigma_values(np.arange(2, m_max + 1), sigma0)
+    g = g_sigma_values(np.arange(2, 401), sigma0)
     return float(np.sum(np.exp(logs) * g))
 
 
-def _tau1_component3(sigma0, n_star=10_000, fit_decade=10.0):
+def _tau1_component3(sigma0):
     """Double series sum_{k>=2} sum_{m>=1} g(k) Gamma(k+m+1-sigma0)
     / (k! m! 2^{k+m-sigma0} (m-sigma0)), summed along diagonals N = k+m.
 
-    Diagonal sums decay like (a + b log N) N^{-1-sigma0}; a and b are fitted
-    on the last decade of computed diagonals and the tail beyond n_star is
-    integrated analytically via Hurwitz zeta values.
+    On diagonal N the weights are binomial(N, k)/2^N up to a factor in N, so
+    only k in N/2 +- (5 sqrt(N) + 10) is summed (the rest is below 1e-20 of
+    the diagonal); one vectorized pass per offset from N/2 covers all
+    diagonals.  Diagonal sums decay like (a + b log N) N^{-1-sigma0}; a and b
+    are fitted on the last decade of computed diagonals and the tail beyond
+    them is integrated analytically via Hurwitz zeta values.
     """
-    lg = special.gammaln(np.arange(1, n_star + 2, dtype=float))  # lg[i]=ln(i!)
-    g = g_sigma_values(np.arange(0, n_star + 1), sigma0)
-    diag = np.zeros(n_star + 1)
-    for N in range(3, n_star + 1):
-        k = np.arange(2, N, dtype=float)
+    lg = special.gammaln(np.arange(1, _DIAGONALS + 2, dtype=float))  # ln(i!)
+    g = g_sigma_values(np.arange(0, _DIAGONALS + 1), sigma0)
+    N = np.arange(3, _DIAGONALS + 1)
+    log_pref = special.gammaln(N + 1.0 - sigma0) - (N - sigma0) * math.log(2.0)
+    half = N // 2
+    width = (5.0 * np.sqrt(N) + 10.0).astype(np.int64)
+    diag = np.zeros(N.size)
+    for d in range(-int(width[-1]), int(width[-1]) + 1):
+        k = half + d
+        ok = (abs(d) <= width) & (k >= 2) & (k <= N - 1)
+        k = np.where(ok, k, 2)
         m = N - k
-        log_pref = special.gammaln(N + 1.0 - sigma0) \
-            - (N - sigma0) * math.log(2.0)
-        terms = np.exp(log_pref - lg[2:N] - lg[N - 2:0:-1])
-        diag[N] = float(np.sum(terms * g[2:N] / (m - sigma0)))
+        terms = np.exp(log_pref - lg[k] - lg[m]) * g[k] / (m - sigma0)
+        diag += np.where(ok, terms, 0.0)
     total = float(np.sum(diag))
     # tail fit on the last decade: d_N * N^{1+sigma0} ~ a + b log N
-    lo = int(n_star / fit_decade)
-    N_fit = np.arange(lo, n_star + 1, dtype=float)
-    y = diag[lo:] * N_fit ** (1.0 + sigma0)
+    fit = N >= int(_DIAGONALS / _FIT_DECADE)
+    N_fit = N[fit].astype(float)
+    y = diag[fit] * N_fit ** (1.0 + sigma0)
     X = np.column_stack([np.ones_like(N_fit), np.log(N_fit)])
     (a_fit, b_fit), *_ = np.linalg.lstsq(X, y, rcond=None)
-    start = n_star + 1
-    tail = a_fit * _hurwitz(1.0 + sigma0, start) \
-        + b_fit * _hurwitz_log(1.0 + sigma0, start)
+    start = _DIAGONALS + 1
+    tail = a_fit * _zeta_log(1.0 + sigma0, start, 0) \
+        + b_fit * _zeta_log(1.0 + sigma0, start, 1)
     return total + tail
 
 
 @lru_cache(maxsize=64)
-def tau1_sq(sigma0, n_star=10_000):
+def tau1_sq(sigma0):
     """Limit variance of the normalized score (sandwich numerator)."""
     if not 0.0 < sigma0 < 1.0:
         raise ValueError("sigma0 must lie in (0, 1)")
     c1 = (2.0 ** sigma0 - 1.0) * math.exp(log_gamma(1.0 - sigma0)) \
         / sigma0 ** 2
-    c2 = _tau1_component2(sigma0)
-    c3 = _tau1_component3(sigma0, n_star=n_star)
-    c4 = _tau1_component4(sigma0)
-    out = c1 + c2 - c3 - c4
+    c2 = stirling_zeta_series(sigma0, sigma0, 1, 1)
+    out = c1 + c2 - _tau1_component3(sigma0) - _tau1_component4(sigma0)
     if out <= 0.0:
         raise ArithmeticError(
             f"tau1_sq came out nonpositive ({out}); series bug")
     return out
 
 
-def tau1_components(sigma0):
-    """The four summands of tau1_sq, for diagnostics."""
-    return (
-        (2.0 ** sigma0 - 1.0) * math.exp(log_gamma(1.0 - sigma0)) / sigma0 ** 2,
-        _tau1_component2(sigma0),
-        _tau1_component3(sigma0),
-        _tau1_component4(sigma0),
-    )
+# ---------------------------------------------------------------------------
+# Poisson occupancy kernel
+
+# (largest intensity, last count summed) per tier of the pmf recursion; the
+# Poisson mass past each last count is below 1e-25 for the whole tier
+_TIERS = ((1e-3, 7), (1e-2, 9), (1e-1, 13), (0.5, 19), (2.0, 31), (8.0, 56),
+          (30.0, 112))
+_BATCH = 1 << 20  # (atom, count) cells evaluated per batch
+
+
+def _g_rows(m, sigma):
+    """g, g^2, g^3 and gdot = dg/dsigma = sum_{l<m} (l-sigma)^-2 at m."""
+    g = g_sigma_values(m, sigma)
+    gdot = np.where(m >= 2, special.polygamma(1, 1.0 - sigma)
+                    - special.polygamma(1, np.maximum(m, 2) - sigma), 0.0)
+    return np.stack([g, g * g, g * g * g, gdot])
+
+
+def poisson_g_moments(lam, sigma):
+    """Rows E g(X), E g(X)^2, E g(X)^3 and E gdot(X) for X ~ Poisson(lam),
+    one column per intensity (g = g_sigma).
+
+    Intensities up to 30 use the pmf recursion p_m = p_{m-1} lam/m from
+    p_2 = e^-lam lam^2/2, truncated per tier.  Larger ones sum the pmf over the
+    window lam +- (12 sqrt(lam) + 10), normalized over that window, so the
+    rounding of ln p_m (absolute ~1e-16 lam ln lam) cancels in the ratio;
+    g and gdot are advanced across the window by their increments
+    1/(m-1-sigma) and its square from their values at its first count.
+    """
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty((4, lam.size))
+    tier = np.searchsorted([b for b, _ in _TIERS], lam)
+    for t, (_, m_max) in enumerate(_TIERS):
+        idx = np.flatnonzero(tier == t)
+        if not idx.size:
+            continue
+        m = np.arange(2, m_max + 1)  # g = gdot = 0 at counts 0 and 1
+        rows = _g_rows(m, sigma)
+        for part in np.array_split(idx, -(-idx.size * m.size // _BATCH)):
+            l = lam[part]
+            pmf = np.empty((m.size, part.size))
+            pmf[0] = np.exp(-l) * l * l / 2.0
+            for i in range(1, m.size):
+                np.multiply(pmf[i - 1], l / m[i], out=pmf[i])
+            out[:, part] = rows @ pmf
+    idx = np.flatnonzero(tier == len(_TIERS))
+    big = lam[idx]
+    half = np.ceil(12.0 * np.sqrt(big) + 10.0)
+    lo = np.maximum(np.floor(big) - half, 0.0).astype(np.int64)
+    lens = (np.floor(big) + half).astype(np.int64) - lo + 1
+    batch = np.cumsum(lens) // _BATCH
+    for b in np.unique(batch):
+        sel = batch == b
+        l, n_m, first = big[sel], lens[sel], _g_rows(lo[sel], sigma)
+        starts = np.cumsum(n_m) - n_m
+        atom = np.repeat(np.arange(l.size), n_m)
+        m = np.arange(atom.size) - starts[atom] + lo[sel][atom]
+        logp = special.xlogy(m, l[atom]) - special.gammaln(m + 1.0)
+        w = np.exp(logp - np.maximum.reduceat(logp, starts)[atom])
+        inc = np.where(m >= 2, 1.0 / (m - 1.0 - sigma), 0.0)
+        inc[starts] = 0.0
+        c1, c2 = np.cumsum(inc), np.cumsum(inc * inc)
+        g = first[0][atom] + (c1 - c1[starts][atom])
+        gdot = first[3][atom] + (c2 - c2[starts][atom])
+        out[:, idx[sel]] = np.add.reduceat(
+            w * np.stack([g, g * g, g * g * g, gdot]), starts, axis=1) \
+            / np.add.reduceat(w, starts)
+    return out
+
+
+def tail_g_moments(tails, sigma):
+    """The four rows of `poisson_g_moments` summed over atoms known only
+    through their power sums (t1, t2, t3), to third order in lam:
+    P(X = 2) = lam^2/2 - lam^3/2, P(X = 3) = lam^3/6."""
+    _, t2, t3 = tails
+    return _g_rows(np.arange(2, 4), sigma) @ [t2 / 2.0 - t3 / 2.0, t3 / 6.0]
+
+
+def tail_occupied(tails):
+    """sum P(X >= 1) over atoms known through (t1, t2, t3), third order."""
+    t1, t2, t3 = tails
+    return t1 - t2 / 2.0 + t3 / 6.0
 
 
 # ---------------------------------------------------------------------------
 # finite-n centering function E0n and its root
-
-
-_TAIL_CUT = 1e-4  # atoms with n p_j below this are folded into moment tails
-# (the tail uses the cubic expansion of (1-e^-l)/sigma - E g; the neglected
-# O(l^4) mass is ~1e-12 of the total at this cutoff)
-_TIERS = [(1e-2, 9), (1e-1, 13), (0.5, 19), (2.0, 31), (8.0, 56), (30.0, 112)]
-_LARGE_LAM = 200.0
-
-
-def _expected_g_large(lam, sigma, with_derivative):
-    """E g_sigma(Poisson(lam)) for large lam by a moment expansion around
-    the mean: E f(X) = f(l) + m2/2 f'' + m3/6 f''' + m4/24 f'''' + O(l^-4)
-    with f(x) = psi(x - sigma) - psi(1 - sigma) and Poisson central moments
-    m2 = m3 = l, m4 = 3l^2 + l.  (The x = 0 atom, where the smooth extension
-    disagrees with g, carries mass e^-lam < 1e-80 here.)"""
-    x = lam - sigma
-    m4 = 3.0 * lam ** 2 + lam
-    val = special.digamma(x) - special.digamma(1.0 - sigma) \
-        + lam / 2.0 * special.polygamma(2, x) \
-        + lam / 6.0 * special.polygamma(3, x) \
-        + m4 / 24.0 * special.polygamma(4, x)
-    total = float(np.sum(val))
-    if not with_derivative:
-        return total, 0.0
-    der = -special.polygamma(1, x) + special.polygamma(1, 1.0 - sigma) \
-        - lam / 2.0 * special.polygamma(3, x) \
-        - lam / 6.0 * special.polygamma(4, x) \
-        - m4 / 24.0 * special.polygamma(5, x)
-    return total, float(np.sum(der))
-
-
-def _expected_g_sums(lam, sigma, with_derivative=False):
-    """sum over atoms of E g_sigma(X_j) for X_j ~ Poisson(lam_j), and
-    optionally of its sigma-derivative sum_l P(X_j >= l+1)/(l-sigma)^2.
-
-    Uses E g(X) = sum_{l>=1} P(X >= l+1)/(l-sigma) with the survival
-    probabilities advanced by the Poisson pmf recursion, vectorized per
-    intensity tier (lam must be sorted ascending).
-    """
-    split = int(np.searchsorted(lam, _LARGE_LAM, side="right"))
-    total, total_d = _expected_g_large(lam[split:], sigma, with_derivative)
-    lam = lam[:split]
-    tiers = list(_TIERS)
-    hi_max = float(lam[-1]) if lam.size else 0.0
-    b = 30.0
-    while b < hi_max:
-        b *= 2.0
-        tiers.append((b, int(b + 12.0 * math.sqrt(b) + 60.0)))
-    start = 0
-    for bound, m_max in tiers:
-        stop = int(np.searchsorted(lam, bound, side="right"))
-        if stop > start:
-            chunk = lam[start:stop]
-            pmf = np.exp(-chunk)  # P(X = 0)
-            surv = 1.0 - pmf      # P(X >= 1)
-            acc = np.zeros_like(chunk)
-            acc_d = np.zeros_like(chunk) if with_derivative else None
-            for l in range(1, m_max + 1):
-                pmf = pmf * chunk / l
-                surv = np.maximum(surv - pmf, 0.0)  # now P(X >= l+1)
-                acc += surv / (l - sigma)
-                if with_derivative:
-                    acc_d += surv / (l - sigma) ** 2
-            total += float(np.sum(acc))
-            if with_derivative:
-                total_d += float(np.sum(acc_d))
-            start = stop
-        if start == lam.size:
-            break
-    return (total, total_d) if with_derivative else total
 
 
 class E0nEvaluator:
@@ -251,64 +277,32 @@ class E0nEvaluator:
     the sum above.  Atom intensities are cached so root finding reuses them.
     """
 
-    def __init__(self, pop, n, tail_cut=_TAIL_CUT):
+    def __init__(self, pop, n):
         self.pop = pop
         self.n = int(n)
-        limit = pop.n_atoms()
-        size = 1 << 10
-        while True:
-            if limit is not None:
-                size = min(size, limit)
-            probs = pop.atom_probs(size)
-            if (limit is not None and size == limit) \
-                    or n * probs[-1] < tail_cut:
-                break
-            size *= 2
-        lam = n * probs
-        explicit = int(np.searchsorted(-lam, -tail_cut, side="right"))
-        self.lam = lam[:explicit][::-1].copy()  # ascending for tier sweeps
-        extra = lam[explicit:]
-        if limit is not None and size == limit:
-            t1 = t2 = t3 = 0.0
-        else:
-            t1 = n * pop.tail_power_sum(size, 1)
-            t2 = n ** 2 * pop.tail_power_sum(size, 2)
-            t3 = n ** 3 * pop.tail_power_sum(size, 3)
-        self.t1 = float(np.sum(extra)) + t1
-        self.t2 = float(np.sum(extra ** 2)) + t2
-        self.t3 = float(np.sum(extra ** 3)) + t3
-        self.occupied = float(np.sum(-np.expm1(-self.lam)))
+        self.lam, self.tails, _ = pop.intensities(n)
+        self.occupied = float(np.sum(-np.expm1(-self.lam))) \
+            + tail_occupied(self.tails)
 
-    def _tail_value(self, sigma):
-        # tail atoms: (1 - e^-l)/sigma - E g  to third order in l
-        return (self.t1 - self.t2 / 2.0 + self.t3 / 6.0) / sigma \
-            - (self.t2 / 2.0 - self.t3 / 3.0) / (1.0 - sigma) \
-            - self.t3 / 6.0 / (2.0 - sigma)
-
-    def _tail_derivative(self, sigma):
-        return -(self.t1 - self.t2 / 2.0 + self.t3 / 6.0) / sigma ** 2 \
-            - (self.t2 / 2.0 - self.t3 / 3.0) / (1.0 - sigma) ** 2 \
-            - self.t3 / 6.0 / (2.0 - sigma) ** 2
-
-    def value(self, sigma):
+    def _sweep(self, sigma):
+        """(E0n, dE0n/dsigma) from one pass of the Poisson kernel."""
         if not 0.0 < sigma < 1.0:
             raise ValueError("sigma must lie in (0, 1)")
-        return self.occupied / sigma - _expected_g_sums(self.lam, sigma) \
-            + self._tail_value(sigma)
+        eg, _, _, egdot = poisson_g_moments(self.lam, sigma).sum(axis=1) \
+            + tail_g_moments(self.tails, sigma)
+        return (self.occupied / sigma - float(eg),
+                -self.occupied / sigma ** 2 - float(egdot))
+
+    def value(self, sigma):
+        return self._sweep(sigma)[0]
 
     def derivative(self, sigma):
         """Analytic d/dsigma of value (all denominators squared)."""
-        _, d = _expected_g_sums(self.lam, sigma, with_derivative=True)
-        return -self.occupied / sigma ** 2 - d + self._tail_derivative(sigma)
+        return self._sweep(sigma)[1]
 
     def value_and_derivative(self, sigma):
-        """Both in one sweep over the atoms (for Newton root finding)."""
-        if not 0.0 < sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
-        eg, eg_d = _expected_g_sums(self.lam, sigma, with_derivative=True)
-        val = self.occupied / sigma - eg + self._tail_value(sigma)
-        der = -self.occupied / sigma ** 2 - eg_d + self._tail_derivative(sigma)
-        return val, der
+        """Both from one sweep over the atoms (for Newton root finding)."""
+        return self._sweep(sigma)
 
 
 _EVALUATOR_CACHE = {}

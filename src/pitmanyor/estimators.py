@@ -174,9 +174,6 @@ def sandwich_se(stats, sigma_hat, alpha_n=None):
         raise ValueError("sigma_hat must be interior")
     if alpha_n is None:
         alpha_n = plugin_alpha(stats, sigma_hat)
-    # cache-friendly rounding: the constants are smooth in sigma and the
-    # se is only meaningful to a few digits
-    key = round(sigma_hat, 3)
-    t1 = asymptotics.tau1_sq(key)
-    t2 = asymptotics.tau2_sq(key)
+    t1 = asymptotics.tau1_sq(sigma_hat)
+    t2 = asymptotics.tau2_sq(sigma_hat)
     return math.sqrt(t1) / (t2 * math.sqrt(alpha_n))

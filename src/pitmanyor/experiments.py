@@ -3,7 +3,10 @@
 Each run_* function draws replications with per-replication RNG streams
 (stream_id = replication index), folds results in index order, and returns an
 ExperimentReport whose JSON serialization is byte-identical across reruns and
-worker counts (modulo the wall-clock field).
+worker counts (modulo the wall-clock field).  The deterministic occupancy
+checks own no numerics of their own: their left-hand sides come from
+asymptotics.poisson_g_moments over Population.intensities, their right-hand
+sides from asymptotics.stirling_zeta_series and the tau1 components.
 """
 
 from __future__ import annotations
@@ -205,172 +208,51 @@ def run_bvm(config):
 # Deterministic score-moment limits
 
 
-def _atom_intensities(pop, n, cut=1e-4):
-    limit = pop.n_atoms()
-    size = 1 << 10
-    while True:
-        if limit is not None:
-            size = min(size, limit)
-        probs = pop.atom_probs(size)
-        if (limit is not None and size == limit) or n * probs[-1] < cut:
-            break
-        size *= 2
-    lam = n * probs
-    explicit = int(np.searchsorted(-lam, -cut, side="right"))
-    if limit is not None and size == limit:
-        tails = (0.0, 0.0, 0.0)
-    else:
-        tails = tuple(n ** k * pop.tail_power_sum(size, k) for k in (1, 2, 3))
-    extra = lam[explicit:]
-    t1 = float(np.sum(extra)) + tails[0]
-    t2 = float(np.sum(extra ** 2)) + tails[1]
-    t3 = float(np.sum(extra ** 3)) + tails[2]
-    return lam[:explicit], (t1, t2, t3)
-
-
-def _eg_powers(lam, sigma):
-    """Per-atom E g, E g^2, E g^3, E g-dot for Poisson(lam) occupancies.
-
-    Exact windowed summation over the Poisson pmf in the log domain; the
-    window lam +- 12 sqrt(lam) + 60 leaves mass below 1e-25.
-    """
-    lam = np.asarray(lam, dtype=float)
-    out = np.zeros((4, lam.size))
-    for i, l in enumerate(lam):
-        m_lo = max(2, int(l - 12.0 * math.sqrt(l)))
-        m_hi = int(l + 12.0 * math.sqrt(l) + 60.0)
-        m = np.arange(m_lo, m_hi + 1, dtype=float)
-        pmf = np.exp(m * math.log(l) - l - special.gammaln(m + 1.0))
-        g = special.digamma(m - sigma) - special.digamma(1.0 - sigma)
-        gdot = special.polygamma(1, 1.0 - sigma) \
-            - special.polygamma(1, m - sigma)
-        out[0, i] = np.sum(pmf * g)
-        out[1, i] = np.sum(pmf * g ** 2)
-        out[2, i] = np.sum(pmf * g ** 3)
-        out[3, i] = np.sum(pmf * gdot)
-    return out
-
-
-def _eg_powers_small(lam, sigma, m_cap):
-    """Vectorized pmf recursion for moderate intensities."""
-    pmf = np.exp(-lam) * lam  # P(X = 1)
-    eg = np.zeros_like(lam)
-    eg2 = np.zeros_like(lam)
-    eg3 = np.zeros_like(lam)
-    egdot = np.zeros_like(lam)
-    g = 0.0
-    gdot = 0.0
-    for m in range(2, m_cap + 1):
-        pmf = pmf * lam / m
-        g += 1.0 / (m - 1.0 - sigma)
-        gdot += 1.0 / (m - 1.0 - sigma) ** 2
-        eg += pmf * g
-        eg2 += pmf * g * g
-        eg3 += pmf * g * g * g
-        egdot += pmf * gdot
-    return np.stack([eg, eg2, eg3, egdot])
-
-
-_SMALL_LAM_SPLIT = 30.0
-
-
 def lemma_limit_ratios(pop, n, sigma=None):
     """LHS/(alpha0(n) * RHS) for the eight Poissonized occupancy limits.
 
-    LHS are exact sums of Poisson expectations over the atoms (no sampling);
-    RHS are the limit series.  sigma defaults to the population's sigma0.
+    LHS are exact sums of Poisson expectations over the atoms (no sampling),
+    from asymptotics.poisson_g_moments plus the third-order tails; RHS are
+    the limit series.  sigma defaults to the population's sigma0.
     """
     gamma = pop.rv.sigma0
     sigma = gamma if sigma is None else sigma
-    lam, (t1, t2, t3) = _atom_intensities(pop, n)
+    lam, tails, _ = pop.intensities(n)
+    t1, t2, t3 = tails
     a0 = pop.alpha0(n)
-    split = int(np.searchsorted(-lam, -_SMALL_LAM_SPLIT, side="right"))
-    big, small = lam[:split], lam[split:]
-    m_cap = int(_SMALL_LAM_SPLIT + 12.0 * math.sqrt(_SMALL_LAM_SPLIT) + 40.0)
-    pw = np.concatenate(
-        [_eg_powers(big, sigma), _eg_powers_small(small, sigma, m_cap)],
-        axis=1)
-    eg, eg2, eg3, egdot = pw
+    per_atom = asymptotics.poisson_g_moments(lam, sigma)
+    eg = per_atom[0]
+    sum_eg, sum_eg2, sum_eg3, sum_egdot = per_atom.sum(axis=1) \
+        + asymptotics.tail_g_moments(tails, sigma)
     exp_lam = np.exp(-lam)
     gfac = math.exp(special.gammaln(1.0 - gamma))
-
-    # analytic tails from the first three power sums (third order in lam)
-    s1 = 1.0 - sigma
-    s2 = 2.0 - sigma
-    tail_occ = t1 - t2 / 2.0 + t3 / 6.0
+    # the two tails that weigh occupancies by e^-lam, also third order
     tail_var = t1 - 1.5 * t2 + 7.0 * t3 / 6.0
-    tail_eg = (t2 / 2.0 - t3 / 3.0) / s1 + t3 / 6.0 / s2
-    tail_egdot = (t2 / 2.0 - t3 / 3.0) / s1 ** 2 + t3 / 6.0 / s2 ** 2
-    tail_eg2 = (t2 / 2.0 - t3 / 2.0) / s1 ** 2 \
-        + t3 / 6.0 * (1.0 / s1 + 1.0 / s2) ** 2
-    tail_eg3 = (t2 / 2.0 - t3 / 2.0) / s1 ** 3 \
-        + t3 / 6.0 * (1.0 / s1 + 1.0 / s2) ** 3
-    tail_exp_eg = (t2 / 2.0 - 5.0 * t3 / 6.0) / s1 + t3 / 6.0 / s2
+    tail_exp_eg = (t2 / 2.0 - 5.0 * t3 / 6.0) / (1.0 - sigma) \
+        + t3 / 6.0 / (2.0 - sigma)
 
     lhs = {
-        "i": float(np.sum(-np.expm1(-lam))) + tail_occ,
+        "i": float(np.sum(-np.expm1(-lam))) + asymptotics.tail_occupied(tails),
         "ii": float(np.sum(exp_lam * (1.0 - exp_lam))) + tail_var,
-        "iii": float(np.sum(eg)) + tail_eg,
-        "iv": float(np.sum(egdot)) + tail_egdot,
-        "v": float(np.sum(eg2)) + tail_eg2,
+        "iii": sum_eg,
+        "iv": sum_egdot,
+        "v": sum_eg2,
         "vi": float(np.sum(eg ** 2)),
         "vii": float(np.sum(exp_lam * eg)) + tail_exp_eg,
-        "viii": float(np.sum(eg3)) + tail_eg3,
+        "viii": sum_eg3,
     }
+    series = asymptotics.stirling_zeta_series
     rhs = {
         "i": gfac,
         "ii": (2.0 ** gamma - 1.0) * gfac,
-        "iii": _series_m(gamma, sigma, 1, 0),
-        "iv": _series_m(gamma, sigma, 2, 0),
-        "v": asymptotics._tau1_component2(gamma) if sigma == gamma
-        else _series_m(gamma, sigma, 1, 1),
+        "iii": series(gamma, sigma, 1, 0),
+        "iv": series(gamma, sigma, 2, 0),
+        "v": series(gamma, sigma, 1, 1),
         "vi": asymptotics._tau1_component3(gamma),
         "vii": gamma * asymptotics._tau1_component4(gamma) / 2.0,
-        "viii": _series_m(gamma, sigma, 1, 2),
+        "viii": series(gamma, sigma, 1, 2),
     }
-    return {k: lhs[k] / (a0 * rhs[k]) for k in lhs}
-
-
-def _series_m(gamma, sigma, denom_power, g_power, m_star=1_000_000):
-    """sum_m Gamma(m+1-gamma)/(m! (m-sigma)^denom_power) * G_p(m)
-    where G_0 = 1, G_1 = g(m+1)+g(m), G_2 = g^2(m+1)+g(m+1)g(m)+g^2(m),
-    with Hurwitz-zeta (and log-corrected) tails."""
-    m = np.arange(1, m_star + 1, dtype=float)
-    ratio = np.exp(special.gammaln(m + 1.0 - gamma) - special.gammaln(m + 1.0))
-    base = ratio / (m - sigma) ** denom_power
-    g = g_sigma_values(np.arange(0, m_star + 2), gamma)
-    if g_power == 0:
-        gg = 1.0
-    elif g_power == 1:
-        gg = g[2:m_star + 2] + g[1:m_star + 1]
-    else:
-        gg = g[2:m_star + 2] ** 2 + g[2:m_star + 2] * g[1:m_star + 1] \
-            + g[1:m_star + 1] ** 2
-    head = float(np.sum(base * gg))
-    a = m_star + 1
-    s = denom_power + gamma
-    B = -float(special.digamma(1.0 - gamma))
-    if g_power == 0:
-        tail = _z(s, a)
-    elif g_power == 1:
-        tail = 2.0 * _zlog(s, a) + 2.0 * B * _z(s, a)
-    else:
-        tail = 3.0 * (_zlog2(s, a) + 2.0 * B * _zlog(s, a)
-                      + B ** 2 * _z(s, a))
-    return head + tail
-
-
-def _z(s, a):
-    return float(special.zeta(s, a))
-
-
-def _zlog(s, a, h=1e-5):
-    return float((special.zeta(s - h, a) - special.zeta(s + h, a)) / (2 * h))
-
-
-def _zlog2(s, a, h=1e-4):
-    return float((special.zeta(s - h, a) - 2.0 * special.zeta(s, a)
-                  + special.zeta(s + h, a)) / h ** 2)
+    return {k: float(lhs[k] / (a0 * rhs[k])) for k in lhs}
 
 
 def run_lemma_limits(pop, sigma=None, n_grid=(10 ** 6,), tolerance=0.05):

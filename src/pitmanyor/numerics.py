@@ -1,4 +1,4 @@
-"""Shared numerical kernels: special functions, series evaluation, quadrature.
+"""Shared numerical kernels: special functions, g_sigma, quadrature.
 
 Everything in this module is a pure function of its arguments and safe to call
 from multiple threads.
@@ -7,28 +7,9 @@ from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Truncation control for infinite series."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-300
-    max_terms: int = 10_000_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_TOLERANCE = SeriesTolerance()
 
 
 class IntegrationError(RuntimeError):
@@ -88,46 +69,14 @@ def log_ascending_factorial(a, n):
     return float(out) if out.ndim == 0 else out
 
 
-def g_sigma(m, sigma):
-    """g_sigma(m) = sum_{l=1}^{m-1} 1/(l - sigma), with g(0) = g(1) = 0."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
-    m = int(m)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m <= 1:
-        return 0.0
-    if m <= 4096:
-        return float(np.sum(1.0 / (np.arange(1, m) - sigma)))
-    # psi(m - sigma) - psi(1 - sigma) telescopes to the same sum.
-    return float(special.digamma(m - sigma) - special.digamma(1.0 - sigma))
-
-
 def g_sigma_values(m, sigma):
-    """Vectorized g_sigma over an integer array (digamma form)."""
+    """g_sigma(m) = sum_{l=1}^{m-1} 1/(l - sigma), with g(0) = g(1) = 0, over
+    an integer array (digamma form: psi(m - sigma) - psi(1 - sigma))."""
     m = np.asarray(m)
     out = np.zeros(m.shape, dtype=float)
     big = m >= 2
     out[big] = special.digamma(m[big] - sigma) - special.digamma(1.0 - sigma)
     return out
-
-
-def poisson_weighted_reciprocal(s, sigma, tol=DEFAULT_TOLERANCE):
-    """T(s, sigma) = e^{-s} sum_{m>=1} s^m / (m! (m - sigma)).
-
-    Equals E[1/(X - sigma); X >= 1] for X ~ Poisson(s).  Terms are summed as
-    Poisson probability masses so large s cannot overflow.
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
-    if s == 0.0:
-        return 0.0
-    m_max = int(min(tol.max_terms, math.ceil(s + 10.0 * math.sqrt(s) + 50.0)))
-    m = np.arange(1, m_max + 1, dtype=float)
-    log_pmf = m * math.log(s) - s - special.gammaln(m + 1.0)
-    return float(np.sum(np.exp(log_pmf) / (m - sigma)))
 
 
 def log_sum_exp(values):

@@ -18,6 +18,9 @@ from scipy import special
 
 from .numerics import adaptive_integrate
 
+INTENSITY_CUT = 1e-4  # atoms with n p_j below this are folded into power sums
+_INDEX_CAP = 1 << 62  # exact power-law tail indices stay below this
+
 
 @dataclass(frozen=True)
 class RegularVariation:
@@ -57,6 +60,31 @@ class Population:
     def n_atoms(self):
         """Number of atoms, or None if infinite."""
         return None
+
+    def intensities(self, n):
+        """(lam, (t1, t2, t3), size) for Poisson intensities n p_j.
+
+        lam holds the n p_j >= INTENSITY_CUT, descending; t_k is the sum of
+        (n p_j)^k over all other atoms; size atoms were materialized, so
+        every index from size on is in the tails.  The head is doubled from
+        1024 atoms until n p_j < INTENSITY_CUT at its end.
+        """
+        limit = self.n_atoms()
+        size = 1 << 10
+        while True:
+            if limit is not None:
+                size = min(size, limit)
+            lam = n * self.atom_probs(size)
+            if size == limit or lam[-1] < INTENSITY_CUT:
+                break
+            size *= 2
+        explicit = int(np.searchsorted(-lam, -INTENSITY_CUT, side="right"))
+        extra = lam[explicit:]
+        tails = tuple(
+            float(np.sum(extra ** k))
+            + (0.0 if size == limit else n ** k * self.tail_power_sum(size, k))
+            for k in (1, 2, 3))
+        return lam[:explicit], tails, size
 
     # ---- sampling support -------------------------------------------------
     _CACHE_START = 1 << 16
@@ -135,17 +163,26 @@ class PowerLawPopulation(Population):
         return self.c ** k * float(special.zeta(k * self.alpha, after + 1))
 
     def _tail_indices(self, u, cached, cum_last):
-        # exact inversion via the Hurwitz zeta tail mass
+        # exact inversion via the Hurwitz zeta tail mass; a draw past
+        # _INDEX_CAP (alpha near 1) gets a fresh label at or above the cap,
+        # which no exact index reaches
         out = np.empty(u.size, dtype=np.int64)
-        total = 1.0
+        fresh = _INDEX_CAP
+
+        def cdf(j):  # P(index < j)
+            return 1.0 - self.c * float(special.zeta(self.alpha, j + 1))
+
         for i, ui in enumerate(u):
             lo, hi = cached, max(2 * cached, 1 << 40)
-            target = ui
-            while total - self.c * float(special.zeta(self.alpha, hi + 1)) < target:
+            while hi < _INDEX_CAP and cdf(hi) < ui:
                 hi *= 2
+            if cdf(min(hi, _INDEX_CAP)) < ui:
+                out[i] = fresh
+                fresh += 1
+                continue
             while lo + 1 < hi:
                 mid = (lo + hi) // 2
-                if total - self.c * float(special.zeta(self.alpha, mid + 1)) >= target:
+                if cdf(mid) >= ui:
                     hi = mid
                 else:
                     lo = mid

@@ -16,8 +16,6 @@ import numpy as np
 from . import partition
 from .likelihood import log_eppf
 
-_POISSON_EXPLICIT_CUT = 1e-4
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -139,12 +137,13 @@ def sample_iid(pop, n, rng):
 def sample_poissonized(pop, n, rng):
     """Independent Poisson(n p_j) occupancy counts.
 
-    Atoms with intensity n p_j >= 1e-4 are drawn explicitly.  The remaining
-    tail is drawn in aggregate: the number of tail species seen once (resp.
-    twice) is Poisson with mean sum_j (1 - e^{-l_j} - l_j e^{-l_j}-corrected
-    series), evaluated from analytic tail power sums; triple-or-more tail
-    occupancies have total expectation below 1e-6 at the scales this library
-    targets and are dropped.  Tail species receive fresh indices.
+    Atoms with intensity n p_j >= 1e-4 (Population.intensities) are drawn
+    explicitly.  The remaining tail is drawn in aggregate: the number of tail
+    species seen once (resp. twice) is Poisson with mean
+    sum_j (1 - e^{-l_j} - l_j e^{-l_j}-corrected series), evaluated from
+    analytic tail power sums; triple-or-more tail occupancies have total
+    expectation below 1e-6 at the scales this library targets and are
+    dropped.  Tail species receive fresh indices past the materialized atoms.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -152,35 +151,14 @@ def sample_poissonized(pop, n, rng):
     if n == 0:
         return OccupancyCounts(counts=counts, regime="poissonized", n=0)
     gen = rng.generator()
-    # explicit head: atoms with n p_j >= cut
-    limit = pop.n_atoms()
-    head = 1 << 10
-    while True:
-        if limit is not None:
-            head = min(head, limit)
-        probs = pop.atom_probs(head)
-        if (limit is not None and head == limit) \
-                or n * probs[-1] < _POISSON_EXPLICIT_CUT:
-            break
-        head *= 2
-    lam = n * probs
-    explicit = lam >= _POISSON_EXPLICIT_CUT
-    n_explicit = int(np.count_nonzero(explicit))
-    drawn = gen.poisson(lam[:n_explicit])
+    lam, (s1, s2, s3), fresh = pop.intensities(n)
+    drawn = gen.poisson(lam)
     occupied = np.nonzero(drawn)[0]
     counts.update(zip(occupied.tolist(), drawn[occupied].tolist()))
-    # aggregated tail beyond the explicit atoms
-    tail_start = n_explicit
-    s1 = float(np.sum(lam[tail_start:])) + n * pop.tail_power_sum(head, 1)
-    s2 = float(np.sum(lam[tail_start:] ** 2)) \
-        + n ** 2 * pop.tail_power_sum(head, 2)
-    s3 = float(np.sum(lam[tail_start:] ** 3)) \
-        + n ** 3 * pop.tail_power_sum(head, 3)
     mean_pairs = s2 / 2.0 - s3 / 3.0      # sum_j P(count_j = 2), small-lambda
     mean_singles = s1 - s2 + s3 / 2.0     # sum_j P(count_j = 1)
     singles = int(gen.poisson(max(mean_singles, 0.0)))
     pairs = int(gen.poisson(max(mean_pairs, 0.0)))
-    fresh = head
     for _ in range(singles):
         counts[fresh] = 1
         fresh += 1

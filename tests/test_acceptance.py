@@ -85,6 +85,7 @@ def test_criterion_04_analytic_derivatives():
         assert hess_sigma(st, sigma, M) == pytest.approx(fd_hess, rel=1e-4)
 
 
+@pytest.mark.slow
 def test_criterion_05_asymptotic_normality():
     # sqrt(alpha_n)(sigma_hat - sigma_0n) matches the N(0, tau1^2/tau2^4)
     # limit: mean within 3 SE, variance within 15%, KS below the 1% critical
@@ -97,6 +98,7 @@ def test_criterion_05_asymptotic_normality():
         f"KS = {row['ks_stat']:.4f} vs {row['ks_crit_01']:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_06_bernstein_von_mises():
     # total-variation gap between the posterior and its Gaussian limit, and
     # the scaled posterior-mean drift, both decrease along n and the final
@@ -108,6 +110,7 @@ def test_criterion_06_bernstein_von_mises():
         f"scaled drifts = {rep.results['median_scaled_drift']}")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("alpha,tolerance", [(2.0, 0.05), (3.0, 0.10)])
 def test_criterion_07_occupancy_moment_limits(alpha, tolerance):
     # all eight deterministic occupancy-moment ratios within tolerance of 1
@@ -134,6 +137,7 @@ def test_criterion_08_centering_root_rate():
     assert rep.passed, f"fitted slope = {rep.results['slope']:.4f}"
 
 
+@pytest.mark.slow
 def test_criterion_09_tau1_monte_carlo():
     # the Poissonized score variance over alpha_n matches tau1^2 within 10%
     # at n = 1e6 with 400 replications
@@ -145,6 +149,7 @@ def test_criterion_09_tau1_monte_carlo():
         f"ratio = {rep.results['ratio']:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_forensic_limit():
     # the likelihood ratio for a fresh singleton always exceeds n + 1, and
     # its centered, scaled reciprocal has variance within 20% of 1
@@ -155,6 +160,7 @@ def test_criterion_10_forensic_limit():
         f"lr > n+1 fraction = {rep.results['lr_gt_n_plus_1_fraction']}")
 
 
+@pytest.mark.slow
 def test_criterion_11_precision_profile():
     # unbounded precision criterion (r = +1): the profile M sits at the
     # predicted boundary with nondecreasing frequency, reaching >= 0.6;

@@ -1,14 +1,20 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+from scipy import special
 
 from pitmanyor import asymptotics
 from pitmanyor.asymptotics import (E0_series, E0n, E0n_derivative,
                                    compute_constants, gamma_ratio_sum,
-                                   precision_limit, precision_objective,
-                                   sigma0n_root, tau1_components, tau1_sq,
-                                   tau2_sq)
+                                   poisson_g_moments, precision_limit,
+                                   precision_objective, sigma0n_root,
+                                   stirling_zeta_series, tail_g_moments,
+                                   tau1_sq, tau2_sq)
+from pitmanyor.numerics import g_sigma_values
 from pitmanyor.population import RegularVariation, make_power_law, \
     make_synthetic
 
@@ -57,11 +63,96 @@ def test_tau1_oracle_values():
 
 
 def test_tau1_first_component_closed_form():
-    # (2^0.5 - 1) Gamma(0.5) / 0.25
-    c1 = tau1_components(0.5)[0]
+    # tau1^2 = c1 + c2 - c3 - c4 with c1 = (2^0.5 - 1) Gamma(0.5) / 0.25
+    c1 = tau1_sq(0.5) - stirling_zeta_series(0.5, 0.5, 1, 1) \
+        + asymptotics._tau1_component3(0.5) \
+        + asymptotics._tau1_component4(0.5)
     want = (math.sqrt(2.0) - 1.0) * math.sqrt(math.pi) / 0.25
     assert c1 == pytest.approx(want, rel=1e-12)
     assert c1 == pytest.approx(2.9366976949, rel=1e-9)
+
+
+def test_tau1_component3_matches_full_diagonals(monkeypatch):
+    # the windowed diagonal pass equals every term of every diagonal summed
+    monkeypatch.setattr(asymptotics, "_DIAGONALS", 600)
+    for s0 in (0.1, 0.5, 0.9):
+        lg = special.gammaln(np.arange(1, 602, dtype=float))
+        g = g_sigma_values(np.arange(0, 601), s0)
+        diag = np.zeros(601)
+        for N in range(3, 601):
+            k = np.arange(2, N)
+            m = N - k
+            diag[N] = np.sum(np.exp(
+                special.gammaln(N + 1.0 - s0) - (N - s0) * math.log(2.0)
+                - lg[k] - lg[m]) * g[k] / (m - s0))
+        N_fit = np.arange(60, 601, dtype=float)
+        X = np.column_stack([np.ones_like(N_fit), np.log(N_fit)])
+        (a, b), *_ = np.linalg.lstsq(
+            X, diag[60:] * N_fit ** (1.0 + s0), rcond=None)
+        want = np.sum(diag) + a * special.zeta(1.0 + s0, 601) \
+            + b * asymptotics._zeta_log(1.0 + s0, 601, 1)
+        assert asymptotics._tau1_component3(s0) == pytest.approx(
+            want, rel=1e-14)
+
+
+def _mp_poisson_g_moments(lam, sigma):
+    """E g^p (p = 1, 2, 3) and E gdot under Poisson(lam) in 30-digit
+    arithmetic: the pmf starts from its logarithm at the window's first
+    count and g, gdot from digamma and trigamma there."""
+    with mp.workdps(30):
+        L, s = mp.mpf(lam), mp.mpf(sigma)
+        width = 9.0 * math.sqrt(lam) + 40.0
+        first, last = max(0, int(lam - width)), int(lam + width + 20.0)
+        pmf = mp.exp(first * mp.log(L) - L - mp.loggamma(first + 1))
+        g = gdot = mp.mpf(0)
+        if first >= 2:
+            g = mp.digamma(first - s) - mp.digamma(1 - s)
+            gdot = mp.psi(1, 1 - s) - mp.psi(1, first - s)
+        acc = [mp.mpf(0)] * 4
+        for m in range(first, last + 1):
+            if m > first:
+                pmf = pmf * L / m
+                if m >= 2:
+                    g += 1 / (m - 1 - s)
+                    gdot += 1 / (m - 1 - s) ** 2
+            acc = [acc[0] + pmf * g, acc[1] + pmf * g ** 2,
+                   acc[2] + pmf * g ** 3, acc[3] + pmf * gdot]
+        return np.array([float(a) for a in acc])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(log10_lam=hst.floats(-6.0, 7.0), sigma=hst.floats(0.05, 0.95))
+@example(log10_lam=7.0, sigma=0.95)
+@example(log10_lam=math.log10(30.0), sigma=0.5)  # last recursion tier
+@example(log10_lam=math.log10(30.5), sigma=0.5)  # first window
+@example(log10_lam=math.log10(201.0), sigma=0.5)
+def test_poisson_g_moments_against_mpmath(log10_lam, sigma):
+    lam = 10.0 ** log10_lam
+    got = poisson_g_moments(np.array([lam]), sigma)[:, 0]
+    want = _mp_poisson_g_moments(lam, sigma)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_poisson_g_moments_tier_edges_and_order():
+    # one call over every tier boundary, unsorted, equals one call per atom
+    # (to rounding: windows batched together share one running sum)
+    lam = np.array([30.0, 1e-3, 31.0, 0.01, 8.0, 1e5, 0.5, 2.0, 0.1, 1e-4])
+    together = poisson_g_moments(lam, 0.3)
+    for i, l in enumerate(lam):
+        np.testing.assert_allclose(
+            together[:, i], poisson_g_moments(np.array([l]), 0.3)[:, 0],
+            rtol=1e-13)
+    assert poisson_g_moments(np.array([]), 0.3).shape == (4, 0)
+
+
+def test_tail_g_moments_matches_kernel_for_small_intensities():
+    # third order in lam: the relative gap is O(lam^2)
+    lam = np.full(1000, 1e-4)
+    tails = tuple(float(np.sum(lam ** k)) for k in (1, 2, 3))
+    for sigma in (0.1, 0.5, 0.9):
+        np.testing.assert_allclose(
+            tail_g_moments(tails, sigma),
+            poisson_g_moments(lam, sigma).sum(axis=1), rtol=1e-7)
 
 
 def test_tau1_positive():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pitmanyor.population import (make_explicit, make_power_law,
-                                  make_synthetic, population_from_json)
+from pitmanyor.population import (INTENSITY_CUT, make_explicit,
+                                  make_power_law, make_synthetic,
+                                  population_from_json)
+from pitmanyor.sampler import RngStream, sample_iid
 
 
 def test_power_law_probabilities_normalize():
@@ -129,6 +131,34 @@ def test_inverse_cdf_power_law_tail_draws():
     pop = make_power_law(2.0)
     idx = pop.inverse_cdf(np.array([1.0 - 1e-13, 1.0 - 5e-14]))
     assert np.all(idx >= 1 << 16)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.2])
+def test_power_law_heavy_tail_draws(alpha):
+    # exact tail indices past int64 get fresh labels instead of overflowing
+    occ = sample_iid(make_power_law(alpha), 20000, RngStream(1))
+    assert occ.realized_size() == 20000
+
+
+def test_intensities_explicit_population_has_no_tails():
+    pop = make_explicit([0.5, 0.3, 0.2])
+    lam, tails, size = pop.intensities(1000)
+    np.testing.assert_allclose(lam, [500.0, 300.0, 200.0], rtol=1e-15)
+    assert tails == (0.0, 0.0, 0.0)
+    assert size == 3
+
+
+def test_intensities_split_at_cut():
+    pop = make_power_law(2.0)
+    n = 10 ** 5
+    lam, (t1, t2, t3), size = pop.intensities(n)
+    assert lam[-1] >= INTENSITY_CUT > n * pop.atom_probs(lam.size + 1)[-1]
+    assert n * pop.atom_probs(size)[-1] < INTENSITY_CUT
+    # every atom is either explicit or in the power sums
+    assert float(np.sum(lam)) + t1 == pytest.approx(n, rel=1e-12)
+    rest = n * pop.atom_probs(10 ** 7)[lam.size:]
+    assert t2 == pytest.approx(float(np.sum(rest ** 2)), rel=1e-6)
+    assert t3 == pytest.approx(float(np.sum(rest ** 3)), rel=1e-6)
 
 
 def test_json_round_trip():

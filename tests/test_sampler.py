@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from pitmanyor.likelihood import log_eppf
 from pitmanyor.partition import from_sizes
-from pitmanyor.population import make_explicit, make_power_law
+from pitmanyor.population import make_explicit, make_power_law, \
+    make_synthetic
 from pitmanyor.sampler import (OccupancyCounts, RngStream,
                                exact_partition_law, ppf_weights, sample_iid,
                                sample_iid_labels, sample_poissonized,
@@ -143,6 +146,21 @@ def test_sample_poissonized_occupied_scaling():
     occ = sample_poissonized(pop, n, RngStream(2))
     ratio = len(occ.counts) / pop.alpha0(n)
     assert abs(ratio / math.gamma(0.5) - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("pop,n,digest", [
+    (make_power_law(2.0), 10 ** 5,
+     "d5020e29e585ed0ef0927abf4e7fc9ca47bd7bce698da0806d933a456b5941f9"),
+    (make_synthetic(0.5, -1.0), 10 ** 4,
+     "0ffc588fd87f03bc052f502a0f268317cdceb57277fbf82d34409348584f0c46"),
+    (make_explicit([0.5, 0.3, 0.2]), 50,
+     "eec7cd001767437b3aae48209e19cb570ced2406688f31857edd7ab3c002c7ab"),
+])
+def test_sample_poissonized_frozen_draws(pop, n, digest):
+    # seeded draws, fresh tail labels and their order are frozen
+    occ = sample_poissonized(pop, n, RngStream(7, 3))
+    text = json.dumps(list(occ.counts.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_occupancy_csv_round_trip(tmp_path):
