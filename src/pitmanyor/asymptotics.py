@@ -278,7 +278,6 @@ class E0nEvaluator:
     """
 
     def __init__(self, pop, n):
-        self.pop = pop
         self.n = int(n)
         self.lam, self.tails, _ = pop.intensities(n)
         self.occupied = float(np.sum(-np.expm1(-self.lam))) \
@@ -296,34 +295,24 @@ class E0nEvaluator:
     def value(self, sigma):
         return self._sweep(sigma)[0]
 
-    def derivative(self, sigma):
-        """Analytic d/dsigma of value (all denominators squared)."""
-        return self._sweep(sigma)[1]
-
     def value_and_derivative(self, sigma):
         """Both from one sweep over the atoms (for Newton root finding)."""
         return self._sweep(sigma)
 
 
-_EVALUATOR_CACHE = {}
+# Evaluators kept, one per (population, n); run_root_rate needs 4 values of n
+# per population.  Populations hash by identity, so an evicted one is freed.
+_EVALUATOR_CACHE_SIZE = 8
 
 
+@lru_cache(maxsize=_EVALUATOR_CACHE_SIZE)
 def _evaluator(pop, n):
-    key = (id(pop), int(n))
-    ev = _EVALUATOR_CACHE.get(key)
-    if ev is None or ev.pop is not pop:
-        ev = E0nEvaluator(pop, n)
-        _EVALUATOR_CACHE[key] = ev
-    return ev
+    return E0nEvaluator(pop, n)
 
 
 def E0n(pop, n, sigma):
     """The finite-n centering function of Eq.-(4) type, exact atom sum."""
-    return _evaluator(pop, n).value(sigma)
-
-
-def E0n_derivative(pop, n, sigma):
-    return _evaluator(pop, n).derivative(sigma)
+    return _evaluator(pop, int(n)).value(sigma)
 
 
 def sigma0n_root(pop, n, bracket=(0.01, 0.99), tol=1e-8):
@@ -334,7 +323,7 @@ def sigma0n_root(pop, n, bracket=(0.01, 0.99), tol=1e-8):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    ev = _evaluator(pop, n)
+    ev = _evaluator(pop, int(n))
     lo, hi = bracket
     f_lo, f_hi = ev.value(lo), ev.value(hi)
     if not (f_lo > 0.0 > f_hi):

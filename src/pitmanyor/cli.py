@@ -148,13 +148,7 @@ def cmd_posterior(args):
 
 
 def cmd_lr(args):
-    import csv
-
-    with open(args.db, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "species" not in reader.fieldnames:
-            raise CliError("db CSV must have a `species` header column", 1)
-        labels = [row["species"] for row in reader]
+    labels = partition.read_sample_labels(args.db)
     if args.crime_profile in labels:
         raise CliError("crime profile must be a new, unseen species", 1)
     labels.append(args.crime_profile)

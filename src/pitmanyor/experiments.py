@@ -51,18 +51,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        prior = d.get("prior", {})
-        spec = inference.PriorSpec(
-            sigma_kind=prior.get("sigma", "uniform"),
-            beta_a=prior.get("beta", [1.0, 1.0])[0],
-            beta_b=prior.get("beta", [1.0, 1.0])[1],
-            M_kind=prior.get("M", {}).get("kind", "fixed"),
-            M_value=prior.get("M", {}).get("value", 1.0),
-            M_max=prior.get("M", {}).get("max", 50.0))
         return cls(population=d["population"], n_grid=tuple(d["n_grid"]),
                    replications=int(d.get("replications", 2)),
                    M_values=tuple(d.get("M_values", [0.0])),
-                   prior=spec, seed=int(d.get("seed", 0)),
+                   prior=inference.PriorSpec.from_dict(d.get("prior", {})),
+                   seed=int(d.get("seed", 0)),
                    M_max=float(d.get("M_max", 5.0)),
                    threads=int(d.get("threads", 1)))
 

@@ -74,6 +74,15 @@ class PriorSpec:
             out["M"]["max"] = self.M_max
         return out
 
+    @classmethod
+    def from_dict(cls, d):
+        """Inverse of to_dict; a missing entry takes its default."""
+        a, b = d.get("beta", [1.0, 1.0])
+        M = d.get("M", {})
+        return cls(sigma_kind=d.get("sigma", "uniform"), beta_a=a, beta_b=b,
+                   M_kind=M.get("kind", "fixed"),
+                   M_value=M.get("value", 1.0), M_max=M.get("max", 50.0))
+
 
 @dataclass(frozen=True)
 class PosteriorGrid:
@@ -244,7 +253,7 @@ def forensic_lr(stats_with_crime, prior=None):
     on the same grid.  Returns a ForensicLR, which unpacks as
     (lr, phi_mean, phi_sd).
     """
-    if stats_with_crime.N[-1] != 1:
+    if stats_with_crime.sizes[0] != 1:
         raise ValueError("the crime-scene profile must be a new singleton")
     prior = prior or PriorSpec()
     post = posterior_sigma(stats_with_crime, prior, collect_phi=True)

@@ -42,7 +42,8 @@ def log_eppf(stats, params, M=None):
                        + sum_{l=1}^{max(N)-1} Z_{l+1} ln(l - sigma)
                        - sum_{i=1}^{n-1} ln(M + i),
 
-    evaluated in the closed form of `log_eppf_grid`.  sigma outside
+    with Z_l = #{j : N_j >= l} the number of blocks of size >= l, evaluated
+    in the closed form of `log_eppf_grid`.  sigma outside
     [SIGMA_EPS, 1 - SIGMA_EPS] returns -inf (boundary clamp); sigma -> 1
     with a tie present also drives the value to -inf.
     """
@@ -74,7 +75,7 @@ def _log_eppf_kernel(stats, sigmas, M):
     if not np.any(ok):
         return out
     s = sigmas[ok]
-    sizes, counts = stats.size_counts
+    sizes, counts = stats.sizes, stats.counts
     occupancy = (special.gammaln(sizes[None, :] - s[:, None])
                  - special.gammaln(1.0 - s)[:, None]) @ counts
     k1 = stats.K - 1
@@ -93,7 +94,7 @@ def score_sigma(stats, params, M=None):
     The first sum stays a direct O(K) sum: its digamma form cancels
     catastrophically at sigma = SIGMA_EPS."""
     sigma, M = _coerce(params, M)
-    sizes, counts = stats.size_counts
+    sizes, counts = stats.sizes, stats.counts
     l_new = np.arange(1, stats.K, dtype=float)
     out = float(np.sum(l_new / (M + l_new * sigma)))
     out -= float(counts @ (special.digamma(sizes - sigma)
@@ -106,7 +107,7 @@ def hess_sigma(stats, params, M=None):
     -sum_{l<K} (l/(M + l sigma))^2
     - sum_s c_s [psi'(1 - sigma) - psi'(s - sigma)]."""
     sigma, M = _coerce(params, M)
-    sizes, counts = stats.size_counts
+    sizes, counts = stats.sizes, stats.counts
     l_new = np.arange(1, stats.K, dtype=float)
     out = -float(np.sum((l_new / (M + l_new * sigma)) ** 2))
     out -= float(counts @ (special.polygamma(1, 1.0 - sigma)

@@ -1,8 +1,12 @@
-"""Sufficient statistics of the observed tie pattern.
+"""Sufficient statistic of the observed tie pattern.
 
-PartitionStats holds (n, K, block sizes N sorted descending, occupancy counts
-Z_l = #{j : N_j >= l}).  Labels are opaque and compared for exact equality;
-anything continuous must be discretized upstream.
+PartitionStats stores the block-size histogram: the distinct block sizes
+(ascending) and the number of blocks of each size, from which n and K
+follow.  The Pitman-Yor EPPF sees a sample only through it.  The JSON form
+also lists the block sizes N (descending) and the occupancy counts
+Z_l = #{j : N_j >= l}; both are built on output and checked on input.
+Labels are opaque and compared for exact equality; anything continuous must
+be discretized upstream.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -18,69 +22,70 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PartitionStats:
-    n: int
-    K: int
-    N: np.ndarray  # block sizes, descending
-    Z: np.ndarray  # Z[l-1] = #{j : N_j >= l}, length max(N)
+    sizes: np.ndarray  # distinct block sizes, ascending
+    counts: np.ndarray  # counts[i] = number of blocks of size sizes[i]
+    n: int = field(init=False)
+    K: int = field(init=False)
 
     def __post_init__(self):
-        N = np.asarray(self.N, dtype=np.int64)
-        Z = np.asarray(self.Z, dtype=np.int64)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "Z", Z)
-        if self.n < 1 or self.K < 1:
-            raise ValueError("need n >= 1 and K >= 1")
-        if N.size != self.K or np.any(N < 1):
-            raise ValueError("N must list K positive block sizes")
-        if np.any(np.diff(N) > 0):
-            raise ValueError("N must be nonincreasing")
-        if int(N.sum()) != self.n:
-            raise ValueError("block sizes must sum to n")
-        if Z.size != int(N[0]) or Z[0] != self.K or np.any(np.diff(Z) > 0) \
-                or int(Z.sum()) != self.n:
-            raise ValueError("Z inconsistent with N")
+        sizes = np.asarray(self.sizes, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if sizes.ndim != 1 or sizes.size == 0 or counts.shape != sizes.shape:
+            raise ValueError("need one count per distinct block size")
+        if sizes[0] < 1 or np.any(np.diff(sizes) <= 0) or np.any(counts < 1):
+            raise ValueError("block sizes must be positive and strictly "
+                             "increasing, with positive counts")
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", int(sizes @ counts))
+        object.__setattr__(self, "K", int(counts.sum()))
 
     def __eq__(self, other):
-        return (isinstance(other, PartitionStats) and self.n == other.n
-                and self.K == other.K and np.array_equal(self.N, other.N))
+        return (isinstance(other, PartitionStats)
+                and np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.counts, other.counts))
 
     def __hash__(self):
-        return hash((self.n, self.K, tuple(self.N.tolist())))
+        return hash((self.sizes.tobytes(), self.counts.tobytes()))
 
     @cached_property
-    def size_counts(self):
-        """(distinct block sizes ascending, number of blocks of each size);
-        the EPPF depends on the blocks only through these."""
-        return np.unique(self.N, return_counts=True)
-
-    @property
-    def max_multiplicity(self):
-        return int(self.N[0])
-
-    @property
-    def has_tie(self):
-        return self.max_multiplicity >= 2
+    def N(self):
+        """Block sizes, descending (length K)."""
+        return np.repeat(self.sizes[::-1], self.counts[::-1])
 
     def expand(self):
         """Label sequence with N_j copies of label j (canonical order)."""
         return np.repeat(np.arange(self.K), self.N)
 
     def to_json(self):
+        # Z_l counts the blocks of size >= l: constant on each interval
+        # (sizes[i-1], sizes[i]] between consecutive distinct sizes
+        at_least = np.cumsum(self.counts[::-1])[::-1]
+        Z = np.repeat(at_least, np.diff(self.sizes, prepend=0))
         return json.dumps({"n": self.n, "K": self.K,
-                           "N": self.N.tolist(), "Z": self.Z.tolist()},
+                           "N": self.N.tolist(), "Z": Z.tolist()},
                           sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
+        """Inverse of to_json; rejects a record whose N or Z breaks the
+        invariants listed in docs/formats.md."""
         d = json.loads(text)
-        return cls(n=d["n"], K=d["K"], N=np.array(d["N"]), Z=np.array(d["Z"]))
-
-
-def _z_from_sizes(sizes):
-    """Z_l = #{j : N_j >= l} from positive block sizes."""
-    counts_of_size = np.bincount(sizes)  # index s -> number of blocks of size s
-    # Z_l = sum_{s >= l} counts_of_size[s]
-    return np.cumsum(counts_of_size[::-1])[::-1][1:]
+        n, K = d["n"], d["K"]
+        N = np.array(d["N"]).astype(np.int64)
+        Z = np.array(d["Z"]).astype(np.int64)
+        if n < 1 or K < 1:
+            raise ValueError("need n >= 1 and K >= 1")
+        if N.size != K or np.any(N < 1):
+            raise ValueError("N must list K positive block sizes")
+        if np.any(np.diff(N) > 0):
+            raise ValueError("N must be nonincreasing")
+        if int(N.sum()) != n:
+            raise ValueError("block sizes must sum to n")
+        if Z.size != int(N[0]) or Z[0] != K or np.any(np.diff(Z) > 0) \
+                or int(Z.sum()) != n:
+            raise ValueError("Z inconsistent with N")
+        return cls(*np.unique(N, return_counts=True))
 
 
 def from_sizes(sizes):
@@ -89,9 +94,7 @@ def from_sizes(sizes):
     sizes = sizes[sizes > 0]
     if sizes.size == 0:
         raise ValueError("need at least one positive block size")
-    N = np.sort(sizes)[::-1]
-    return PartitionStats(n=int(N.sum()), K=int(N.size), N=N,
-                          Z=_z_from_sizes(sizes))
+    return PartitionStats(*np.unique(sizes, return_counts=True))
 
 
 def from_observations(labels):
@@ -116,14 +119,18 @@ def from_occupancy(counts):
     return from_sizes(values)
 
 
-def read_sample_csv(path):
-    """Read a sample CSV with a required `species` header column."""
+def read_sample_labels(path):
+    """Labels of a sample CSV with a required `species` header column."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "species" not in reader.fieldnames:
             raise ValueError("sample CSV must have a `species` header column")
-        labels = [row["species"] for row in reader]
-    return from_observations(labels)
+        return [row["species"] for row in reader]
+
+
+def read_sample_csv(path):
+    """Read a sample CSV with a required `species` header column."""
+    return from_observations(read_sample_labels(path))
 
 
 def read_occupancy_csv(path):

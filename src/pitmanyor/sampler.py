@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import partition
-from .likelihood import log_eppf
 
 
 @dataclass(frozen=True)
@@ -80,23 +79,6 @@ def sample_py_partition(sigma, M, n, rng):
             sizes[K] = 1
             K += 1
     return partition.from_sizes(sizes[:K])
-
-
-def ppf_weights(stats, sigma, M):
-    """Prediction probabilities: ((N_i - sigma)/(M+n) for each block,
-    (M + K sigma)/(M+n) for a new block).  All entries computed analytically;
-    the exact sum-to-one identity is asserted."""
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError("sigma must lie in [0, 1)")
-    if M < 0.0:
-        raise ValueError("M must be nonnegative")
-    denom = M + stats.n
-    w = np.empty(stats.K + 1)
-    w[:stats.K] = (stats.N - sigma) / denom
-    w[stats.K] = (M + stats.K * sigma) / denom
-    if abs(float(w.sum()) - 1.0) > 1e-14:
-        raise AssertionError("prediction weights do not sum to 1")
-    return w
 
 
 def stick_breaking_weights(sigma, M, k_trunc, rng):

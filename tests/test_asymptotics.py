@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -8,15 +10,15 @@ from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor import asymptotics
-from pitmanyor.asymptotics import (E0_series, E0n, E0n_derivative,
+from pitmanyor.asymptotics import (E0_series, E0n, E0nEvaluator,
                                    compute_constants, gamma_ratio_sum,
                                    poisson_g_moments, precision_limit,
                                    precision_objective, sigma0n_root,
                                    stirling_zeta_series, tail_g_moments,
                                    tau1_sq, tau2_sq)
 from pitmanyor.numerics import g_sigma_values
-from pitmanyor.population import RegularVariation, make_power_law, \
-    make_synthetic
+from pitmanyor.population import RegularVariation, make_explicit, \
+    make_power_law, make_synthetic
 
 GAMMAS = (0.2, 0.35, 0.5, 0.65, 0.8)
 
@@ -173,8 +175,22 @@ def test_e0n_derivative_matches_fd():
     for sigma in (0.3, 0.5, 0.7):
         fd = (E0n(pop, 10 ** 4, sigma + h)
               - E0n(pop, 10 ** 4, sigma - h)) / (2.0 * h)
-        der = E0n_derivative(pop, 10 ** 4, sigma)
+        der = E0nEvaluator(pop, 10 ** 4).value_and_derivative(sigma)[1]
         assert abs(der / fd - 1.0) <= 1e-5
+
+
+def test_evaluator_cache_is_bounded_and_frees_evicted_populations():
+    size = asymptotics._EVALUATOR_CACHE_SIZE
+    asymptotics._evaluator.cache_clear()
+    first = make_explicit([0.5, 0.3, 0.2])
+    evicted = weakref.ref(first)
+    E0n(first, 10, 0.5)
+    del first
+    for i in range(2 * size):
+        E0n(make_explicit([0.5, 0.3, 0.2]), 10 + i, 0.5)
+    assert asymptotics._evaluator.cache_info().currsize <= size
+    gc.collect()
+    assert evicted() is None
 
 
 def test_root_oracle_values():

@@ -119,6 +119,13 @@ def test_lr_rejects_seen_profile(tmp_path):
     assert run("lr", "--db", str(db), "--crime-profile", "a", "--m", "1") == 1
 
 
+def test_lr_rejects_db_without_species_header(tmp_path):
+    db = tmp_path / "db.csv"
+    db.write_text("label\na\nb\na\n")
+    assert run("lr", "--db", str(db), "--crime-profile", "NEW",
+               "--m", "1") == 1
+
+
 def test_verify_fast(capsys):
     assert run("verify", "--fast") == 0
     out = capsys.readouterr().out

@@ -36,6 +36,21 @@ def test_prior_spec_validation():
         PriorSpec(M_kind="uniform", M_max=0.0)
 
 
+@pytest.mark.parametrize("prior", [
+    PriorSpec(),
+    PriorSpec(sigma_kind="beta", beta_a=2.0, beta_b=0.5, M_value=3.0),
+    PriorSpec(M_kind="uniform", M_max=10.0),
+    PriorSpec(sigma_kind="beta", beta_a=0.7, beta_b=4.0, M_kind="uniform",
+              M_max=2.5),
+])
+def test_prior_spec_dict_round_trip(prior):
+    assert PriorSpec.from_dict(prior.to_dict()) == prior
+
+
+def test_prior_spec_from_empty_dict_is_default():
+    assert PriorSpec.from_dict({}) == PriorSpec()
+
+
 def test_posterior_normalized():
     post = posterior_sigma(_stats())
     assert float(post.cell_mass.sum()) == pytest.approx(1.0, abs=1e-12)

@@ -97,8 +97,9 @@ def test_score_identity_with_h():
                from_sizes([1, 1, 1, 1])):
         for sigma, M in product((0.3, 0.5, 0.7), (0.0, 1.0, 5.0)):
             direct = score_sigma(st, sigma, M)
-            l_old = np.arange(1, st.Z.size)
-            g_n = float(np.sum(st.Z[1:] / (l_old - sigma)))
+            Z = _occupancy(st)
+            l_old = np.arange(1, Z.size)
+            g_n = float(np.sum(Z[1:] / (l_old - sigma)))
             via_h = st.K / sigma - g_n - h_precision(st.K, sigma, M) / sigma
             assert abs(direct - via_h) <= 1e-10 * max(abs(direct), 1.0)
 
@@ -162,11 +163,17 @@ def test_sigma_to_one_with_tie():
 # The closed form over block-size counts against the direct sums over l and
 # the occupancy counts Z it replaced.
 
+def _occupancy(st):
+    """Z_l = #{j : N_j >= l}, l = 1..max(N), from the block sizes N."""
+    return np.cumsum(np.bincount(st.N)[::-1])[::-1][1:]
+
+
 def _direct_sums(st, sigma, M):
     """(log_eppf, score, hessian) as direct sums over l < K and Z."""
+    Z = _occupancy(st)
     l_new = np.arange(1, st.K, dtype=float)
-    l_old = np.arange(1, st.Z.size, dtype=float)
-    z = st.Z[1:].astype(float)
+    l_old = np.arange(1, Z.size, dtype=float)
+    z = Z[1:].astype(float)
     new = l_new / (M + l_new * sigma)
     lam = (np.sum(np.log(M + l_new * sigma)) + np.sum(z * np.log(l_old - sigma))
            - np.sum(np.log(M + np.arange(1, st.n, dtype=float))))
@@ -184,10 +191,11 @@ def _lam_scale(st, M):
 def _derivative_scale(st, sigma, M, power):
     """1 + the sum of |terms| of the direct score (power 1) or Hessian
     (power 2)."""
+    Z = _occupancy(st)
     l_new = np.arange(1, st.K, dtype=float)
-    l_old = np.arange(1, st.Z.size, dtype=float)
+    l_old = np.arange(1, Z.size, dtype=float)
     return 1.0 + float(np.sum((l_new / (M + l_new * sigma)) ** power)
-                       + np.sum(st.Z[1:] / (l_old - sigma) ** power))
+                       + np.sum(Z[1:] / (l_old - sigma) ** power))
 
 
 def _assert_kernel_matches(st, sigma, M):

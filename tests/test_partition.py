@@ -1,30 +1,45 @@
+import json
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from pitmanyor.estimators import mle_sigma
+from pitmanyor.inference import PriorSpec, forensic_lr, posterior_sigma
 from pitmanyor.partition import (PartitionStats, from_observations,
                                  from_occupancy, from_sizes,
                                  read_occupancy_csv, read_sample_csv)
 from pitmanyor.sampler import OccupancyCounts
 
 
+def _z(st):
+    """Occupancy counts Z as written to the JSON form."""
+    return json.loads(st.to_json())["Z"]
+
+
 def test_from_sizes_basic():
     st = from_sizes([2, 1])
     assert (st.n, st.K) == (3, 2)
     assert st.N.tolist() == [2, 1]
-    assert st.Z.tolist() == [2, 1]
+    assert _z(st) == [2, 1]
 
 
 def test_from_sizes_sorts_descending():
     st = from_sizes([1, 5, 3, 3])
     assert st.N.tolist() == [5, 3, 3, 1]
-    assert st.Z.tolist() == [4, 3, 3, 1, 1]
+    assert _z(st) == [4, 3, 3, 1, 1]
+    assert (st.sizes.tolist(), st.counts.tolist()) == ([1, 3, 5], [1, 2, 1])
 
 
 def test_single_block():
     st = from_observations(["a", "a", "a"])
     assert (st.n, st.K) == (3, 1)
     assert st.N.tolist() == [3]
-    assert st.Z.tolist() == [1, 1, 1]
+    assert _z(st) == [1, 1, 1]
 
 
 def test_from_observations_example():
@@ -36,18 +51,31 @@ def test_from_observations_example():
 def test_z_definition():
     st = from_sizes([4, 4, 2, 1, 1, 1])
     sizes = np.array([4, 4, 2, 1, 1, 1])
+    Z = _z(st)
     for l in range(1, 5):
-        assert st.Z[l - 1] == int(np.count_nonzero(sizes >= l))
-    assert int(st.Z.sum()) == st.n
+        assert Z[l - 1] == int(np.count_nonzero(sizes >= l))
+    assert sum(Z) == st.n
+
+
+def _record(n, K, N, Z):
+    return json.dumps({"n": n, "K": K, "N": N, "Z": Z})
 
 
 def test_invariant_validation():
+    # increasing N, wrong sum, Z inconsistent with N
     with pytest.raises(ValueError):
-        PartitionStats(n=3, K=2, N=np.array([1, 2]), Z=np.array([2, 1]))
+        PartitionStats.from_json(_record(3, 2, [1, 2], [2, 1]))
     with pytest.raises(ValueError):
-        PartitionStats(n=4, K=2, N=np.array([2, 1]), Z=np.array([2, 1]))
+        PartitionStats.from_json(_record(4, 2, [2, 1], [2, 1]))
     with pytest.raises(ValueError):
-        PartitionStats(n=3, K=2, N=np.array([2, 1]), Z=np.array([1, 1]))
+        PartitionStats.from_json(_record(3, 2, [2, 1], [1, 1]))
+
+
+def test_histogram_validation():
+    for sizes, counts in (([2, 1], [1, 1]), ([0, 1], [1, 1]),
+                          ([1, 2], [1, 0]), ([1, 2], [1]), ([], [])):
+        with pytest.raises(ValueError):
+            PartitionStats(np.array(sizes), np.array(counts))
 
 
 def test_equality_and_hash_ignore_labels():
@@ -116,3 +144,57 @@ def test_read_occupancy_csv_missing_columns(tmp_path):
     path.write_text("species\na\n")
     with pytest.raises(ValueError):
         read_occupancy_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# The histogram against the N and Z forms of the JSON record
+
+def _reference_json(sizes):
+    """The JSON record from descending N and Z_l = #{j : N_j >= l}."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    N = np.sort(sizes)[::-1]
+    Z = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
+    return json.dumps({"n": int(N.sum()), "K": int(N.size),
+                       "N": N.tolist(), "Z": Z.tolist()}, sort_keys=True)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(sizes=hst.lists(hst.integers(1, 2000), min_size=1, max_size=300))
+@example(sizes=[7])  # K = 1
+@example(sizes=[1] * 300)  # all singletons
+@example(sizes=[10 ** 6])  # one block of 1e6
+def test_json_matches_n_and_z_reference(sizes):
+    st = from_sizes(sizes)
+    assert st.to_json() == _reference_json(sizes)
+    assert PartitionStats.from_json(st.to_json()) == st
+    assert np.array_equal(
+        st.expand(), np.repeat(np.arange(len(sizes)), sorted(sizes)[::-1]))
+
+
+def test_documented_json_example():
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    section = doc.split("## Partition statistics JSON", 1)[1]
+    example_text = re.search(r"```json\n(.*?)\n```", section, re.S).group(1)
+    st = PartitionStats.from_json(example_text)
+    assert st.to_json() == json.dumps(json.loads(example_text),
+                                      sort_keys=True)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("work", [
+    lambda: from_sizes([10 ** 7]),
+    lambda: mle_sigma(from_sizes([10 ** 7]), 1.0),
+    lambda: posterior_sigma(from_sizes([10 ** 7]), PriorSpec()),
+    lambda: forensic_lr(from_sizes([10 ** 7, 1])),
+], ids=["from_sizes", "mle_sigma", "posterior_sigma", "forensic_lr"])
+def test_one_block_of_1e7_stays_small(work):
+    # a single block of size n allocates nothing of length n
+    assert _traced_peak(work) < 8 * 2 ** 20

@@ -10,7 +10,7 @@ from pitmanyor.partition import from_sizes
 from pitmanyor.population import make_explicit, make_power_law, \
     make_synthetic
 from pitmanyor.sampler import (OccupancyCounts, RngStream,
-                               exact_partition_law, ppf_weights, sample_iid,
+                               exact_partition_law, sample_iid,
                                sample_iid_labels, sample_poissonized,
                                sample_py_partition, stick_breaking_weights,
                                write_sample_csv)
@@ -79,14 +79,6 @@ def test_sequential_frequencies_match_law():
         freq = seen.get(key, 0) / reps
         se = math.sqrt(prob * (1.0 - prob) / reps)
         assert abs(freq - prob) <= 5.0 * se + 1e-3
-
-
-def test_ppf_weights_sum_to_one():
-    st = from_sizes([4, 2, 1])
-    w = ppf_weights(st, 0.5, 1.0)
-    assert w.size == st.K + 1
-    assert float(w.sum()) == pytest.approx(1.0, abs=1e-14)
-    assert np.all(w > 0)
 
 
 def test_stick_breaking_weights():
