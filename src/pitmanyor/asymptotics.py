@@ -12,6 +12,8 @@ pair (K0, M0).  Two routines carry every occupancy quantity:
   powers and sigma-derivative, summed over `Population.intensities` by E0n
   and by the occupancy-lemma left-hand sides; `tail_g_moments` is the same
   quantity over the atoms folded into power sums.
+
+The roots sigma0n and M0 both come from `numerics.newton_root`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .numerics import g_sigma_values, log_gamma
+from .numerics import g_sigma_values, log_gamma, newton_root
 
 # ---------------------------------------------------------------------------
 # Stirling-ratio series with Hurwitz-zeta tails
@@ -315,47 +317,34 @@ def E0n(pop, n, sigma):
     return _evaluator(pop, int(n)).value(sigma)
 
 
-def sigma0n_root(pop, n, bracket=(0.01, 0.99), tol=1e-8):
-    """The unique zero of sigma -> E0n(pop, n, sigma) (strictly decreasing).
+_ROOT_BRACKET = (0.01, 0.99)  # where sigma0n is sought
+_ROOT_TOL = 1e-8
+_ROOT_MAX_ITER = 80
 
-    Safeguarded Newton: the analytic derivative gives quadratic convergence
-    while the sign bracket shrinks as a fallback.
-    """
+
+def sigma0n_root(pop, n):
+    """The unique zero of sigma -> E0n(pop, n, sigma) (strictly decreasing),
+    by `newton_root` with the analytic derivative."""
     if n < 2:
         raise ValueError("n must be at least 2")
     ev = _evaluator(pop, int(n))
-    lo, hi = bracket
+    lo, hi = _ROOT_BRACKET
     f_lo, f_hi = ev.value(lo), ev.value(hi)
     if not (f_lo > 0.0 > f_hi):
         raise ValueError(
             f"root not bracketed on [{lo}, {hi}]: "
             f"E0n({lo})={f_lo:.3g}, E0n({hi})={f_hi:.3g}")
-    x = 0.5 * (lo + hi)
-    for _ in range(80):
-        val, der = ev.value_and_derivative(x)
-        if val > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = val / der
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol:
-            return float(x_new)
-        x = x_new
-    raise RuntimeError("sigma0n root iteration failed to converge")
+    root, _, converged = newton_root(
+        ev.value_and_derivative, lo, hi, _ROOT_TOL, _ROOT_MAX_ITER)
+    if not converged:
+        raise RuntimeError("sigma0n root iteration failed to converge")
+    return float(root)
 
 
 # ---------------------------------------------------------------------------
 # precision limit (K0, M0)
 
-
-def precision_objective(M, sigma0, K0):
-    """f(M) = (M/sigma0)(K0 + ln Gamma(1-sigma0)) + ln Gamma(1+M)
-    - ln Gamma(1+M/sigma0); concave in M."""
-    return (M / sigma0) * (K0 + log_gamma(1.0 - sigma0)) \
-        + log_gamma(1.0 + M) - log_gamma(1.0 + M / sigma0)
+_M0_TOL = 1e-10
 
 
 def precision_limit(sigma0, rv, M_max):
@@ -365,8 +354,10 @@ def precision_limit(sigma0, rv, M_max):
     derivative term vanishes and K0 = ln L0; for L0 = const (log u)^r the
     ln L0 term diverges to sign(r) * infinity while the derivative term stays
     bounded, so K0 = +inf for r > 0 and -inf for r < 0.  K0 = +inf forces the
-    maximizer to M_max and K0 = -inf forces it to 0; finite K0 maximizes the
-    concave objective on [0, M_max].
+    maximizer to M_max and K0 = -inf forces it to 0.  Finite K0 maximizes
+    the concave f(M) = M c + ln Gamma(1+M) - ln Gamma(1+M/sigma0), with
+    c = (K0 + ln Gamma(1-sigma0))/sigma0, on [0, M_max]: M0 is the root of
+    the decreasing slope f', or the end where f' has no sign change.
     """
     if M_max <= 0.0:
         raise ValueError("M_max must be positive")
@@ -376,17 +367,21 @@ def precision_limit(sigma0, rv, M_max):
     if r < 0.0:
         return -math.inf, 0.0
     K0 = math.log(rv.L0_const)
-    res = optimize.minimize_scalar(
-        lambda M: -precision_objective(M, sigma0, K0),
-        bounds=(0.0, M_max), method="bounded",
-        options={"xatol": 1e-8})
-    M0 = float(res.x)
-    # snap to the endpoints when the interior search lands next to them
-    for edge in (0.0, M_max):
-        if abs(M0 - edge) < 1e-6 and precision_objective(edge, sigma0, K0) \
-                >= precision_objective(M0, sigma0, K0):
-            M0 = edge
-    return K0, M0
+    c = (K0 + log_gamma(1.0 - sigma0)) / sigma0
+
+    def slope(M):  # (f'(M), f''(M))
+        x = np.array([1.0 + M, 1.0 + M / sigma0])
+        (d0, d1), (t0, t1) = special.digamma(x), special.polygamma(1, x)
+        return c + d0 - d1 / sigma0, t0 - t1 / sigma0 ** 2
+
+    if slope(0.0)[0] <= 0.0:
+        return K0, 0.0
+    if slope(M_max)[0] >= 0.0:
+        return K0, M_max
+    M0, _, converged = newton_root(slope, 0.0, M_max, _M0_TOL, _ROOT_MAX_ITER)
+    if not converged:
+        raise RuntimeError("precision limit iteration failed to converge")
+    return K0, float(M0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,14 @@ def _write_json(path, payload, force):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _emit(args, payload):
+    """payload as indented JSON: to --out if given, else to stdout."""
+    if args.out:
+        _write_json(args.out, payload, args.force)
+    else:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+
+
 def _provenance(args, inputs=()):
     return {
         "version": __version__,
@@ -112,12 +120,7 @@ def cmd_fit(args):
     payload = json.loads(res.to_json(stats))
     payload["warnings"] = warnings
     payload["provenance"] = _provenance(args, inputs)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.out:
-        _guard_output(args.out, args.force)
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, payload)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -138,12 +141,7 @@ def cmd_posterior(args):
         "prior_spec": prior.to_dict(),
         "provenance": _provenance(args, inputs),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.out:
-        _guard_output(args.out, args.force)
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, payload)
     return 0
 
 
@@ -156,12 +154,7 @@ def cmd_lr(args):
     prior = _parse_prior(args)
     report = inference.forensic_report(stats, prior)
     report["provenance"] = _provenance(args, [args.db])
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        _guard_output(args.out, args.force)
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, report)
     return 0
 
 

@@ -1,21 +1,22 @@
 """Empirical Bayes point estimation.
 
-Maximum marginal likelihood for sigma at fixed M, the profile maximizer over
-(sigma, M), and plug-in standard errors (sandwich primary, curvature
-secondary).
+Maximum marginal likelihood for sigma at fixed M (the score root, by the
+shared `numerics.newton_root`), the profile maximizer over (sigma, M) by a
+grid plus golden-section search, and plug-in standard errors (sandwich
+primary, curvature secondary).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import asymptotics
 from .likelihood import SIGMA_EPS, hess_sigma, log_eppf, score_sigma
-from .numerics import log_gamma
+from .numerics import log_gamma, newton_root
 
 INTERIOR = "Interior"
 LOWER_SIGMA = "LowerSigma"
@@ -24,6 +25,7 @@ LOWER_M = "LowerM"
 UPPER_M = "UpperM"
 
 _ROOT_TOL = 1e-10
+_ROOT_MAX_ITER = 200
 _M_TOL = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -62,53 +64,34 @@ def mle_sigma(stats, M, se=False):
     The log likelihood is strictly concave, so the score has at most one sign
     change; when it has none the maximum sits at a boundary, which is
     reported via a flag instead of an exception (all-distinct samples push
-    sigma to the upper boundary).
+    sigma to the upper boundary).  For an interior root, `diagnostics` holds
+    the `iterations` and `converged` of `numerics.newton_root`.
     """
     if stats.n < 2:
         raise ValueError("need n >= 2 observations")
     if M < 0.0:
         raise ValueError("M must be nonnegative")
     lo, hi = SIGMA_EPS, 1.0 - SIGMA_EPS
-    f_lo = score_sigma(stats, lo, M)
-    f_hi = score_sigma(stats, hi, M)
+    f_lo, f_hi = score_sigma(stats, lo, M), score_sigma(stats, hi, M)
+    diagnostics = {}
     if f_lo <= 0.0:
         sig, flag = lo, LOWER_SIGMA
     elif f_hi >= 0.0:
         sig, flag = hi, UPPER_SIGMA
     else:
-        sig = _score_root(stats, M, lo, hi)
+        sig, iterations, converged = newton_root(
+            lambda s: (score_sigma(stats, s, M), hess_sigma(stats, s, M)),
+            lo, hi, _ROOT_TOL, _ROOT_MAX_ITER)
         flag = INTERIOR
+        diagnostics = {"iterations": iterations, "converged": converged}
     res = EstimateResult(
         sigma_hat=sig, M_hat=None, boundary=flag,
         score_at_opt=score_sigma(stats, sig, M),
-        log_lik=log_eppf(stats, sig, M))
+        log_lik=log_eppf(stats, sig, M), diagnostics=diagnostics)
     if se and flag == INTERIOR:
-        ses = sandwich_se(stats, sig)
-        sec = 1.0 / math.sqrt(-hess_sigma(stats, sig, M))
-        res = EstimateResult(
-            sigma_hat=sig, M_hat=None, boundary=flag,
-            score_at_opt=res.score_at_opt, log_lik=res.log_lik,
-            se_sandwich=ses, se_curvature=sec)
+        res = replace(res, se_sandwich=sandwich_se(stats, sig),
+                      se_curvature=1.0 / math.sqrt(-hess_sigma(stats, sig, M)))
     return res
-
-
-def _score_root(stats, M, lo, hi):
-    """Unique zero of the score by bisection-safeguarded Newton."""
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        val = score_sigma(stats, x, M)
-        if val > 0.0:
-            lo = x
-        else:
-            hi = x
-        der = hess_sigma(stats, x, M)
-        x_new = x - val / der
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= _ROOT_TOL:
-            return x_new
-        x = x_new
-    return x
 
 
 def profile_mle(stats, M_max=50.0, se=False):
@@ -141,15 +124,15 @@ def profile_mle(stats, M_max=50.0, se=False):
         sigma_hat=inner.sigma_hat, M_hat=float(M_hat), boundary=boundary,
         score_at_opt=inner.score_at_opt, log_lik=inner.log_lik,
         se_sandwich=inner.se_sandwich, se_curvature=inner.se_curvature,
-        diagnostics={"M_max": M_max})
+        diagnostics={"M_max": M_max, **inner.diagnostics})
 
 
-def _golden_max(f, lo, hi, tol=_M_TOL):
+def _golden_max(f, lo, hi):
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > _M_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats as sps
+from scipy import special
 
 from .likelihood import log_eppf_grid
 from .numerics import log_sum_exp
@@ -215,7 +215,7 @@ def bvm_gap(post, sigma_hat, var_bvm):
         raise ValueError("var_bvm must be positive")
     sd = math.sqrt(var_bvm)
     nodes = post.sigma_nodes
-    gauss_cdf = sps.norm.cdf(nodes, loc=sigma_hat, scale=sd)
+    gauss_cdf = special.ndtr((nodes - sigma_hat) / sd)
     gauss_cells = np.diff(gauss_cdf)
     outside = gauss_cdf[0] + (1.0 - gauss_cdf[-1])
     return float(0.5 * np.sum(np.abs(post.cell_mass - gauss_cells))

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: special functions, g_sigma, quadrature.
+"""Shared numerical kernels: special functions, g_sigma, quadrature, and
+`newton_root`, the one scalar root finder (score root, sigma0n and M0).
 
 Everything in this module is a pure function of its arguments and safe to call
 from multiple threads.
@@ -89,6 +90,27 @@ def log_sum_exp(values):
         # all -inf stays -inf; +inf / nan propagate
         return float(vmax)
     return float(vmax + math.log(np.sum(np.exp(v - vmax))))
+
+
+def newton_root(f_and_df, lo, hi, tol, max_iter):
+    """Zero of a decreasing f with f(lo) > 0 > f(hi); f_and_df(x) returns
+    (f(x), f'(x)).  Newton steps from the midpoint, each moving lo or hi to x
+    by the sign of f(x) and bisecting when the step leaves (lo, hi), until a
+    step is at most tol.  Returns (x, iterations, converged)."""
+    x = 0.5 * (lo + hi)
+    for it in range(1, max_iter + 1):
+        val, der = f_and_df(x)
+        if val > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - val / der
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= tol:
+            return x_new, it, True
+        x = x_new
+    return x, max_iter, False
 
 
 # 15-point Gauss-Kronrod nodes on [-1, 1]; the odd-indexed nodes form the

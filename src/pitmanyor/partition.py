@@ -57,13 +57,15 @@ class PartitionStats:
         """Label sequence with N_j copies of label j (canonical order)."""
         return np.repeat(np.arange(self.K), self.N)
 
-    def to_json(self):
-        # Z_l counts the blocks of size >= l: constant on each interval
-        # (sizes[i-1], sizes[i]] between consecutive distinct sizes
+    def _occupancy_counts(self):
+        """Z_l = #{j : N_j >= l} for l = 1..max N, the JSON form's Z: constant
+        on each interval (sizes[i-1], sizes[i]] between distinct sizes."""
         at_least = np.cumsum(self.counts[::-1])[::-1]
-        Z = np.repeat(at_least, np.diff(self.sizes, prepend=0))
-        return json.dumps({"n": self.n, "K": self.K,
-                           "N": self.N.tolist(), "Z": Z.tolist()},
+        return np.repeat(at_least, np.diff(self.sizes, prepend=0))
+
+    def to_json(self):
+        return json.dumps({"n": self.n, "K": self.K, "N": self.N.tolist(),
+                           "Z": self._occupancy_counts().tolist()},
                           sort_keys=True)
 
     @classmethod
@@ -71,21 +73,16 @@ class PartitionStats:
         """Inverse of to_json; rejects a record whose N or Z breaks the
         invariants listed in docs/formats.md."""
         d = json.loads(text)
-        n, K = d["n"], d["K"]
         N = np.array(d["N"]).astype(np.int64)
-        Z = np.array(d["Z"]).astype(np.int64)
-        if n < 1 or K < 1:
-            raise ValueError("need n >= 1 and K >= 1")
-        if N.size != K or np.any(N < 1):
-            raise ValueError("N must list K positive block sizes")
-        if np.any(np.diff(N) > 0):
-            raise ValueError("N must be nonincreasing")
-        if int(N.sum()) != n:
-            raise ValueError("block sizes must sum to n")
-        if Z.size != int(N[0]) or Z[0] != K or np.any(np.diff(Z) > 0) \
-                or int(Z.sum()) != n:
+        stats = cls(*np.unique(N, return_counts=True))  # raises unless N > 0
+        if (stats.n, stats.K) != (d["n"], d["K"]) \
+                or not np.array_equal(N, stats.N):
+            raise ValueError("N must list K block sizes in nonincreasing "
+                             "order that sum to n")
+        if not np.array_equal(np.array(d["Z"]).astype(np.int64),
+                              stats._occupancy_counts()):
             raise ValueError("Z inconsistent with N")
-        return cls(*np.unique(N, return_counts=True))
+        return stats
 
 
 def from_sizes(sizes):

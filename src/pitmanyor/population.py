@@ -282,10 +282,8 @@ class ExplicitPopulation(Population):
 
     def __init__(self, probs):
         p = np.sort(np.asarray(probs, dtype=float))[::-1]
-        if p.size == 0 or np.any(p <= 0) or np.any(p >= 1) and p.size > 1:
-            if not (p.size == 1 and p[0] == 1.0):
-                if np.any(p <= 0) or np.any(p > 1):
-                    raise ValueError("probabilities must lie in (0, 1]")
+        if p.size == 0 or np.any(p <= 0) or np.any(p > 1):
+            raise ValueError("probabilities must lie in (0, 1]")
         if abs(float(np.sum(p)) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
         self.probs = p

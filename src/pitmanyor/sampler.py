@@ -42,9 +42,6 @@ class OccupancyCounts:
         return np.fromiter(self.counts.values(), dtype=np.int64,
                            count=len(self.counts))
 
-    def realized_size(self):
-        return int(self.values().sum()) if self.counts else 0
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -13,7 +13,7 @@ from pitmanyor import asymptotics
 from pitmanyor.asymptotics import (E0_series, E0n, E0nEvaluator,
                                    compute_constants, gamma_ratio_sum,
                                    poisson_g_moments, precision_limit,
-                                   precision_objective, sigma0n_root,
+                                   sigma0n_root,
                                    stirling_zeta_series, tail_g_moments,
                                    tau1_sq, tau2_sq)
 from pitmanyor.numerics import g_sigma_values
@@ -239,6 +239,20 @@ def test_precision_limit_symbolic():
     assert precision_limit(0.5, down, M_max) == (-math.inf, 0.0)
 
 
+def _precision_objective(M, sigma0, K0):
+    """f(M) = (M/sigma0)(K0 + ln Gamma(1-sigma0)) + ln Gamma(1+M)
+    - ln Gamma(1+M/sigma0), which M0 maximizes."""
+    return (M / sigma0) * (K0 + math.lgamma(1.0 - sigma0)) \
+        + math.lgamma(1.0 + M) - math.lgamma(1.0 + M / sigma0)
+
+
+def _precision_slope(M, sigma0, K0):
+    """f'(M), by mpmath."""
+    return float((K0 + mp.loggamma(1 - mp.mpf(sigma0))) / sigma0
+                 + mp.digamma(1 + mp.mpf(M))
+                 - mp.digamma(1 + mp.mpf(M) / sigma0) / sigma0)
+
+
 def test_precision_limit_constant_l0_grid_scan():
     M_max = 10.0
     for L0_const in (0.05, 1.0, 20.0):
@@ -246,9 +260,35 @@ def test_precision_limit_constant_l0_grid_scan():
         K0, M0 = precision_limit(0.5, rv, M_max)
         assert K0 == pytest.approx(math.log(L0_const))
         grid = np.linspace(0.0, M_max, 10 ** 4)
-        vals = [precision_objective(float(M), 0.5, K0) for M in grid]
+        vals = [_precision_objective(float(M), 0.5, K0) for M in grid]
         M_scan = float(grid[int(np.argmax(vals))])
         assert abs(M0 - M_scan) <= 2.0 * M_max / 10 ** 4 + 1e-6
+
+
+def test_precision_limit_interior_root_has_zero_slope():
+    M_max = 50.0
+    interior = 0
+    for sigma0 in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for L0_const in (0.05, 1.0, 30.0):
+            rv = RegularVariation(sigma0=sigma0, L0_const=L0_const)
+            K0, M0 = precision_limit(sigma0, rv, M_max)
+            if M0 == 0.0:
+                assert _precision_slope(0.0, sigma0, K0) <= 0.0
+            elif M0 == M_max:
+                assert _precision_slope(M_max, sigma0, K0) >= 0.0
+            else:
+                interior += 1
+                assert abs(_precision_slope(M0, sigma0, K0)) <= 1e-10
+    assert interior >= 5
+
+
+def test_scalar_solves_raise_without_convergence(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_ROOT_MAX_ITER", 1)
+    asymptotics._evaluator.cache_clear()
+    with pytest.raises(RuntimeError):
+        sigma0n_root(make_power_law(2.0), 10 ** 3)
+    with pytest.raises(RuntimeError):
+        precision_limit(0.5, RegularVariation(sigma0=0.5, L0_const=1.0), 50.0)
 
 
 def test_sigma0n_root_validation():

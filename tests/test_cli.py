@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pitmanyor
 from pitmanyor.cli import main
 
 
@@ -162,3 +167,14 @@ def test_unknown_flag_is_hard_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run("fit", "--no-such-flag")
     assert info.value.code == 2
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    code = ("import sys, pitmanyor.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+    src = str(Path(pitmanyor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

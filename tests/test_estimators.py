@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,15 @@ def test_interior_root_has_zero_score():
     assert res.boundary == INTERIOR
     assert abs(res.score_at_opt) <= 1e-6
     assert 0.0 < res.sigma_hat < 1.0
+
+
+def test_interior_estimate_reports_solver_diagnostics():
+    st = from_sizes([40, 20, 10, 5, 5, 5, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1])
+    res = mle_sigma(st, 1.0, se=True)
+    assert res.diagnostics["converged"] is True
+    assert 1 <= res.diagnostics["iterations"] <= 200
+    assert "diagnostics" not in json.loads(res.to_json())
+    assert mle_sigma(from_sizes([1] * 50), 1.0).diagnostics == {}
 
 
 def test_interior_is_a_maximum():

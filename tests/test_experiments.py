@@ -125,6 +125,16 @@ def test_determinism_across_threads():
         == b.to_json(include_wall_clock=False)
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 100, 1000])
+def test_ks_normal_matches_scipy_kstest(size):
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(size)
+    for z in (rng.standard_normal(size), rng.standard_t(3, size) + 0.3):
+        assert abs(ex._ks_normal(z) - sps.kstest(z, "norm").statistic) \
+            <= 1e-15
+
+
 def test_excluded_guard():
     with pytest.raises(RuntimeError):
         ex._excluded_guard(10, 100)

@@ -119,6 +119,16 @@ def test_bvm_gap_metric_properties():
         bvm_gap(b, 0.5, 0.02 ** 2), abs=1e-3)
 
 
+def test_bvm_gap_matches_scipy_norm_reference():
+    post = posterior_sigma(_stats())
+    nodes = post.sigma_nodes
+    for sigma_hat, sd in ((post.mean, post.sd), (0.45, 0.03), (0.7, 0.2)):
+        cdf = sps.norm.cdf(nodes, loc=sigma_hat, scale=sd)
+        want = 0.5 * np.sum(np.abs(post.cell_mass - np.diff(cdf))) \
+            + 0.5 * (cdf[0] + 1.0 - cdf[-1])
+        assert abs(bvm_gap(post, sigma_hat, sd ** 2) - want) <= 1e-15
+
+
 def test_bvm_gap_validation():
     g = _gaussian_grid(0.5, 0.02)
     with pytest.raises(ValueError):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor.numerics import (IntegrationError, adaptive_integrate,
                                 g_sigma_values, log_ascending_factorial,
-                                log_gamma, log_sum_exp)
+                                log_gamma, log_sum_exp, newton_root)
 
 
 def _g_direct(m, sigma):
@@ -102,6 +102,35 @@ def test_log_sum_exp():
     assert log_sum_exp([-np.inf, -np.inf]) == -np.inf
     with pytest.raises(ValueError):
         log_sum_exp([])
+
+
+def _decreasing(kind, root):
+    """(f, f') of c - x^3 or c - log x, whose zero is root."""
+    if kind == "cube":
+        c = root ** 3
+        return lambda x: (c - x ** 3, -3.0 * x * x)
+    c = math.log(root)
+    return lambda x: (c - math.log(x), -1.0 / x)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(kind=hst.sampled_from(["cube", "log"]), root=hst.floats(0.05, 20.0),
+       lo_frac=hst.floats(0.01, 0.999), hi_frac=hst.floats(1.001, 100.0))
+@example(kind="cube", root=1.0, lo_frac=0.999, hi_frac=100.0)
+@example(kind="log", root=20.0, lo_frac=0.01, hi_frac=1.001)
+def test_newton_root_finds_known_roots(kind, root, lo_frac, hi_frac):
+    f = _decreasing(kind, root)
+    lo, hi = root * lo_frac, root * hi_frac
+    tol = 1e-10
+    x, iterations, converged = newton_root(f, lo, hi, tol, 100)
+    assert converged
+    assert 1 <= iterations <= 100
+    assert lo < x < hi
+    assert abs(x - root) <= tol
+    # one step from the midpoint cannot converge when the root is far from it
+    assume(abs(0.5 * (lo + hi) - root) > 1e-3)
+    x, iterations, converged = newton_root(f, lo, hi, tol, 1)
+    assert (iterations, converged) == (1, False)
 
 
 def test_adaptive_integrate_smooth():

@@ -67,8 +67,12 @@ def test_invariant_validation():
         PartitionStats.from_json(_record(3, 2, [1, 2], [2, 1]))
     with pytest.raises(ValueError):
         PartitionStats.from_json(_record(4, 2, [2, 1], [2, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Z inconsistent with N"):
         PartitionStats.from_json(_record(3, 2, [2, 1], [1, 1]))
+    # right length, Z_1 = K, nonincreasing, sums to n, yet not the true
+    # Z = [3, 1, 1, 1]
+    with pytest.raises(ValueError, match="Z inconsistent with N"):
+        PartitionStats.from_json(_record(6, 3, [4, 1, 1], [3, 2, 1, 0]))
 
 
 def test_histogram_validation():

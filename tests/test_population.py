@@ -120,6 +120,19 @@ def test_explicit_validation():
         make_explicit([1.2, -0.2])
 
 
+@pytest.mark.parametrize("probs", [[], [0.5, 0.0, 0.5], [-0.1, 1.1], [1.5],
+                                   [0.6, 0.6], [0.3, 0.3]])
+def test_explicit_rejects_invalid_probabilities(probs):
+    with pytest.raises(ValueError):
+        make_explicit(probs)
+
+
+def test_explicit_accepts_single_certain_atom():
+    pop = make_explicit([1.0])
+    assert pop.n_atoms() == 1
+    assert pop.alpha0(2.0) == 1
+
+
 def test_inverse_cdf_deterministic_quantiles():
     pop = make_explicit([0.5, 0.3, 0.2])
     idx = pop.inverse_cdf(np.array([0.1, 0.49, 0.51, 0.79, 0.81, 0.99]))
@@ -137,7 +150,7 @@ def test_inverse_cdf_power_law_tail_draws():
 def test_power_law_heavy_tail_draws(alpha):
     # exact tail indices past int64 get fresh labels instead of overflowing
     occ = sample_iid(make_power_law(alpha), 20000, RngStream(1))
-    assert occ.realized_size() == 20000
+    assert occ.values().sum() == 20000
 
 
 def test_intensities_explicit_population_has_no_tails():

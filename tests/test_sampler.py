@@ -103,7 +103,7 @@ def test_sample_iid_single_atom():
     occ = sample_iid(pop, 50, RngStream(0))
     assert occ.regime == "multinomial"
     assert occ.counts == {0: 50}
-    assert occ.realized_size() == 50
+    assert occ.values().sum() == 50
 
 
 def test_sample_iid_totals_and_determinism():
@@ -111,7 +111,7 @@ def test_sample_iid_totals_and_determinism():
     a = sample_iid(pop, 1000, RngStream(3))
     b = sample_iid(pop, 1000, RngStream(3))
     assert a.counts == b.counts
-    assert a.realized_size() == 1000
+    assert a.values().sum() == 1000
 
 
 def test_sample_iid_frequencies():
@@ -124,7 +124,7 @@ def test_sample_iid_frequencies():
 def test_sample_poissonized_mean_total():
     pop = make_power_law(2.0)
     n = 10000
-    totals = [sample_poissonized(pop, n, RngStream(17, r)).realized_size()
+    totals = [sample_poissonized(pop, n, RngStream(17, r)).values().sum()
               for r in range(40)]
     mean = float(np.mean(totals))
     # total is Poisson(n): sd = sqrt(n)
