@@ -10,8 +10,8 @@ pair (K0, M0).  Two routines carry every occupancy quantity:
   corrections rather than summed by brute force.
 - `poisson_g_moments`: per-atom Poisson expectations of g_sigma and its
   powers and sigma-derivative, summed over `Population.intensities` by E0n
-  and by the occupancy-lemma left-hand sides; `tail_g_moments` is the same
-  quantity over the atoms folded into power sums.
+  and by the occupancy-lemma left-hand sides.  The atoms folded into power
+  sums enter through `tail_pmf`, their third-order count probabilities.
 
 The roots sigma0n and M0 both come from `numerics.newton_root`.
 """
@@ -252,18 +252,19 @@ def poisson_g_moments(lam, sigma):
     return out
 
 
-def tail_g_moments(tails, sigma):
-    """The four rows of `poisson_g_moments` summed over atoms known only
-    through their power sums (t1, t2, t3), to third order in lam:
-    P(X = 2) = lam^2/2 - lam^3/2, P(X = 3) = lam^3/6."""
-    _, t2, t3 = tails
-    return _g_rows(np.arange(2, 4), sigma) @ [t2 / 2.0 - t3 / 2.0, t3 / 6.0]
-
-
-def tail_occupied(tails):
-    """sum P(X >= 1) over atoms known through (t1, t2, t3), third order."""
+def tail_pmf(tails):
+    """sum_j P(X_j = m), m = 1, 2, 3, for X_j ~ Poisson(lam_j) over atoms
+    known only through their power sums (t1, t2, t3), to third order in lam:
+    P(X = 1) = lam - lam^2 + lam^3/2, P(X = 2) = lam^2/2 - lam^3/2,
+    P(X = 3) = lam^3/6."""
     t1, t2, t3 = tails
-    return t1 - t2 / 2.0 + t3 / 6.0
+    return np.array([t1 - t2 + t3 / 2.0, t2 / 2.0 - t3 / 2.0, t3 / 6.0])
+
+
+def tail_g_moments(tails, sigma):
+    """The four rows of `poisson_g_moments` summed over the atoms of
+    `tail_pmf`."""
+    return _g_rows(np.arange(1, 4), sigma) @ tail_pmf(tails)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +277,15 @@ class E0nEvaluator:
     This is the exact atom-by-atom form of the integral
     int_0^n alpha0(n/s) e^{-s} (1/sigma - sum_m s^m/(m!(m-sigma))) ds:
     integrating the counting-function step heights term by term reproduces
-    the sum above.  Atom intensities are cached so root finding reuses them.
+    the sum above.  The evaluator holds the atom intensities, so one root
+    search computes them once.
     """
 
     def __init__(self, pop, n):
         self.n = int(n)
-        self.lam, self.tails, _ = pop.intensities(n)
+        self.lam, self.tails = pop.intensities(self.n)
         self.occupied = float(np.sum(-np.expm1(-self.lam))) \
-            + tail_occupied(self.tails)
+            + float(np.sum(tail_pmf(self.tails)))
 
     def _sweep(self, sigma):
         """(E0n, dE0n/dsigma) from one pass of the Poisson kernel."""
@@ -302,19 +304,9 @@ class E0nEvaluator:
         return self._sweep(sigma)
 
 
-# Evaluators kept, one per (population, n); run_root_rate needs 4 values of n
-# per population.  Populations hash by identity, so an evicted one is freed.
-_EVALUATOR_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_EVALUATOR_CACHE_SIZE)
-def _evaluator(pop, n):
-    return E0nEvaluator(pop, n)
-
-
 def E0n(pop, n, sigma):
     """The finite-n centering function of Eq.-(4) type, exact atom sum."""
-    return _evaluator(pop, int(n)).value(sigma)
+    return E0nEvaluator(pop, n).value(sigma)
 
 
 _ROOT_BRACKET = (0.01, 0.99)  # where sigma0n is sought
@@ -327,7 +319,7 @@ def sigma0n_root(pop, n):
     by `newton_root` with the analytic derivative."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    ev = _evaluator(pop, int(n))
+    ev = E0nEvaluator(pop, n)
     lo, hi = _ROOT_BRACKET
     f_lo, f_hi = ev.value(lo), ev.value(hi)
     if not (f_lo > 0.0 > f_hi):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, experiments, inference, partition
 from .estimators import INTERIOR, mle_sigma, profile_mle
-from .population import make_explicit, population_from_json
+from .population import population_from_json
 from .sampler import RngStream, sample_iid_labels, sample_py_partition, \
     write_sample_csv
 
@@ -146,11 +146,11 @@ def cmd_posterior(args):
 
 
 def cmd_lr(args):
-    labels = partition.read_sample_labels(args.db)
-    if args.crime_profile in labels:
+    counts = partition.read_sample_counts(args.db)
+    if args.crime_profile in counts:
         raise CliError("crime profile must be a new, unseen species", 1)
-    labels.append(args.crime_profile)
-    stats = partition.from_observations(labels)
+    counts[args.crime_profile] = 1
+    stats = partition.from_occupancy(counts)
     prior = _parse_prior(args)
     report = inference.forensic_report(stats, prior)
     report["provenance"] = _provenance(args, [args.db])

@@ -72,11 +72,11 @@ def mle_sigma(stats, M, se=False):
     if M < 0.0:
         raise ValueError("M must be nonnegative")
     lo, hi = SIGMA_EPS, 1.0 - SIGMA_EPS
-    f_lo, f_hi = score_sigma(stats, lo, M), score_sigma(stats, hi, M)
     diagnostics = {}
-    if f_lo <= 0.0:
+    score = score_sigma(stats, lo, M)
+    if score <= 0.0:
         sig, flag = lo, LOWER_SIGMA
-    elif f_hi >= 0.0:
+    elif (score := score_sigma(stats, hi, M)) >= 0.0:
         sig, flag = hi, UPPER_SIGMA
     else:
         sig, iterations, converged = newton_root(
@@ -84,9 +84,9 @@ def mle_sigma(stats, M, se=False):
             lo, hi, _ROOT_TOL, _ROOT_MAX_ITER)
         flag = INTERIOR
         diagnostics = {"iterations": iterations, "converged": converged}
+        score = score_sigma(stats, sig, M)
     res = EstimateResult(
-        sigma_hat=sig, M_hat=None, boundary=flag,
-        score_at_opt=score_sigma(stats, sig, M),
+        sigma_hat=sig, M_hat=None, boundary=flag, score_at_opt=score,
         log_lik=log_eppf(stats, sig, M), diagnostics=diagnostics)
     if se and flag == INTERIOR:
         res = replace(res, se_sandwich=sandwich_se(stats, sig),
@@ -104,8 +104,9 @@ def profile_mle(stats, M_max=50.0, se=False):
         raise ValueError("M_max must be positive")
 
     def profile(M):
-        return log_eppf(stats, mle_sigma(stats, M).sigma_hat, M)
+        return mle_sigma(stats, M).log_lik
 
+    # geomspace ends exactly on M_max, so values[-1] is profile(M_max)
     grid = np.concatenate(([0.0], np.geomspace(0.01, M_max, 63)))
     values = np.array([profile(M) for M in grid])
     best = int(np.argmax(values))  # argmax takes the first (smallest M) tie
@@ -113,11 +114,13 @@ def profile_mle(stats, M_max=50.0, se=False):
     hi = grid[best + 1] if best < grid.size - 1 else M_max
     M_hat = _golden_max(profile, lo, hi)
     boundary = INTERIOR
-    if M_hat <= _M_TOL and profile(0.0) >= profile(M_hat):
-        M_hat, boundary = 0.0, LOWER_M
-    elif M_hat >= M_max - _M_TOL and profile(M_max) >= profile(M_hat):
-        M_hat, boundary = M_max, UPPER_M
     inner = mle_sigma(stats, M_hat, se=se)
+    if M_hat <= _M_TOL and values[0] >= inner.log_lik:
+        M_hat, boundary = 0.0, LOWER_M
+    elif M_hat >= M_max - _M_TOL and values[-1] >= inner.log_lik:
+        M_hat, boundary = M_max, UPPER_M
+    if boundary != INTERIOR:
+        inner = mle_sigma(stats, M_hat, se=se)
     if inner.boundary != INTERIOR:
         boundary = inner.boundary
     return EstimateResult(

@@ -43,8 +43,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
-        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
-            raise ValueError("n_grid must be nonempty and ascending")
+        grid = self.n_grid
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("n_grid must be nonempty and strictly increasing")
 
     def make_population(self):
         return population_from_json(self.population)
@@ -219,8 +220,7 @@ def lemma_limit_ratios(pop, n, sigma=None):
     """
     gamma = pop.rv.sigma0
     sigma = gamma if sigma is None else sigma
-    lam, tails, _ = pop.intensities(n)
-    t1, t2, t3 = tails
+    lam, tails = pop.intensities(n)
     a0 = pop.alpha0(n)
     per_atom = asymptotics.poisson_g_moments(lam, sigma)
     eg = per_atom[0]
@@ -228,19 +228,21 @@ def lemma_limit_ratios(pop, n, sigma=None):
         + asymptotics.tail_g_moments(tails, sigma)
     exp_lam = np.exp(-lam)
     gfac = math.exp(special.gammaln(1.0 - gamma))
-    # the two tails that weigh occupancies by e^-lam, also third order
-    tail_var = t1 - 1.5 * t2 + 7.0 * t3 / 6.0
-    tail_exp_eg = (t2 / 2.0 - 5.0 * t3 / 6.0) / (1.0 - sigma) \
-        + t3 / 6.0 / (2.0 - sigma)
+    # tails weighted by e^-lam: e^-lam P(X = m) = 2^-m P(Poisson(2 lam) = m)
+    scale = np.array([2.0, 4.0, 8.0])
+    weighted = asymptotics.tail_pmf(scale * tails) / scale
 
     lhs = {
-        "i": float(np.sum(-np.expm1(-lam))) + asymptotics.tail_occupied(tails),
-        "ii": float(np.sum(exp_lam * (1.0 - exp_lam))) + tail_var,
+        "i": float(np.sum(-np.expm1(-lam)))
+        + float(np.sum(asymptotics.tail_pmf(tails))),
+        "ii": float(np.sum(exp_lam * (1.0 - exp_lam)))
+        + float(np.sum(weighted)),
         "iii": sum_eg,
         "iv": sum_egdot,
         "v": sum_eg2,
         "vi": float(np.sum(eg ** 2)),
-        "vii": float(np.sum(exp_lam * eg)) + tail_exp_eg,
+        "vii": float(np.sum(exp_lam * eg))
+        + float(g_sigma_values(np.arange(1, 4), sigma) @ weighted),
         "viii": sum_eg3,
     }
     series = asymptotics.stirling_zeta_series

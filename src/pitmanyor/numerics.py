@@ -96,10 +96,13 @@ def newton_root(f_and_df, lo, hi, tol, max_iter):
     """Zero of a decreasing f with f(lo) > 0 > f(hi); f_and_df(x) returns
     (f(x), f'(x)).  Newton steps from the midpoint, each moving lo or hi to x
     by the sign of f(x) and bisecting when the step leaves (lo, hi), until a
-    step is at most tol.  Returns (x, iterations, converged)."""
+    step is at most tol or f(x) is exactly 0.  Returns
+    (x, iterations, converged)."""
     x = 0.5 * (lo + hi)
     for it in range(1, max_iter + 1):
         val, der = f_and_df(x)
+        if val == 0.0:
+            return x, it, True
         if val > 0.0:
             lo = x
         else:

@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -112,22 +113,30 @@ def from_occupancy(counts):
         values = np.asarray(counts, dtype=np.int64)
     values = values[values > 0]
     if values.size == 0:
-        raise ValueError("all occupancy counts are zero")
+        raise ValueError("no positive occupancy counts")
     return from_sizes(values)
 
 
-def read_sample_labels(path):
-    """Labels of a sample CSV with a required `species` header column."""
+def read_sample_counts(path):
+    """Counter of the labels in the required `species` column of a sample
+    CSV.  Blank lines are skipped; a row too short to hold the column
+    raises ValueError."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "species" not in reader.fieldnames:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if "species" not in header:
             raise ValueError("sample CSV must have a `species` header column")
-        return [row["species"] for row in reader]
+        try:
+            return Counter(map(itemgetter(header.index("species")),
+                               filter(None, rows)))
+        except IndexError:
+            raise ValueError(
+                "sample CSV row has no `species` field") from None
 
 
 def read_sample_csv(path):
     """Read a sample CSV with a required `species` header column."""
-    return from_observations(read_sample_labels(path))
+    return from_occupancy(read_sample_counts(path))
 
 
 def read_occupancy_csv(path):

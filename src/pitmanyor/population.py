@@ -62,29 +62,15 @@ class Population:
         return None
 
     def intensities(self, n):
-        """(lam, (t1, t2, t3), size) for Poisson intensities n p_j.
+        """(lam, (t1, t2, t3)) for Poisson intensities n p_j.
 
-        lam holds the n p_j >= INTENSITY_CUT, descending; t_k is the sum of
-        (n p_j)^k over all other atoms; size atoms were materialized, so
-        every index from size on is in the tails.  The head is doubled from
-        1024 atoms until n p_j < INTENSITY_CUT at its end.
+        lam holds the alpha0(n / INTENSITY_CUT) atoms with
+        n p_j >= INTENSITY_CUT, descending; t_k is the sum of (n p_j)^k over
+        all later atoms, so index lam.size is the first one in the tails.
         """
-        limit = self.n_atoms()
-        size = 1 << 10
-        while True:
-            if limit is not None:
-                size = min(size, limit)
-            lam = n * self.atom_probs(size)
-            if size == limit or lam[-1] < INTENSITY_CUT:
-                break
-            size *= 2
-        explicit = int(np.searchsorted(-lam, -INTENSITY_CUT, side="right"))
-        extra = lam[explicit:]
-        tails = tuple(
-            float(np.sum(extra ** k))
-            + (0.0 if size == limit else n ** k * self.tail_power_sum(size, k))
-            for k in (1, 2, 3))
-        return lam[:explicit], tails, size
+        head = self.alpha0(n / INTENSITY_CUT)
+        tails = tuple(n ** k * self.tail_power_sum(head, k) for k in (1, 2, 3))
+        return n * self.atom_probs(head), tails
 
     # ---- sampling support -------------------------------------------------
     _CACHE_START = 1 << 16

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import partition
+from .asymptotics import tail_pmf
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,12 @@ def sample_iid(pop, n, rng):
 def sample_poissonized(pop, n, rng):
     """Independent Poisson(n p_j) occupancy counts.
 
-    Atoms with intensity n p_j >= 1e-4 (Population.intensities) are drawn
-    explicitly.  The remaining tail is drawn in aggregate: the number of tail
-    species seen once (resp. twice) is Poisson with mean
-    sum_j (1 - e^{-l_j} - l_j e^{-l_j}-corrected series), evaluated from
-    analytic tail power sums; triple-or-more tail occupancies have total
-    expectation below 1e-6 at the scales this library targets and are
-    dropped.  Tail species receive fresh indices past the materialized atoms.
+    The head atoms of `Population.intensities` (n p_j >= 1e-4) are drawn one
+    by one and keep their indices.  The tail is drawn in aggregate: the
+    numbers of tail species seen once, twice and three times are Poisson with
+    the means `asymptotics.tail_pmf` gives from the tail power sums; four or
+    more occupancies, of fourth order in the intensities, are dropped.  Tail
+    species receive fresh indices from the head size on.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -130,20 +130,15 @@ def sample_poissonized(pop, n, rng):
     if n == 0:
         return OccupancyCounts(counts=counts, regime="poissonized", n=0)
     gen = rng.generator()
-    lam, (s1, s2, s3), fresh = pop.intensities(n)
+    lam, tails = pop.intensities(n)
     drawn = gen.poisson(lam)
     occupied = np.nonzero(drawn)[0]
     counts.update(zip(occupied.tolist(), drawn[occupied].tolist()))
-    mean_pairs = s2 / 2.0 - s3 / 3.0      # sum_j P(count_j = 2), small-lambda
-    mean_singles = s1 - s2 + s3 / 2.0     # sum_j P(count_j = 1)
-    singles = int(gen.poisson(max(mean_singles, 0.0)))
-    pairs = int(gen.poisson(max(mean_pairs, 0.0)))
-    for _ in range(singles):
-        counts[fresh] = 1
-        fresh += 1
-    for _ in range(pairs):
-        counts[fresh] = 2
-        fresh += 1
+    fresh = lam.size
+    species = gen.poisson(np.maximum(tail_pmf(tails), 0.0)).tolist()
+    for size, number in enumerate(species, 1):
+        counts.update(dict.fromkeys(range(fresh, fresh + number), size))
+        fresh += number
     return OccupancyCounts(counts=counts, regime="poissonized", n=int(n))
 
 

@@ -13,9 +13,9 @@ from pitmanyor import asymptotics
 from pitmanyor.asymptotics import (E0_series, E0n, E0nEvaluator,
                                    compute_constants, gamma_ratio_sum,
                                    poisson_g_moments, precision_limit,
-                                   sigma0n_root,
-                                   stirling_zeta_series, tail_g_moments,
-                                   tau1_sq, tau2_sq)
+                                   sigma0n_root, stirling_zeta_series,
+                                   tail_g_moments, tail_pmf, tau1_sq,
+                                   tau2_sq)
 from pitmanyor.numerics import g_sigma_values
 from pitmanyor.population import RegularVariation, make_explicit, \
     make_power_law, make_synthetic
@@ -45,6 +45,23 @@ def test_gamma_ratio_sum_identity():
     for gamma in GAMMAS:
         target = math.gamma(1.0 - gamma) / gamma
         assert abs(gamma_ratio_sum(gamma) / target - 1.0) <= 1e-7
+
+
+def test_series_engine_matches_closed_forms():
+    # sum_{m>=1} Gamma(m+1-g)/(m!(m-s))
+    #   = Gamma(1-g) [Gamma(-s) Gamma(g)/Gamma(g-s) + 1/s]
+    G = special.gamma
+    grid = np.linspace(0.05, 0.95, 7)
+    for s0 in grid:
+        want = G(1.0 - s0) ** 2 * G(s0) / s0
+        assert abs(tau2_sq(s0) / want - 1.0) <= 1e-14
+        for s in grid:
+            ratio = G(s0) * special.rgamma(s0 - s)
+            want = G(1.0 - s0) * (G(-s) * ratio + 1.0 / s)
+            got = stirling_zeta_series(s0, s, 1, 0)
+            assert abs(got / want - 1.0) <= 1e-11
+            want = G(1.0 - s0) * G(1.0 - s) * ratio / s
+            assert abs(E0_series(s, s0) - want) <= 1e-10 * G(1.0 - s0) / s
 
 
 def test_tau2_oracle_values():
@@ -157,6 +174,16 @@ def test_tail_g_moments_matches_kernel_for_small_intensities():
             poisson_g_moments(lam, sigma).sum(axis=1), rtol=1e-7)
 
 
+def test_tail_pmf_matches_poisson_pmf_for_small_intensities():
+    # third order in lam: each gap is at most sum lam^4 / 4 to leading order
+    lam = np.geomspace(1e-7, 1e-4, 500)
+    tails = tuple(float(np.sum(lam ** k)) for k in (1, 2, 3))
+    exact = [float(np.sum(np.exp(-lam) * lam ** m)) / math.factorial(m)
+             for m in (1, 2, 3)]
+    gap = np.abs(tail_pmf(tails) - exact)
+    assert np.all(gap <= float(np.sum(lam ** 4)) / 2.0)
+
+
 def test_tau1_positive():
     for s0 in (0.1, 0.3, 0.5, 0.7, 0.9):
         assert tau1_sq(s0) > 0.0
@@ -179,18 +206,14 @@ def test_e0n_derivative_matches_fd():
         assert abs(der / fd - 1.0) <= 1e-5
 
 
-def test_evaluator_cache_is_bounded_and_frees_evicted_populations():
-    size = asymptotics._EVALUATOR_CACHE_SIZE
-    asymptotics._evaluator.cache_clear()
-    first = make_explicit([0.5, 0.3, 0.2])
-    evicted = weakref.ref(first)
-    E0n(first, 10, 0.5)
-    del first
-    for i in range(2 * size):
-        E0n(make_explicit([0.5, 0.3, 0.2]), 10 + i, 0.5)
-    assert asymptotics._evaluator.cache_info().currsize <= size
+def test_sigma0n_root_keeps_no_reference_to_its_population():
+    pop = make_explicit([0.5, 0.3, 0.2])
+    ref = weakref.ref(pop)
+    sigma0n_root(pop, 10)
+    E0n(pop, 10, 0.5)
+    del pop
     gc.collect()
-    assert evicted() is None
+    assert ref() is None
 
 
 def test_root_oracle_values():
@@ -284,7 +307,6 @@ def test_precision_limit_interior_root_has_zero_slope():
 
 def test_scalar_solves_raise_without_convergence(monkeypatch):
     monkeypatch.setattr(asymptotics, "_ROOT_MAX_ITER", 1)
-    asymptotics._evaluator.cache_clear()
     with pytest.raises(RuntimeError):
         sigma0n_root(make_power_law(2.0), 10 ** 3)
     with pytest.raises(RuntimeError):

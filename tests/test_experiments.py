@@ -25,6 +25,8 @@ def test_config_validation():
         _config(n_grid=())
     with pytest.raises(ValueError):
         _config(n_grid=(100, 50))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _config(n_grid=(1000, 1000))
 
 
 def test_config_from_dict():

@@ -133,6 +133,16 @@ def test_newton_root_finds_known_roots(kind, root, lo_frac, hi_frac):
     assert (iterations, converged) == (1, False)
 
 
+@pytest.mark.parametrize("root,iterations", [(0.5, 1), (0.25, 2)])
+def test_newton_root_stops_on_an_exact_zero(root, iterations):
+    # the first iterate is the midpoint 0.5; the Newton step from it lands
+    # on 0.25 exactly
+    def f(x):
+        return root - x, -1.0
+
+    assert newton_root(f, 0.0, 1.0, 1e-12, 100) == (root, iterations, True)
+
+
 def test_adaptive_integrate_smooth():
     val = adaptive_integrate(math.exp, 0.0, 1.0)
     assert val == pytest.approx(math.e - 1.0, rel=1e-12)

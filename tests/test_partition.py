@@ -1,6 +1,10 @@
+import csv
+import io
 import json
 import re
+import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,8 @@ from pitmanyor.estimators import mle_sigma
 from pitmanyor.inference import PriorSpec, forensic_lr, posterior_sigma
 from pitmanyor.partition import (PartitionStats, from_observations,
                                  from_occupancy, from_sizes,
-                                 read_occupancy_csv, read_sample_csv)
+                                 read_occupancy_csv, read_sample_counts,
+                                 read_sample_csv)
 from pitmanyor.sampler import OccupancyCounts
 
 
@@ -133,6 +138,47 @@ def test_read_sample_csv_missing_header(tmp_path):
     path.write_text("label\na\nb\n")
     with pytest.raises(ValueError):
         read_sample_csv(path)
+
+
+_LABELS = hst.text(alphabet='ab,"\' \r\n', max_size=4)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rows=hst.lists(hst.one_of(hst.none(), _LABELS), max_size=12),
+       other_column=hst.booleans(),
+       line_end=hst.sampled_from(["\n", "\r\n"]))
+@example(rows=["a,b", '"', "", None, "a,b", "x\r\ny"], other_column=False,
+         line_end="\r\n")
+@example(rows=["\ra"], other_column=True, line_end="\n")  # "0,\ra" splits
+def test_read_sample_counts_matches_dictreader(rows, other_column, line_end):
+    # None stands for a blank line; labels hold commas, quotes, empty
+    # strings and line breaks.  The writer leaves a lone \r unquoted under
+    # \n endings, which splits the row; that row is then too short.
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=line_end)
+    writer.writerow(["id", "species"] if other_column else ["species"])
+    for i, label in enumerate(rows):
+        if label is None:
+            out.write(line_end)
+        else:
+            writer.writerow([i, label] if other_column else [label])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        path.write_text(out.getvalue(), newline="")
+        with open(path, newline="") as fh:
+            want = [row["species"] for row in csv.DictReader(fh)]
+        if None in want:  # a row too short for the species field
+            with pytest.raises(ValueError):
+                read_sample_counts(path)
+        else:
+            assert read_sample_counts(path) == Counter(want)
+
+
+def test_read_sample_counts_rejects_short_row(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("id,species\n1,a\n2\n")
+    with pytest.raises(ValueError, match="no `species` field"):
+        read_sample_counts(path)
 
 
 def test_read_occupancy_csv(tmp_path):

@@ -155,18 +155,25 @@ def test_power_law_heavy_tail_draws(alpha):
 
 def test_intensities_explicit_population_has_no_tails():
     pop = make_explicit([0.5, 0.3, 0.2])
-    lam, tails, size = pop.intensities(1000)
+    lam, tails = pop.intensities(1000)
     np.testing.assert_allclose(lam, [500.0, 300.0, 200.0], rtol=1e-15)
     assert tails == (0.0, 0.0, 0.0)
-    assert size == 3
+
+
+@pytest.mark.parametrize("pop", [make_power_law(1.5), make_power_law(3.0),
+                                 make_synthetic(0.5, 1.0),
+                                 make_synthetic(0.5, -1.0)])
+def test_intensities_head_is_the_atoms_above_the_cut(pop):
+    for n in (10 ** 3, 10 ** 6):
+        lam, _ = pop.intensities(n)
+        assert lam[-1] >= INTENSITY_CUT > n * pop.atom_probs(lam.size + 1)[-1]
 
 
 def test_intensities_split_at_cut():
     pop = make_power_law(2.0)
     n = 10 ** 5
-    lam, (t1, t2, t3), size = pop.intensities(n)
+    lam, (t1, t2, t3) = pop.intensities(n)
     assert lam[-1] >= INTENSITY_CUT > n * pop.atom_probs(lam.size + 1)[-1]
-    assert n * pop.atom_probs(size)[-1] < INTENSITY_CUT
     # every atom is either explicit or in the power sums
     assert float(np.sum(lam)) + t1 == pytest.approx(n, rel=1e-12)
     rest = n * pop.atom_probs(10 ** 7)[lam.size:]
