@@ -10,8 +10,7 @@ from .estimators import EstimateResult, mle_sigma, profile_mle, sandwich_se
 from .inference import (PosteriorGrid, PriorSpec, bvm_gap, forensic_lr,
                         forensic_report, posterior_mean_and_interval,
                         posterior_sigma)
-from .likelihood import (PYParams, h_precision, hess_sigma, log_eppf,
-                         score_sigma)
+from .likelihood import h_precision, hess_sigma, log_eppf, score_sigma
 from .partition import (PartitionStats, from_observations, from_occupancy,
                         from_sizes, read_occupancy_csv, read_sample_csv)
 from .population import (Population, RegularVariation, make_explicit,
@@ -26,7 +25,7 @@ __all__ = [
     "EstimateResult", "mle_sigma", "profile_mle", "sandwich_se",
     "PosteriorGrid", "PriorSpec", "bvm_gap", "forensic_lr", "forensic_report",
     "posterior_mean_and_interval", "posterior_sigma",
-    "PYParams", "h_precision", "hess_sigma", "log_eppf", "score_sigma",
+    "h_precision", "hess_sigma", "log_eppf", "score_sigma",
     "PartitionStats", "from_observations", "from_occupancy", "from_sizes",
     "read_occupancy_csv", "read_sample_csv",
     "Population", "RegularVariation", "make_explicit", "make_power_law",

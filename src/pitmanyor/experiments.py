@@ -1,21 +1,24 @@
 """Monte Carlo and deterministic verification harness.
 
-Each run_* function draws replications with per-replication RNG streams
-(stream_id = replication index), folds results in index order, and returns an
-ExperimentReport whose JSON serialization is byte-identical across reruns and
-worker counts (modulo the wall-clock field).  The deterministic occupancy
-checks own no numerics of their own: their left-hand sides come from
-asymptotics.poisson_g_moments over Population.intensities, their right-hand
-sides from asymptotics.stirling_zeta_series and the tau1 components.
+Every check is run_<check>(config) -> ExperimentReport for a name in CHECKS,
+configured by one ExperimentConfig (from_dict reads its JSON form and
+applies the per-check defaults of CHECKS).  Replication r draws from
+RngStream(config.seed, r) and results fold in index order, so a report's
+JSON is byte-identical across reruns and worker counts (modulo the
+wall-clock field).  The deterministic occupancy checks own no numerics of
+their own: their left-hand sides come from asymptotics.poisson_g_moments
+over Population.intensities, their right-hand sides from
+asymptotics.stirling_zeta_series and the tau1 components.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -28,6 +31,21 @@ from .sampler import RngStream, sample_iid, sample_poissonized
 
 _BOUNDARY_LOGLIK_SLACK = 0.5  # profile boundary indistinguishability
 
+# check name -> the defaults it takes in place of ExperimentConfig's own
+CHECKS = {
+    "normality": {},
+    "bvm": {},
+    "lemma_limits": {"tolerance": 0.05},
+    "root_rate": {},
+    "tau1_mc": {"replications": 400, "tolerance": 0.10},
+    "precision_profile": {},
+    "forensic": {},
+}
+_OPTIONAL_KEYS = {"replications": int, "M_values": tuple,
+                  "prior": inference.PriorSpec.from_dict, "seed": int,
+                  "M_max": float, "threads": int, "tolerance": float,
+                  "sigma": float}  # key -> reader of its JSON value
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -39,6 +57,8 @@ class ExperimentConfig:
     seed: int = 0
     M_max: float = 5.0
     threads: int = 1
+    tolerance: float | None = None  # lemma_limits, tau1_mc; see CHECKS
+    sigma: float | None = None  # lemma_limits; None means sigma0
 
     def __post_init__(self):
         if self.replications < 2:
@@ -51,14 +71,24 @@ class ExperimentConfig:
         return population_from_json(self.population)
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(population=d["population"], n_grid=tuple(d["n_grid"]),
-                   replications=int(d.get("replications", 2)),
-                   M_values=tuple(d.get("M_values", [0.0])),
-                   prior=inference.PriorSpec.from_dict(d.get("prior", {})),
-                   seed=int(d.get("seed", 0)),
-                   M_max=float(d.get("M_max", 5.0)),
-                   threads=int(d.get("threads", 1)))
+    def from_dict(cls, d, check):
+        """Config of `check` from experiment JSON, the only reader of that
+        format.  A key that is absent or null takes the check's default
+        from CHECKS, else the field default; other keys (such as `check`)
+        are ignored."""
+        spec = {**CHECKS[check], **{k: v for k, v in d.items()
+                                    if v is not None}}
+        return cls(population=spec["population"],
+                   n_grid=tuple(spec["n_grid"]),
+                   **{k: read(spec[k]) for k, read in _OPTIONAL_KEYS.items()
+                      if k in spec})
+
+    def to_dict(self):
+        """The report's config block: every set field except `threads`."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "threads" and getattr(self, f.name) is not None}
+        out["prior"] = self.prior.to_dict()
+        return out
 
 
 @dataclass(frozen=True)
@@ -85,13 +115,42 @@ def _jsonable(x):
     raise TypeError(f"not serializable: {type(x)}")
 
 
-def _map_replications(fn, count, threads):
-    """fn(replication_index) evaluated for 0..count-1; results folded in
-    index order regardless of scheduling."""
-    if threads <= 1:
+def _check(body):
+    """run_<check>(config) -> ExperimentReport from body(config, population)
+    -> (results, passed); the one place a check is timed and reported."""
+    name = body.__name__.removeprefix("run_")
+
+    @functools.wraps(body)
+    def run(config):
+        t0 = time.time()
+        results, passed = body(config, config.make_population())
+        return ExperimentReport(name, config.to_dict(), results, passed,
+                                time.time() - t0)
+
+    return run
+
+
+def _map_replications(fn, config):
+    """fn(replication_index) evaluated for 0..config.replications - 1;
+    results folded in index order regardless of scheduling."""
+    count = config.replications
+    if config.threads <= 1:
         return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def _iid_replications(config, pop, n, fn, fresh_singleton=False):
+    """fn(stats) for the i.i.d. sample of size n drawn from
+    RngStream(config.seed, r), for every replication r; with
+    fresh_singleton the stats also hold one new block of size 1."""
+    def one(r):
+        sizes = sample_iid(pop, n, RngStream(config.seed, r)).values()
+        if fresh_singleton:
+            sizes = np.append(sizes, 1)
+        return fn(partition.from_occupancy(sizes))
+
+    return _map_replications(one, config)
 
 
 def _ks_normal(z):
@@ -115,9 +174,8 @@ def _excluded_guard(excluded, total):
 # Asymptotic normality of the empirical Bayes estimator
 
 
-def run_normality(config):
-    t0 = time.time()
-    pop = config.make_population()
+@_check
+def run_normality(config, pop):
     M = config.M_values[0]
     R = config.replications
     per_n = {}
@@ -128,12 +186,11 @@ def run_normality(config):
         limit_var = asymptotics.tau1_sq(pop.rv.sigma0) \
             / asymptotics.tau2_sq(pop.rv.sigma0) ** 2
 
-        def one(r, n=n, s0n=s0n, a0=a0):
-            occ = sample_iid(pop, n, RngStream(config.seed, r))
-            e = estimators.mle_sigma(partition.from_occupancy(occ), M)
+        def one(st, s0n=s0n, a0=a0):
+            e = estimators.mle_sigma(st, M)
             return math.sqrt(a0) * (e.sigma_hat - s0n) if e.interior else None
 
-        raw = _map_replications(one, R, config.threads)
+        raw = _iid_replications(config, pop, n, one)
         z = np.array([v for v in raw if v is not None])
         excl = _excluded_guard(R - z.size, R)
         ks_stat = _ks_normal(z / math.sqrt(limit_var))
@@ -153,8 +210,7 @@ def run_normality(config):
                        and row["ks_stat"] <= ks_crit)
         ok = ok and row["pass"]
         per_n[str(n)] = row
-    return ExperimentReport("normality", _config_dict(config), per_n, ok,
-                            time.time() - t0)
+    return per_n, ok
 
 
 def _jackknife_var_se(z):
@@ -169,29 +225,24 @@ def _jackknife_var_se(z):
 # Bernstein-von Mises comparison
 
 
-def run_bvm(config):
-    t0 = time.time()
-    pop = config.make_population()
-    R = config.replications
-    sigma0 = pop.rv.sigma0
-    t2 = asymptotics.tau2_sq(sigma0)
+@_check
+def run_bvm(config, pop):
+    t2 = asymptotics.tau2_sq(pop.rv.sigma0)
+    M = config.prior.M_value if config.prior.M_kind == "fixed" else 0.0
     med_gap = []
     med_drift = []
     for n in config.n_grid:
         a0 = pop.alpha0(n)
         var_bvm = 1.0 / (a0 * t2)
 
-        def one(r, n=n, a0=a0, var_bvm=var_bvm):
-            occ = sample_iid(pop, n, RngStream(config.seed, r))
-            st = partition.from_occupancy(occ)
-            M = config.prior.M_value if config.prior.M_kind == "fixed" else 0.0
+        def one(st, a0=a0, var_bvm=var_bvm):
             e = estimators.mle_sigma(st, M)
             post = inference.posterior_sigma(st, config.prior)
             gap = inference.bvm_gap(post, e.sigma_hat, var_bvm)
             drift = math.sqrt(a0) * abs(post.mean - e.sigma_hat)
             return gap, drift
 
-        rows = _map_replications(one, R, config.threads)
+        rows = _iid_replications(config, pop, n, one)
         med_gap.append(float(np.median([g for g, _ in rows])))
         med_drift.append(float(np.median([d for _, d in rows])))
     decreasing = all(b < a for a, b in zip(med_gap, med_gap[1:]))
@@ -202,9 +253,7 @@ def run_bvm(config):
         "gap_decreasing": decreasing, "drift_decreasing": drift_dec,
         "final_gap": med_gap[-1],
     }
-    ok = decreasing and drift_dec and med_gap[-1] < 0.1
-    return ExperimentReport("bvm", _config_dict(config), results, ok,
-                            time.time() - t0)
+    return results, decreasing and drift_dec and med_gap[-1] < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +308,17 @@ def lemma_limit_ratios(pop, n, sigma=None):
     return {k: float(lhs[k] / (a0 * rhs[k])) for k in lhs}
 
 
-def run_lemma_limits(pop, sigma=None, n_grid=(10 ** 6,), tolerance=0.05):
+@_check
+def run_lemma_limits(config, pop):
     """Ratio table along n_grid; the pass gate applies at the largest n."""
-    t0 = time.time()
-    table = {str(int(n)): lemma_limit_ratios(pop, n, sigma) for n in n_grid}
-    last = table[str(int(max(n_grid)))]
-    ok = all(abs(v - 1.0) <= tolerance for v in last.values())
-    results = {"n_grid": [int(n) for n in n_grid], "tolerance": tolerance,
-               "ratios": table}
-    return ExperimentReport("lemma_limits", {"population": pop.spec_dict()},
-                            results, ok, time.time() - t0)
+    n_grid = config.n_grid
+    table = {str(int(n)): lemma_limit_ratios(pop, n, config.sigma)
+             for n in n_grid}
+    last = table[str(int(n_grid[-1]))]
+    ok = all(abs(v - 1.0) <= config.tolerance for v in last.values())
+    results = {"n_grid": [int(n) for n in n_grid],
+               "tolerance": config.tolerance, "ratios": table}
+    return results, ok
 
 
 # ---------------------------------------------------------------------------
@@ -278,86 +328,80 @@ def run_lemma_limits(pop, sigma=None, n_grid=(10 ** 6,), tolerance=0.05):
 _SLOPE_LO, _SLOPE_HI = -0.65, -0.35  # accepted decay rate of |sigma0n - sigma0|
 
 
-def run_root_rate(pop, n_grid):
-    t0 = time.time()
+@_check
+def run_root_rate(config, pop):
+    n_grid = config.n_grid
     sigma0 = pop.rv.sigma0
     roots = [asymptotics.sigma0n_root(pop, n) for n in n_grid]
     results = {"n_grid": [int(n) for n in n_grid],
                "roots": roots, "sigma0": sigma0}
     if len(n_grid) < 2:
         results["slope"] = None
-        return ExperimentReport("root_rate", {"population": pop.spec_dict()},
-                                results, True, time.time() - t0)
+        return results, True
     gaps = np.abs(np.array(roots) - sigma0)
     slope = float(np.polyfit(np.log(np.array(n_grid, dtype=float)),
                              np.log(gaps), 1)[0])
     results["slope"] = slope
     bounded = pop.rv.log_power_r == 0.0
-    ok = _SLOPE_LO <= slope <= _SLOPE_HI if bounded else True
     results["slope_gated"] = bounded
-    return ExperimentReport("root_rate", {"population": pop.spec_dict()},
-                            results, ok, time.time() - t0)
+    return results, _SLOPE_LO <= slope <= _SLOPE_HI if bounded else True
 
 
 # ---------------------------------------------------------------------------
 # tau1 Monte Carlo cross-check
 
 
-def run_tau1_mc(pop, n, replications, seed=0, tolerance=0.10, threads=1):
-    t0 = time.time()
+@_check
+def run_tau1_mc(config, pop):
+    """Poissonized score variance at the last n_grid entry against tau1^2."""
+    n = config.n_grid[-1]
     sigma = asymptotics.sigma0n_root(pop, n)
     a0 = pop.alpha0(n)
 
     def one(r):
-        occ = sample_poissonized(pop, n, RngStream(seed, r))
+        occ = sample_poissonized(pop, n, RngStream(config.seed, r))
         counts = occ.values()
         return float(counts.size / sigma
                      - np.sum(g_sigma_values(counts, sigma)))
 
-    vals = np.array(_map_replications(one, replications, threads))
+    vals = np.array(_map_replications(one, config))
     var = float(vals.var(ddof=1) / a0)
     limit = asymptotics.tau1_sq(pop.rv.sigma0)
     results = {
-        "n": int(n), "replications": replications, "sigma0n": sigma,
+        "n": int(n), "replications": config.replications, "sigma0n": sigma,
         "var_over_alpha": var, "tau1_sq": limit, "ratio": var / limit,
         "jackknife_se": float(_jackknife_var_se(vals) / a0),
     }
-    ok = abs(var / limit - 1.0) <= tolerance
-    return ExperimentReport("tau1_mc", {"population": pop.spec_dict(),
-                                        "seed": seed},
-                            results, ok, time.time() - t0)
+    return results, abs(var / limit - 1.0) <= config.tolerance
 
 
 # ---------------------------------------------------------------------------
 # Joint profile behavior of (sigma, M)
 
 
-def run_precision_profile(config):
-    t0 = time.time()
-    pop = config.make_population()
-    R = config.replications
+@_check
+def run_precision_profile(config, pop):
     K0, M0 = asymptotics.precision_limit(pop.rv.sigma0, pop.rv, config.M_max)
+
+    def one(st):
+        p = estimators.profile_mle(st, M_max=config.M_max)
+        # "at the boundary" = the profile log likelihood at the predicted
+        # boundary is statistically indistinguishable from the maximum
+        if math.isinf(K0):
+            sig_b = estimators.mle_sigma(st, M0).sigma_hat
+            at_boundary = (abs(p.M_hat - M0) <= 1e-5
+                           or p.log_lik - log_eppf(st, sig_b, M0)
+                           <= _BOUNDARY_LOGLIK_SLACK)
+        else:
+            at_boundary = False
+        sig_by_M = [estimators.mle_sigma(st, M).sigma_hat
+                    for M in config.M_values]
+        return p.M_hat, at_boundary, sig_by_M
+
     per_n = {}
     fractions = []
     for n in config.n_grid:
-        def one(r, n=n):
-            occ = sample_iid(pop, n, RngStream(config.seed, r))
-            st = partition.from_occupancy(occ)
-            p = estimators.profile_mle(st, M_max=config.M_max)
-            # "at the boundary" = the profile log likelihood at the predicted
-            # boundary is statistically indistinguishable from the maximum
-            if math.isinf(K0):
-                sig_b = estimators.mle_sigma(st, M0).sigma_hat
-                at_boundary = (abs(p.M_hat - M0) <= 1e-5
-                               or p.log_lik - log_eppf(st, sig_b, M0)
-                               <= _BOUNDARY_LOGLIK_SLACK)
-            else:
-                at_boundary = False
-            sig_by_M = [estimators.mle_sigma(st, M).sigma_hat
-                        for M in config.M_values]
-            return p.M_hat, at_boundary, sig_by_M
-
-        rows = _map_replications(one, R, config.threads)
+        rows = _iid_replications(config, pop, n, one)
         frac = float(np.mean([b for _, b, _ in rows]))
         fractions.append(frac)
         spread = max(float(np.ptp(s)) for _, _, s in rows) \
@@ -373,18 +417,15 @@ def run_precision_profile(config):
                "boundary_fractions": fractions,
                "nondecreasing": nondecreasing}
     ok = (not math.isinf(K0)) or (nondecreasing and fractions[-1] >= 0.6)
-    return ExperimentReport("precision_profile", _config_dict(config),
-                            results, ok, time.time() - t0)
+    return results, ok
 
 
 # ---------------------------------------------------------------------------
 # Forensic likelihood ratio
 
 
-def run_forensic(config):
-    t0 = time.time()
-    pop = config.make_population()
-    R = config.replications
+@_check
+def run_forensic(config, pop):
     n = config.n_grid[-1]
     sigma0 = pop.rv.sigma0
     s0n = asymptotics.sigma0n_root(pop, n + 1)
@@ -393,29 +434,23 @@ def run_forensic(config):
     t2 = asymptotics.tau2_sq(sigma0)
     scale = math.sqrt(a0) * (1.0 - sigma0) ** 2 * t2 / math.sqrt(t1)
 
-    def one(r):
-        occ = sample_iid(pop, n, RngStream(config.seed, r))
-        counts = dict(occ.counts)
-        counts[max(counts) + 1] = 1  # the crime profile, a fresh singleton
-        st = partition.from_occupancy(counts)
+    def one(st):  # st holds the crime profile as a fresh singleton
         lr, phi_mean, _ = inference.forensic_lr(st, config.prior)
         z = scale * (1.0 / (n * phi_mean) - 1.0 / (1.0 - s0n))
         return z, lr > n + 1
 
-    rows = _map_replications(one, R, config.threads)
+    rows = _iid_replications(config, pop, n, one, fresh_singleton=True)
     z = np.array([v for v, _ in rows])
     lr_frac = float(np.mean([okk for _, okk in rows]))
     results = {
-        "n": int(n), "replications": R,
+        "n": int(n), "replications": config.replications,
         "var_ratio": float(z.var(ddof=1)), "mean": float(z.mean()),
         "mean_se": float(z.std(ddof=1) / math.sqrt(z.size)),
         "lr_gt_n_plus_1_fraction": lr_frac,
         "ks_stat": _ks_normal(z),
         "ks_crit_01": 1.628 / math.sqrt(z.size),
     }
-    ok = abs(results["var_ratio"] - 1.0) <= 0.20 and lr_frac == 1.0
-    return ExperimentReport("forensic", _config_dict(config), results, ok,
-                            time.time() - t0)
+    return results, abs(results["var_ratio"] - 1.0) <= 0.20 and lr_frac == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +528,6 @@ def verify_suite(fast=True):
     from itertools import product
 
     from .likelihood import eppf_total_mass
-    from .population import make_power_law
     from .sampler import exact_partition_law
 
     rows = []
@@ -548,20 +582,12 @@ def verify_suite(fast=True):
                  f"fitted c = {c:.3f}"))
 
     if not fast:
-        rep = run_lemma_limits(make_power_law(2.0), n_grid=(10 ** 5,),
-                               tolerance=0.10)
+        rep = run_lemma_limits(ExperimentConfig(
+            population={"kind": "power_law", "alpha": 2.0},
+            n_grid=(10 ** 5,), tolerance=0.10))
         ratios = rep.results["ratios"][str(10 ** 5)]
         rows.append(("occupancy limit ratios (n = 1e5, 10%)", rep.passed,
                      "worst ratio = "
                      f"{max(ratios.values(), key=lambda v: abs(v - 1.0)):.4f}"))
     return rows
 
-
-def _config_dict(config):
-    return {
-        "population": config.population, "n_grid": list(config.n_grid),
-        "replications": config.replications,
-        "M_values": list(config.M_values),
-        "prior": config.prior.to_dict(), "seed": config.seed,
-        "M_max": config.M_max,
-    }

@@ -58,10 +58,16 @@ class PriorSpec:
         return (a - 1.0) * np.log(sigma) + (b - 1.0) * np.log1p(-sigma) \
             - float(special.betaln(a, b))
 
-    def M_nodes(self):
+    def M_quadrature(self):
+        """Nodes and weights integrating over the M prior: a fixed M is one
+        node of weight 1, a uniform M the trapezoid rule on _M_NODES nodes."""
         if self.M_kind == "fixed":
-            return np.array([self.M_value])
-        return np.linspace(0.0, self.M_max, _M_NODES)
+            return np.array([self.M_value]), np.ones(1)
+        nodes = np.linspace(0.0, self.M_max, _M_NODES)
+        w = np.full(nodes.size, nodes[1] - nodes[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return nodes, w
 
     def to_dict(self):
         out = {"sigma": self.sigma_kind}
@@ -132,18 +138,8 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
 
     Returns (log unnormalized density, optional per-node conditional
     (E[phi|sigma], E[phi^2|sigma]) for phi = (1 - sigma)/(n + M))."""
-    m_nodes = prior.M_nodes()
+    m_nodes, w = prior.M_quadrature()
     cols = log_eppf_grid(stats, sigma_nodes, m_nodes)
-    if m_nodes.size == 1:
-        lp = cols[:, 0]
-        if not collect_phi:
-            return lp, None
-        phi = (1.0 - sigma_nodes) / (stats.n + m_nodes[0])
-        return lp, (phi, phi ** 2)
-    # trapezoid weights over the uniform M prior
-    w = np.full(m_nodes.size, m_nodes[1] - m_nodes[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
     shift = np.max(cols, axis=1, keepdims=True)
     dens = np.exp(cols - shift)
     norm = dens @ w
@@ -203,7 +199,8 @@ def posterior_sigma(stats, prior=None, collect_phi=False):
         sigma_nodes=nodes, log_density=log_density,
         log_normalizer=float(log_norm), mean=mean, sd=math.sqrt(max(var, 0.0)),
         cell_mass=cell_mass, degenerate=degenerate,
-        M_nodes=prior.M_nodes() if prior.M_kind == "uniform" else None,
+        M_nodes=prior.M_quadrature()[0] if prior.M_kind == "uniform"
+        else None,
         phi_moments=phi_moments)
 
 

@@ -7,8 +7,6 @@ derivatives in sigma, and the h correction term used by the profile analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -17,25 +15,7 @@ from .numerics import log_ascending_factorial
 SIGMA_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class PYParams:
-    sigma: float
-    M: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
-        if self.M < 0.0:
-            raise ValueError("M must be nonnegative")
-
-
-def _coerce(params, M):
-    if isinstance(params, PYParams):
-        return params.sigma, params.M
-    return float(params), float(M)
-
-
-def log_eppf(stats, params, M=None):
+def log_eppf(stats, sigma, M):
     """Log marginal likelihood of the tie pattern under PY(sigma, M).
 
     Lambda_n(sigma, M) = sum_{l=1}^{K-1} ln(M + l sigma)
@@ -47,8 +27,7 @@ def log_eppf(stats, params, M=None):
     [SIGMA_EPS, 1 - SIGMA_EPS] returns -inf (boundary clamp); sigma -> 1
     with a tie present also drives the value to -inf.
     """
-    sigma, M = _coerce(params, M)
-    return float(_log_eppf_kernel(stats, np.array([sigma]), M)[0])
+    return float(_log_eppf_kernel(stats, np.array([float(sigma)]), M)[0])
 
 
 def log_eppf_grid(stats, sigmas, M):
@@ -87,13 +66,13 @@ def _log_eppf_kernel(stats, sigmas, M):
     return out
 
 
-def score_sigma(stats, params, M=None):
+def score_sigma(stats, sigma, M):
     """d/d sigma of log_eppf:
     sum_{l<K} l/(M + l sigma) - sum_s c_s [psi(s - sigma) - psi(1 - sigma)].
 
     The first sum stays a direct O(K) sum: its digamma form cancels
     catastrophically at sigma = SIGMA_EPS."""
-    sigma, M = _coerce(params, M)
+    sigma, M = float(sigma), float(M)
     sizes, counts = stats.sizes, stats.counts
     l_new = np.arange(1, stats.K, dtype=float)
     out = float(np.sum(l_new / (M + l_new * sigma)))
@@ -102,11 +81,11 @@ def score_sigma(stats, params, M=None):
     return out
 
 
-def hess_sigma(stats, params, M=None):
+def hess_sigma(stats, sigma, M):
     """Second sigma-derivative; strictly negative for n >= 2:
     -sum_{l<K} (l/(M + l sigma))^2
     - sum_s c_s [psi'(1 - sigma) - psi'(s - sigma)]."""
-    sigma, M = _coerce(params, M)
+    sigma, M = float(sigma), float(M)
     sizes, counts = stats.sizes, stats.counts
     l_new = np.arange(1, stats.K, dtype=float)
     out = -float(np.sum((l_new / (M + l_new * sigma)) ** 2))

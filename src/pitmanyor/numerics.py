@@ -152,8 +152,10 @@ def _gk_panel(f, a, b):
     return k15, abs(k15 - g7)
 
 
-def adaptive_integrate(f, a, b, rel_tol=1e-10, max_panels=4096,
-                       endpoint_levels=52):
+_ENDPOINT_LEVELS = 52  # seed panels halving toward the left endpoint
+
+
+def adaptive_integrate(f, a, b, rel_tol=1e-10, max_panels=4096):
     """Integrate f over (a, b] by adaptive 15-point Gauss-Kronrod panels.
 
     The initial partition refines geometrically toward the left endpoint so
@@ -167,7 +169,7 @@ def adaptive_integrate(f, a, b, rel_tol=1e-10, max_panels=4096,
     width = b - a
     cuts = [b]
     frac = 0.5
-    for _ in range(endpoint_levels):
+    for _ in range(_ENDPOINT_LEVELS):
         frac *= 0.5
         cuts.append(a + width * frac)
     cuts.append(a)  # GK nodes are interior, so f(a) itself is never evaluated

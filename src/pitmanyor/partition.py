@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -140,11 +141,25 @@ def read_sample_csv(path):
 
 
 def read_occupancy_csv(path):
-    """Read an occupancy CSV with `species,count` header columns."""
+    """Read an occupancy CSV with `species,count` header columns.  Each row
+    names a species not named before and its count, a nonnegative decimal
+    integer; rows with count 0 are dropped.  Any other row raises
+    ValueError naming its line.  Blank lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         need = {"species", "count"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ValueError("occupancy CSV must have `species,count` columns")
-        counts = {row["species"]: int(row["count"]) for row in reader}
+        counts = {}
+        for row in reader:
+            species, count = row["species"], row["count"]
+            where = f"occupancy CSV line {reader.line_num}"
+            if species is None or count is None:
+                raise ValueError(f"{where}: row has no `species` or `count`")
+            if re.fullmatch(r"\s*[0-9]+\s*", count) is None:
+                raise ValueError(f"{where}: count {count!r} is not a "
+                                 "nonnegative integer")
+            if species in counts:
+                raise ValueError(f"{where}: species {species!r} repeated")
+            counts[species] = int(count)
     return from_occupancy(counts)

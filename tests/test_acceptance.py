@@ -17,7 +17,6 @@ from pitmanyor.inference import PriorSpec
 from pitmanyor.likelihood import (eppf_total_mass, hess_sigma, log_eppf,
                                   score_sigma)
 from pitmanyor.partition import from_sizes
-from pitmanyor.population import make_power_law, make_synthetic
 from pitmanyor.sampler import RngStream, exact_partition_law, \
     sample_py_partition
 
@@ -115,8 +114,9 @@ def test_criterion_06_bernstein_von_mises():
 def test_criterion_07_occupancy_moment_limits(alpha, tolerance):
     # all eight deterministic occupancy-moment ratios within tolerance of 1
     # at n = 1e6
-    rep = ex.run_lemma_limits(make_power_law(alpha), n_grid=(10 ** 6,),
-                              tolerance=tolerance)
+    rep = ex.run_lemma_limits(_config(
+        population={"kind": "power_law", "alpha": alpha},
+        n_grid=(10 ** 6,), tolerance=tolerance))
     ratios = rep.results["ratios"][str(10 ** 6)]
     detail = {k: round(v, 4) for k, v in ratios.items()}
     assert rep.passed, (
@@ -132,8 +132,8 @@ def test_criterion_07_occupancy_moment_limits(alpha, tolerance):
 def test_criterion_08_centering_root_rate():
     # |sigma_0n - sigma_0| decays like a power of n with log-log slope in
     # [-0.65, -0.35] for the bounded-variation power-law population
-    rep = ex.run_root_rate(make_power_law(2.0),
-                           (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6))
+    rep = ex.run_root_rate(
+        _config(n_grid=(10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)))
     assert rep.passed, f"fitted slope = {rep.results['slope']:.4f}"
 
 
@@ -141,8 +141,7 @@ def test_criterion_08_centering_root_rate():
 def test_criterion_09_tau1_monte_carlo():
     # the Poissonized score variance over alpha_n matches tau1^2 within 10%
     # at n = 1e6 with 400 replications
-    rep = ex.run_tau1_mc(make_power_law(2.0), 10 ** 6, 400, seed=0,
-                         threads=THREADS)
+    rep = ex.run_tau1_mc(_config(n_grid=(10 ** 6,), tolerance=0.10))
     assert rep.passed, (
         f"var/alpha = {rep.results['var_over_alpha']:.4f}, "
         f"tau1^2 = {rep.results['tau1_sq']:.4f}, "

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pitmanyor
+from pitmanyor import experiments
 from pitmanyor.cli import main
 
 
@@ -153,6 +154,28 @@ def test_experiment_report_and_determinism(tmp_path):
         d.pop("wall_clock")
         d.pop("provenance")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("check,spec", [
+    ("lemma_limits", {"n_grid": [10 ** 3]}),
+    ("root_rate", {"n_grid": [10 ** 3, 10 ** 4]}),
+    ("tau1_mc", {"n_grid": [10 ** 4], "replications": 8}),
+])
+def test_experiment_population_checks_match_runner(tmp_path, check, spec):
+    spec = dict(spec, check=check, seed=5,
+                population={"kind": "power_law", "alpha": 2.0})
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(spec))
+    code = run("experiment", "--config", str(cfg), "--out", str(out),
+               "--threads", "2")
+    report = json.loads(out.read_text())
+    config = experiments.ExperimentConfig.from_dict(dict(spec, threads=2),
+                                                    check)
+    direct = json.loads(getattr(experiments, f"run_{check}")(config)
+                        .to_json())
+    assert code == (0 if direct["passed"] else 1)
+    for key in ("check", "config", "results", "passed"):
+        assert report[key] == direct[key]
 
 
 def test_experiment_unknown_check(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from pitmanyor import experiments as ex
 from pitmanyor.inference import PriorSpec
-from pitmanyor.population import make_power_law, make_synthetic
+from pitmanyor.population import make_power_law
 
 POP_SPEC = {"kind": "power_law", "alpha": 2.0}
 
@@ -34,11 +34,31 @@ def test_config_from_dict():
         "population": POP_SPEC, "n_grid": [100, 200], "replications": 3,
         "seed": 9, "prior": {"sigma": "beta", "beta": [2.0, 2.0],
                              "M": {"kind": "uniform", "max": 4.0}},
-    })
+    }, "normality")
     assert cfg.n_grid == (100, 200)
     assert cfg.prior.sigma_kind == "beta"
     assert cfg.prior.M_kind == "uniform"
     assert cfg.prior.M_max == 4.0
+
+
+def test_config_from_dict_check_defaults():
+    spec = {"population": POP_SPEC, "n_grid": [100], "threads": 3}
+    cfg = {check: ex.ExperimentConfig.from_dict(spec, check)
+           for check in ex.CHECKS}
+    assert (cfg["normality"].replications, cfg["normality"].tolerance) \
+        == (2, None)
+    assert cfg["lemma_limits"].tolerance == 0.05
+    assert (cfg["tau1_mc"].replications, cfg["tau1_mc"].tolerance) \
+        == (400, 0.10)
+    # a key given in the JSON wins; null counts as absent
+    tau1 = ex.ExperimentConfig.from_dict(
+        dict(spec, replications=8, tolerance=None, sigma=0.4), "tau1_mc")
+    assert (tau1.replications, tau1.tolerance, tau1.sigma) == (8, 0.10, 0.4)
+    # the report's config block: every set field except the thread count
+    assert cfg["lemma_limits"].to_dict() == {
+        "population": POP_SPEC, "n_grid": (100,), "replications": 2,
+        "M_values": (0.0,), "prior": PriorSpec().to_dict(), "seed": 0,
+        "M_max": 5.0, "tolerance": 0.05}
 
 
 def test_run_normality_smoke_reports_ses():
@@ -55,7 +75,7 @@ def test_run_bvm_liveness_tiny_n():
 
 
 def test_run_lemma_limits_small_n_finite():
-    rep = ex.run_lemma_limits(make_power_law(2.0), n_grid=(10,))
+    rep = ex.run_lemma_limits(_config(n_grid=(10,), tolerance=0.05))
     ratios = rep.results["ratios"]["10"]
     assert len(ratios) == 8
     assert all(math.isfinite(v) for v in ratios.values())
@@ -70,21 +90,24 @@ def test_lemma_ratios_improve_with_n():
 
 
 def test_run_root_rate_single_n_graceful():
-    rep = ex.run_root_rate(make_power_law(2.0), (10 ** 3,))
+    rep = ex.run_root_rate(_config(n_grid=(10 ** 3,)))
     assert rep.results["slope"] is None
     assert rep.passed
 
 
 def test_run_root_rate_synthetic_not_gated():
-    rep = ex.run_root_rate(make_synthetic(0.5, 1.0), (10 ** 3, 10 ** 4))
+    rep = ex.run_root_rate(_config(
+        population={"kind": "synthetic", "gamma": 0.5, "r": 1.0},
+        n_grid=(10 ** 3, 10 ** 4)))
     assert not rep.results["slope_gated"]
     assert rep.passed  # slow 1/log n rate reported without a pass bound
 
 
 def test_run_tau1_mc_liveness():
-    rep = ex.run_tau1_mc(make_power_law(2.0), 10 ** 4, 2, seed=1)
+    rep = ex.run_tau1_mc(_config(n_grid=(10 ** 4,), seed=1, tolerance=0.1))
     assert rep.results["jackknife_se"] == 0.0  # too few reps for a SE
-    rep = ex.run_tau1_mc(make_power_law(2.0), 10 ** 4, 8, seed=1)
+    rep = ex.run_tau1_mc(_config(n_grid=(10 ** 4,), replications=8, seed=1,
+                                 tolerance=0.1))
     assert rep.results["jackknife_se"] > 0.0
     json.loads(rep.to_json())
 

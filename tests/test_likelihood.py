@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import special
 
-from pitmanyor.likelihood import (SIGMA_EPS, PYParams, eppf_total_mass,
-                                  h_precision, hess_sigma, log_eppf,
-                                  log_eppf_grid, score_sigma)
+from pitmanyor.likelihood import (SIGMA_EPS, eppf_total_mass, h_precision,
+                                  hess_sigma, log_eppf, log_eppf_grid,
+                                  score_sigma)
 from pitmanyor.partition import from_observations, from_sizes
 
 SIGMA_GRID = (0.25, 0.5, 0.75)
@@ -31,19 +31,6 @@ def test_log_eppf_all_distinct():
     # n=3 distinct: (M + sigma)(M + 2 sigma)/((M + 1)(M + 2))
     st = from_sizes([1, 1, 1])
     assert log_eppf(st, 0.5, 1.0) == pytest.approx(math.log(0.5), rel=1e-12)
-
-
-def test_log_eppf_pyparams_form():
-    st = from_sizes([2, 1])
-    p = PYParams(sigma=0.3, M=2.0)
-    assert log_eppf(st, p) == log_eppf(st, 0.3, 2.0)
-
-
-def test_pyparams_validation():
-    with pytest.raises(ValueError):
-        PYParams(sigma=0.0, M=1.0)
-    with pytest.raises(ValueError):
-        PYParams(sigma=0.5, M=-1.0)
 
 
 def test_log_eppf_boundary_clamp():

@@ -183,10 +183,23 @@ def test_read_sample_counts_rejects_short_row(tmp_path):
 
 def test_read_occupancy_csv(tmp_path):
     path = tmp_path / "occ.csv"
-    path.write_text("species,count\na,3\nb,1\n")
-    st = read_occupancy_csv(path)
+    path.write_text("species,count\na,3\nb,1\n\nc,0\n")
+    st = read_occupancy_csv(path)  # blank line skipped, zero count dropped
     assert (st.n, st.K) == (4, 2)
     assert st.N.tolist() == [3, 1]
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("a,3\nb\n", "line 3: row has no"),
+    ("a,3\nb,-2\n", "line 3: count '-2' is not a nonnegative integer"),
+    ("a,3\nb,2.5\n", "line 3: count '2.5' is not a nonnegative integer"),
+    ("a,3\na,1\n", "line 3: species 'a' repeated"),
+], ids=["short_row", "negative", "non_integer", "repeated"])
+def test_read_occupancy_csv_rejects_bad_row(tmp_path, rows, message):
+    path = tmp_path / "occ.csv"
+    path.write_text("species,count\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        read_occupancy_csv(path)
 
 
 def test_read_occupancy_csv_missing_columns(tmp_path):
