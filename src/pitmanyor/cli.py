@@ -172,12 +172,10 @@ def cmd_verify(args):
 
 def cmd_experiment(args):
     spec = json.loads(Path(args.config).read_text())
-    check = args.check or spec.get("check")
+    check = spec.get("check")
     if check not in experiments.CHECKS:
         raise CliError(f"unknown check {check!r}; choose from "
                        f"{', '.join(experiments.CHECKS)}", 2)
-    if args.seed is not None:
-        spec["seed"] = args.seed
     spec["threads"] = args.threads
     config = experiments.ExperimentConfig.from_dict(spec, check)
     # looked up at call time, so a wrapper rebound on the module is honoured
@@ -261,9 +259,6 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a Monte Carlo check")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--check", choices=experiments.CHECKS,
-                   help="override the check named in the config")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--force", action="store_true")

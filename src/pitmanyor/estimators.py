@@ -1,9 +1,9 @@
 """Empirical Bayes point estimation.
 
-Maximum marginal likelihood for sigma at fixed M (the score root, by the
-shared `numerics.newton_root`), the profile maximizer over (sigma, M) by a
-grid plus golden-section search, and plug-in standard errors (sandwich
-primary, curvature secondary).
+Maximum marginal likelihood for sigma at fixed M (the score root) and the
+profile maximizer over (sigma, M) (the root of the profile's closed-form
+slope in M, bracketed by a grid), both by the shared `numerics.newton_root`,
+and plug-in standard errors (sandwich primary, curvature secondary).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics
-from .likelihood import SIGMA_EPS, hess_sigma, log_eppf, score_sigma
+from .likelihood import (SIGMA_EPS, hess_sigma, log_eppf, m_derivatives,
+                         score_sigma)
 from .numerics import log_gamma, newton_root
 
 INTERIOR = "Interior"
@@ -26,8 +27,7 @@ UPPER_M = "UpperM"
 
 _ROOT_TOL = 1e-10
 _ROOT_MAX_ITER = 200
-_M_TOL = 1e-6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_M_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,55 +96,41 @@ def mle_sigma(stats, M, se=False):
 
 def profile_mle(stats, M_max=50.0, se=False):
     """Joint maximizer: sigma maximized at each M, then the profile
-    M -> Lambda_n(sigma_hat(M), M) maximized over [0, M_max] by a coarse
-    log-spaced grid plus golden-section refinement."""
-    if stats.n < 2:
-        raise ValueError("need n >= 2 observations")
+    l(M) = Lambda_n(sigma_hat(M), M) maximized over [0, M_max] at the root
+    of its slope l'(M) = dLambda/dM at (sigma_hat(M), M), bracketed by a
+    coarse log-spaced grid, or at a grid end whose slope points outward."""
     if M_max <= 0.0:
         raise ValueError("M_max must be positive")
 
-    def profile(M):
-        return mle_sigma(stats, M).log_lik
+    def slope(M):  # (l'(M), l''(M)); l'' drops the sigma term at a boundary
+        fit = mle_sigma(stats, M)
+        d_M, d_MM, d_sM = m_derivatives(stats, fit.sigma_hat, M)
+        if fit.interior:
+            d_MM -= d_sM ** 2 / hess_sigma(stats, fit.sigma_hat, M)
+        return d_M, d_MM
 
-    # geomspace ends exactly on M_max, so values[-1] is profile(M_max)
     grid = np.concatenate(([0.0], np.geomspace(0.01, M_max, 63)))
-    values = np.array([profile(M) for M in grid])
-    best = int(np.argmax(values))  # argmax takes the first (smallest M) tie
-    lo = grid[best - 1] if best > 0 else 0.0
-    hi = grid[best + 1] if best < grid.size - 1 else M_max
-    M_hat = _golden_max(profile, lo, hi)
-    boundary = INTERIOR
-    inner = mle_sigma(stats, M_hat, se=se)
-    if M_hat <= _M_TOL and values[0] >= inner.log_lik:
+    fits = [mle_sigma(stats, M) for M in grid]
+    best = int(np.argmax([f.log_lik for f in fits]))  # first (smallest M) tie
+    end_slope = m_derivatives(stats, fits[best].sigma_hat, grid[best])[0]
+    boundary, M_diagnostics = INTERIOR, {}
+    if best == 0 and end_slope <= 0.0:
         M_hat, boundary = 0.0, LOWER_M
-    elif M_hat >= M_max - _M_TOL and values[-1] >= inner.log_lik:
+    elif best == grid.size - 1 and end_slope >= 0.0:
         M_hat, boundary = M_max, UPPER_M
-    if boundary != INTERIOR:
-        inner = mle_sigma(stats, M_hat, se=se)
+    else:
+        M_hat, iterations, converged = newton_root(
+            slope, grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)],
+            _M_TOL, _ROOT_MAX_ITER)
+        M_diagnostics = {"M_iterations": iterations, "M_converged": converged}
+    inner = mle_sigma(stats, M_hat, se=se)
     if inner.boundary != INTERIOR:
         boundary = inner.boundary
     return EstimateResult(
         sigma_hat=inner.sigma_hat, M_hat=float(M_hat), boundary=boundary,
         score_at_opt=inner.score_at_opt, log_lik=inner.log_lik,
         se_sandwich=inner.se_sandwich, se_curvature=inner.se_curvature,
-        diagnostics={"M_max": M_max, **inner.diagnostics})
-
-
-def _golden_max(f, lo, hi):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > _M_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
+        diagnostics={"M_max": M_max, **M_diagnostics, **inner.diagnostics})
 
 
 def plugin_alpha(stats, sigma_hat):

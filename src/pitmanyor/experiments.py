@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -63,7 +64,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
-        grid = self.n_grid
+        if not all(isinstance(n, numbers.Real) and float(n).is_integer()
+                   and n >= 1 for n in self.n_grid):
+            raise ValueError("n_grid entries must be positive integers")
+        grid = tuple(int(n) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly increasing")
 

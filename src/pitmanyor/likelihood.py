@@ -1,8 +1,8 @@
 """Marginal likelihood surface of the two-parameter model.
 
 Log-EPPF in closed form over block-size counts (O(distinct sizes) per
-(sigma, M) node, vectorized over a sigma x M grid), its first and second
-derivatives in sigma, and the h correction term used by the profile analysis.
+(sigma, M) node, vectorized over a sigma x M grid), its derivatives (two in
+sigma, those in M behind the profile slope), and the h correction term.
 """
 
 from __future__ import annotations
@@ -92,6 +92,19 @@ def hess_sigma(stats, sigma, M):
     out -= float(counts @ (special.polygamma(1, 1.0 - sigma)
                            - special.polygamma(1, sizes - sigma)))
     return out
+
+
+def m_derivatives(stats, sigma, M):
+    """(d/dM, d2/dM2, d2/(d sigma dM)) of log_eppf:
+    sum_{l<K} 1/(M + l sigma) - psi(M + n) + psi(M + 1),
+    psi'(M + 1) - psi'(M + n) - sum_{l<K} 1/(M + l sigma)^2,
+    -sum_{l<K} l/(M + l sigma)^2."""
+    l_new = np.arange(1, stats.K, dtype=float)
+    inv = 1.0 / (M + l_new * sigma)
+    x = np.array([M + 1.0, M + stats.n], dtype=float)
+    (d1, dn), (t1, tn) = special.digamma(x), special.polygamma(1, x)
+    return (float(np.sum(inv) - (dn - d1)), float(t1 - tn - inv @ inv),
+            -float(l_new @ (inv * inv)))
 
 
 def eppf_total_mass(n, sigma, M):

@@ -1,5 +1,5 @@
 """Shared numerical kernels: special functions, g_sigma, quadrature, and
-`newton_root`, the one scalar root finder (score root, sigma0n and M0).
+`newton_root`, the one scalar root finder (score root, M_hat, sigma0n, M0).
 
 Everything in this module is a pure function of its arguments and safe to call
 from multiple threads.

@@ -75,24 +75,32 @@ class PartitionStats:
         """Inverse of to_json; rejects a record whose N or Z breaks the
         invariants listed in docs/formats.md."""
         d = json.loads(text)
-        N = np.array(d["N"]).astype(np.int64)
+        N = _json_integers(d, "N")
         stats = cls(*np.unique(N, return_counts=True))  # raises unless N > 0
         if (stats.n, stats.K) != (d["n"], d["K"]) \
                 or not np.array_equal(N, stats.N):
             raise ValueError("N must list K block sizes in nonincreasing "
                              "order that sum to n")
-        if not np.array_equal(np.array(d["Z"]).astype(np.int64),
+        if not np.array_equal(_json_integers(d, "Z"),
                               stats._occupancy_counts()):
             raise ValueError("Z inconsistent with N")
         return stats
 
 
+def _json_integers(d, key):
+    """d[key] as an int64 array; ValueError unless it is a list of JSON
+    integers (no floats, strings or booleans)."""
+    values = d[key]
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{key} must be a list of integers")
+    return np.array(values, dtype=np.int64)
+
+
 def from_sizes(sizes):
-    """PartitionStats from raw positive block sizes (any order)."""
+    """PartitionStats from raw block sizes (any order), each at least 1."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    sizes = sizes[sizes > 0]
-    if sizes.size == 0:
-        raise ValueError("need at least one positive block size")
+    if sizes.size == 0 or sizes.min() < 1:
+        raise ValueError("need at least one block size, each at least 1")
     return PartitionStats(*np.unique(sizes, return_counts=True))
 
 
@@ -105,13 +113,16 @@ def from_observations(labels):
 
 
 def from_occupancy(counts):
-    """Build from species occupancy counts (mapping, array, or OccupancyCounts)."""
+    """Build from species occupancy counts (mapping, array, or
+    OccupancyCounts); zero counts are dropped, negative ones rejected."""
     if hasattr(counts, "counts"):
         counts = counts.counts
     if isinstance(counts, dict):
         values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
     else:
         values = np.asarray(counts, dtype=np.int64)
+    if np.any(values < 0):
+        raise ValueError("occupancy counts must be nonnegative")
     values = values[values > 0]
     if values.size == 0:
         raise ValueError("no positive occupancy counts")

@@ -178,6 +178,31 @@ def test_experiment_population_checks_match_runner(tmp_path, check, spec):
         assert report[key] == direct[key]
 
 
+@pytest.mark.parametrize("n_grid,stored", [
+    ([1e3], [1000]),  # an integral float is read as the integer
+    ([1000.5], None),  # a non-integral entry is rejected
+    ([-5], None),  # so is a nonpositive one
+    ([0, 100], None),
+])
+def test_experiment_n_grid_entries_are_positive_integers(tmp_path, capsys,
+                                                         n_grid, stored):
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "check": "normality", "population": {"kind": "power_law",
+                                             "alpha": 2.0},
+        "n_grid": n_grid, "replications": 2, "M_values": [0.0]}))
+    code = run("experiment", "--config", str(cfg), "--out", str(out))
+    if stored is None:
+        assert code == 1
+        assert "error: n_grid entries must be positive integers" \
+            in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code in (0, 1)
+        grid = json.loads(out.read_text())["config"]["n_grid"]
+        assert grid == stored and all(type(n) is int for n in grid)
+
+
 def test_experiment_unknown_check(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"check": "nonsense", "population": {},

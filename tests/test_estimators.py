@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -83,11 +84,68 @@ def test_profile_mle_recovers_sigma():
         assert res.log_lik >= mle_sigma(st, M).log_lik - 1e-9
 
 
+def _mp_profile_root(stats, M_start, sigma_start):
+    """The root of the profile slope l'(M) = dLambda/dM at (sigma_hat(M), M),
+    both roots taken by mpmath at 40 digits."""
+    with mp.workdps(40):
+        ls = [mp.mpf(l) for l in range(1, stats.K)]
+        blocks = [(int(s), int(c)) for s, c in zip(stats.sizes, stats.counts)]
+
+        def sigma_hat(M):
+            return mp.findroot(lambda s: mp.fsum(l / (M + l * s) for l in ls)
+                               - mp.fsum(c * (mp.digamma(z - s)
+                                              - mp.digamma(1 - s))
+                                         for z, c in blocks),
+                               mp.mpf(sigma_start))
+
+        def slope(M):
+            s = sigma_hat(M)
+            return (mp.fsum(1 / (M + l * s) for l in ls)
+                    - mp.digamma(M + stats.n) + mp.digamma(M + 1))
+
+        return float(mp.findroot(slope, mp.mpf(M_start)))
+
+
+def test_profile_mle_is_the_root_of_the_profile_slope():
+    st = sample_py_partition(0.5, 1.0, 10 ** 4, RngStream(4))
+    res = profile_mle(st, M_max=50.0)
+    assert res.boundary == INTERIOR
+    assert res.diagnostics["M_converged"] is True
+    assert 1 <= res.diagnostics["M_iterations"] <= 200
+    want = _mp_profile_root(st, res.M_hat, res.sigma_hat)
+    assert abs(res.M_hat - want) <= 1e-9 * want
+
+
+def test_profile_mle_interior_estimate_ignores_M_max():
+    st = sample_py_partition(0.5, 1.0, 10 ** 4, RngStream(4))
+    a, b = profile_mle(st, M_max=5.0), profile_mle(st, M_max=50.0)
+    assert a.boundary == b.boundary == INTERIOR
+    assert abs(a.M_hat - b.M_hat) <= 1e-12 * b.M_hat
+    assert abs(a.sigma_hat - b.sigma_hat) <= 1e-12
+
+
+@pytest.mark.parametrize("K", [2, 4, 50])
+def test_profile_mle_all_distinct_sits_at_M_max(K):
+    # the profile increases in M all the way: sigma_hat is the upper clamp
+    for M_max in (5.0, 50.0):
+        res = profile_mle(from_sizes([1] * K), M_max=M_max)
+        assert res.M_hat == M_max
+        assert res.boundary == UPPER_SIGMA
+        assert "M_iterations" not in res.diagnostics
+
+
 def test_profile_mle_boundary_flags():
     st = from_sizes([30, 1, 1])  # heavy tie mass pushes M to 0
     res = profile_mle(st, M_max=5.0)
-    assert res.boundary in (LOWER_M, LOWER_SIGMA, INTERIOR, UPPER_M)
+    assert res.boundary == LOWER_M
+    assert res.M_hat == 0.0
     assert res.diagnostics["M_max"] == 5.0
+    # drawn with M = 100, the profile still rises at M_max = 5
+    st = sample_py_partition(0.3, 100.0, 2000, RngStream(7))
+    res = profile_mle(st, M_max=5.0)
+    assert res.boundary == UPPER_M
+    assert res.M_hat == 5.0
+    assert "M_iterations" not in res.diagnostics
 
 
 def test_profile_mle_validation():

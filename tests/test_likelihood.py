@@ -9,8 +9,9 @@ from scipy import special
 
 from pitmanyor.likelihood import (SIGMA_EPS, eppf_total_mass, h_precision,
                                   hess_sigma, log_eppf, log_eppf_grid,
-                                  score_sigma)
+                                  m_derivatives, score_sigma)
 from pitmanyor.partition import from_observations, from_sizes
+from pitmanyor.sampler import RngStream, sample_py_partition
 
 SIGMA_GRID = (0.25, 0.5, 0.75)
 M_GRID = (0.0, 0.5, 1.0, 5.0)
@@ -62,6 +63,26 @@ def test_hess_matches_finite_difference():
               - score_sigma(st, sigma - h, M)) / (2 * h)
         hess = hess_sigma(st, sigma, M)
         assert abs(hess - fd) <= 1e-4 * abs(hess)
+
+
+def test_m_derivatives_match_finite_differences():
+    # d/dM and d2/(d sigma dM) against central differences of log_eppf and
+    # score_sigma in M, d2/dM2 against those of d/dM, as criterion 04 checks
+    # the sigma derivatives
+    h = 1e-6
+    for st in (from_sizes([6, 3, 3, 2, 1, 1, 1]),
+               sample_py_partition(0.5, 1.0, 2000, RngStream(42))):
+        for sigma, M in product((0.2, 0.5, 0.8), (0.5, 1.0, 5.0)):
+            d_M, d_MM, d_sM = m_derivatives(st, sigma, M)
+            assert d_M == pytest.approx(
+                (log_eppf(st, sigma, M + h) - log_eppf(st, sigma, M - h))
+                / (2 * h), rel=1e-5, abs=1e-7)
+            assert d_MM == pytest.approx(
+                (m_derivatives(st, sigma, M + h)[0]
+                 - m_derivatives(st, sigma, M - h)[0]) / (2 * h), rel=1e-4)
+            assert d_sM == pytest.approx(
+                (score_sigma(st, sigma, M + h) - score_sigma(st, sigma, M - h))
+                / (2 * h), rel=1e-4)
 
 
 def test_hess_strictly_negative():

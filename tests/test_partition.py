@@ -78,6 +78,12 @@ def test_invariant_validation():
     # Z = [3, 1, 1, 1]
     with pytest.raises(ValueError, match="Z inconsistent with N"):
         PartitionStats.from_json(_record(6, 3, [4, 1, 1], [3, 2, 1, 0]))
+    # entries that are not JSON integers are rejected, not truncated or cast
+    for record in (_record(3, 2, [2.7, 1], [2, 1]),
+                   _record(3, 2, [2, 1], [2.9, 1.2]),
+                   _record(3, 2, ["2", 1], [2, 1])):
+        with pytest.raises(ValueError, match="must be a list of integers"):
+            PartitionStats.from_json(record)
 
 
 def test_histogram_validation():
@@ -123,6 +129,13 @@ def test_empty_inputs():
         from_observations([])
     with pytest.raises(ValueError):
         from_sizes([0, 0])
+    # a negative size or count is an error, not a dropped entry
+    with pytest.raises(ValueError):
+        from_sizes([3, -2])
+    with pytest.raises(ValueError):
+        from_sizes([3, 0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        from_occupancy({"a": 3, "b": -2})
 
 
 def test_read_sample_csv(tmp_path):
