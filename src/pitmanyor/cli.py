@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, experiments, inference, partition
 from .estimators import INTERIOR, mle_sigma, profile_mle
 from .population import population_from_json
@@ -96,7 +98,7 @@ def cmd_simulate(args):
     else:
         pop = population_from_json(Path(args.population).read_text())
         labels = sample_iid_labels(pop, args.n, rng)
-        stats = partition.from_observations(labels)
+        stats = partition.from_occupancy(np.bincount(labels))
     _guard_output(args.out, args.force)
     write_sample_csv(args.out, labels)
     stats_path = args.stats_out or str(Path(args.out).with_suffix(".json"))

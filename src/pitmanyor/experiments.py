@@ -42,9 +42,23 @@ CHECKS = {
     "precision_profile": {},
     "forensic": {},
 }
-_OPTIONAL_KEYS = {"replications": int, "M_values": tuple,
-                  "prior": inference.PriorSpec.from_dict, "seed": int,
-                  "M_max": float, "threads": int, "tolerance": float,
+
+
+def _is_integer(x):
+    """True for an integral JSON number (2 or 2.0), False for 2.5 or true."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and float(x).is_integer()
+
+
+def _integer(x):
+    if not _is_integer(x):
+        raise ValueError(f"must be an integer, got {x!r}")
+    return int(x)
+
+
+_OPTIONAL_KEYS = {"replications": _integer, "M_values": tuple,
+                  "prior": inference.PriorSpec.from_dict, "seed": _integer,
+                  "M_max": float, "threads": _integer, "tolerance": float,
                   "sigma": float}  # key -> reader of its JSON value
 
 
@@ -64,8 +78,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
-        if not all(isinstance(n, numbers.Real) and float(n).is_integer()
-                   and n >= 1 for n in self.n_grid):
+        if not isinstance(self.n_grid, (list, tuple)):
+            raise ValueError("n_grid must be a list of positive integers")
+        if not all(_is_integer(n) and n >= 1 for n in self.n_grid):
             raise ValueError("n_grid entries must be positive integers")
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
@@ -83,10 +98,15 @@ class ExperimentConfig:
         are ignored."""
         spec = {**CHECKS[check], **{k: v for k, v in d.items()
                                     if v is not None}}
-        return cls(population=spec["population"],
-                   n_grid=tuple(spec["n_grid"]),
-                   **{k: read(spec[k]) for k, read in _OPTIONAL_KEYS.items()
-                      if k in spec})
+        optional = {}
+        for key, read in _OPTIONAL_KEYS.items():
+            if key in spec:
+                try:
+                    optional[key] = read(spec[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+        return cls(population=spec["population"], n_grid=spec["n_grid"],
+                   **optional)
 
     def to_dict(self):
         """The report's config block: every set field except `threads`."""

@@ -102,18 +102,6 @@ class PosteriorGrid:
     M_nodes: np.ndarray | None = None
     phi_moments: tuple | None = None  # (E phi, E phi^2) when requested
 
-    def cdf_at(self, x):
-        """Cumulative posterior mass below x by trapezoid interpolation."""
-        nodes = self.sigma_nodes
-        cum = np.concatenate(([0.0], np.cumsum(self.cell_mass)))
-        if x <= nodes[0]:
-            return 0.0
-        if x >= nodes[-1]:
-            return 1.0
-        i = int(np.searchsorted(nodes, x)) - 1
-        frac = (x - nodes[i]) / (nodes[i + 1] - nodes[i])
-        return float(cum[i] + frac * self.cell_mass[i])
-
     def quantile(self, q):
         cum = np.concatenate(([0.0], np.cumsum(self.cell_mass)))
         i = int(np.searchsorted(cum, q, side="right")) - 1

@@ -81,19 +81,24 @@ class PartitionStats:
                 or not np.array_equal(N, stats.N):
             raise ValueError("N must list K block sizes in nonincreasing "
                              "order that sum to n")
-        if not np.array_equal(_json_integers(d, "Z"),
-                              stats._occupancy_counts()):
+        Z = _json_integers(d, "Z")
+        # the length check first: a huge max N must not allocate its Z
+        if Z.size != stats.sizes[-1] \
+                or not np.array_equal(Z, stats._occupancy_counts()):
             raise ValueError("Z inconsistent with N")
         return stats
 
 
 def _json_integers(d, key):
     """d[key] as an int64 array; ValueError unless it is a list of JSON
-    integers (no floats, strings or booleans)."""
+    integers (no floats, strings or booleans) that fit in int64."""
     values = d[key]
     if not isinstance(values, list) or any(type(v) is not int for v in values):
         raise ValueError(f"{key} must be a list of integers")
-    return np.array(values, dtype=np.int64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{key} has an entry beyond int64") from None
 
 
 def from_sizes(sizes):

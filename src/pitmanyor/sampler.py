@@ -51,10 +51,23 @@ class OccupancyCounts:
                 writer.writerow([idx, self.counts[idx]])
 
 
+# uniforms drawn, and sample-CSV rows written, per numpy batch
+_CHUNK = 1 << 16
+
+
 def sample_py_partition(sigma, M, n, rng):
-    """Partition of n observations grown by the prediction rule:
-    join block i with probability (N_i - sigma)/(M + k), open a new block
-    with probability (M + K sigma)/(M + k)."""
+    """Partition of n observations grown by the prediction rule: observation
+    k joins block b with probability (N_b - sigma)/(M + k) and opens a new
+    block with probability (M + K sigma)/(M + k).
+
+    Exact O(n) rejection form of the rule (Pitman 2006, Combinatorial
+    Stochastic Processes, section 3.1): pick i uniformly on [0, M + k); if
+    i < k, propose the block b of observation i and accept it with
+    probability (N_b - sigma)/N_b, that is when N_b > floor(sigma/(1 - v))
+    for a second uniform v.  Otherwise, the case i >= k included, open a
+    new block.  Each step costs O(1); the block of every observation so far
+    is the only O(n) memory.
+    """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
     if M < 0.0 or M + sigma <= 0.0:
@@ -62,21 +75,24 @@ def sample_py_partition(sigma, M, n, rng):
     if n < 1:
         raise ValueError("n must be positive")
     gen = rng.generator()
-    uniforms = gen.random(n)
-    sizes = np.empty(n, dtype=np.int64)
-    sizes[0] = 1
-    K = 1
-    for k in range(1, n):
-        # threshold in [0, M + k): below the occupied mass joins a block
-        u = uniforms[k] * (M + k)
-        occupied = np.cumsum(sizes[:K]) - sigma * np.arange(1, K + 1)
-        j = int(np.searchsorted(occupied, u, side="right"))
-        if j < K:
-            sizes[j] += 1
-        else:
-            sizes[K] = 1
-            K += 1
-    return partition.from_sizes(sizes[:K])
+    block = [0]  # block of each observation so far
+    sizes = [1]
+    for start in range(1, n, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, n))
+        pos = np.floor(gen.random(k.size) * (M + k))
+        picks = np.where(pos < k, pos, -1).astype(np.int64).tolist()
+        cuts = np.floor(sigma / (1.0 - gen.random(k.size)))
+        for pick, cut in zip(picks, cuts.astype(np.int64).tolist()):
+            if pick >= 0:
+                b = block[pick]
+                size = sizes[b]
+                if size > cut:
+                    sizes[b] = size + 1
+                    block.append(b)
+                    continue
+            block.append(len(sizes))
+            sizes.append(1)
+    return partition.from_sizes(sizes)
 
 
 def stick_breaking_weights(sigma, M, k_trunc, rng):
@@ -143,12 +159,14 @@ def sample_poissonized(pop, n, rng):
 
 
 def write_sample_csv(path, labels):
-    """One row per observation, single `species` column."""
+    """One row per observation, single `species` column, CRLF row ends;
+    the rows go to the csv writer _CHUNK at a time."""
+    labels = np.asarray(labels)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["species"])
-        for lab in labels:
-            writer.writerow([lab])
+        for start in range(0, labels.size, _CHUNK):
+            writer.writerows(zip(labels[start:start + _CHUNK].tolist()))
 
 
 def sample_iid_labels(pop, n, rng):

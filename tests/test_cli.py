@@ -203,6 +203,31 @@ def test_experiment_n_grid_entries_are_positive_integers(tmp_path, capsys,
         assert grid == stored and all(type(n) is int for n in grid)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("replications", 2.5, "replications: must be an integer, got 2.5"),
+    ("seed", 1.5, "seed: must be an integer, got 1.5"),
+    ("n_grid", 1000, "n_grid must be a list of positive integers"),
+])
+def test_experiment_rejects_malformed_keys(tmp_path, capsys, key, value,
+                                           message):
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    spec = {"check": "normality",
+            "population": {"kind": "power_law", "alpha": 2.0},
+            "n_grid": [300], "replications": 2, "M_values": [0.0]}
+    cfg.write_text(json.dumps(dict(spec, **{key: value})))
+    assert run("experiment", "--config", str(cfg), "--out", str(out)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_stats_rejects_entry_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2 ** 64, "K": 1, "N": [2 ** 64],
+                                "Z": [1]}))
+    assert run("fit", "--stats", str(path), "--m", "1") == 1
+    assert "error: N has an entry beyond int64" in capsys.readouterr().err
+
+
 def test_experiment_unknown_check(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"check": "nonsense", "population": {},

@@ -69,14 +69,17 @@ def test_m_derivatives_match_finite_differences():
     # d/dM and d2/(d sigma dM) against central differences of log_eppf and
     # score_sigma in M, d2/dM2 against those of d/dM, as criterion 04 checks
     # the sigma derivatives
-    h = 1e-6
+    # log_eppf is about -4e3 at n = 2000, so its difference takes a wider
+    # step: at 1e-6 rounding alone moves the quotient by about 1e-6
+    h, h_eppf = 1e-6, 1e-4
     for st in (from_sizes([6, 3, 3, 2, 1, 1, 1]),
                sample_py_partition(0.5, 1.0, 2000, RngStream(42))):
         for sigma, M in product((0.2, 0.5, 0.8), (0.5, 1.0, 5.0)):
             d_M, d_MM, d_sM = m_derivatives(st, sigma, M)
             assert d_M == pytest.approx(
-                (log_eppf(st, sigma, M + h) - log_eppf(st, sigma, M - h))
-                / (2 * h), rel=1e-5, abs=1e-7)
+                (log_eppf(st, sigma, M + h_eppf)
+                 - log_eppf(st, sigma, M - h_eppf)) / (2 * h_eppf),
+                rel=1e-5, abs=1e-7)
             assert d_MM == pytest.approx(
                 (m_derivatives(st, sigma, M + h)[0]
                  - m_derivatives(st, sigma, M - h)[0]) / (2 * h), rel=1e-4)

@@ -84,6 +84,13 @@ def test_invariant_validation():
                    _record(3, 2, ["2", 1], [2, 1])):
         with pytest.raises(ValueError, match="must be a list of integers"):
             PartitionStats.from_json(record)
+    # int64 is the limit, and a short Z is refused before max N is allocated
+    for record in (_record(2 ** 64, 1, [2 ** 64], [1]),
+                   _record(1, 1, [1], [2 ** 65])):
+        with pytest.raises(ValueError, match="beyond int64"):
+            PartitionStats.from_json(record)
+    with pytest.raises(ValueError, match="Z inconsistent with N"):
+        PartitionStats.from_json(_record(2 ** 40, 1, [2 ** 40], [1]))
 
 
 def test_histogram_validation():

@@ -1,6 +1,9 @@
+import csv
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,20 +68,59 @@ def test_exact_law_matches_eppf():
 
 def test_sequential_frequencies_match_law():
     # empirical frequencies of the sequential sampler against the exact law
-    sigma, M, n, reps = 0.5, 1.0, 4, 4000
-    law = {}
-    for blocks, prob in exact_partition_law(sigma, M, n).items():
-        key = tuple(sorted((len(b) for b in blocks), reverse=True))
-        law[key] = law.get(key, 0.0) + prob
-    seen = {}
-    for r in range(reps):
-        st = sample_py_partition(sigma, M, n, RngStream(123, r))
-        key = tuple(st.N.tolist())
-        seen[key] = seen.get(key, 0) + 1
-    for key, prob in law.items():
-        freq = seen.get(key, 0) / reps
-        se = math.sqrt(prob * (1.0 - prob) / reps)
-        assert abs(freq - prob) <= 5.0 * se + 1e-3
+    n, reps = 4, 4000
+    for sigma, M in ((0.5, 1.0), (0.9, 0.0)):
+        law = {}
+        for blocks, prob in exact_partition_law(sigma, M, n).items():
+            key = tuple(sorted((len(b) for b in blocks), reverse=True))
+            law[key] = law.get(key, 0.0) + prob
+        seen = {}
+        for r in range(reps):
+            st = sample_py_partition(sigma, M, n, RngStream(123, r))
+            key = tuple(st.N.tolist())
+            seen[key] = seen.get(key, 0) + 1
+        assert set(seen) <= set(law)
+        for key, prob in law.items():
+            freq = seen.get(key, 0) / reps
+            se = math.sqrt(prob * (1.0 - prob) / reps)
+            assert abs(freq - prob) <= 5.0 * se + 1e-3
+
+
+def _expected_blocks(sigma, M, n):
+    """E K_n = (M/sigma)[(M + sigma)_n / (M)_n - 1] with rising factorials;
+    Gamma(n + sigma) / (sigma Gamma(sigma) Gamma(n)) when M = 0."""
+    if M == 0.0:
+        return math.exp(math.lgamma(n + sigma) - math.lgamma(sigma)
+                        - math.lgamma(n)) / sigma
+    ratio = math.exp(math.lgamma(M + sigma + n) - math.lgamma(M + sigma)
+                     - math.lgamma(M + n) + math.lgamma(M))
+    return M / sigma * (ratio - 1.0)
+
+
+@pytest.mark.parametrize("sigma,M", [(0.9, 1.0), (0.5, 1.0), (0.3, 0.0),
+                                     (0.5, 100.0)])
+def test_mean_blocks_match_closed_form(sigma, M):
+    n, reps = 2000, 300
+    K = [sample_py_partition(sigma, M, n, RngStream(41, r)).K
+         for r in range(reps)]
+    se = float(np.std(K, ddof=1)) / math.sqrt(reps)
+    assert abs(float(np.mean(K)) - _expected_blocks(sigma, M, n)) <= 4.0 * se
+
+
+@pytest.mark.slow
+def test_sample_py_partition_linear_cost():
+    # sigma near 1 gives K ~ n^0.9 blocks; the rejection rule stays O(n)
+    t0 = time.perf_counter()
+    st = sample_py_partition(0.9, 1.0, 10 ** 6, RngStream(3))
+    assert time.perf_counter() - t0 <= 2.0
+    assert st.n == 10 ** 6
+    tracemalloc.start()  # a second, slower run: tracing costs per object
+    try:
+        sample_py_partition(0.9, 1.0, 10 ** 6, RngStream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20
 
 
 def test_stick_breaking_weights():
@@ -172,3 +214,17 @@ def test_write_sample_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "species"
     assert len(lines) == 21
+
+
+def test_write_sample_csv_matches_csv_writer(tmp_path):
+    # labels that need quoting, over more rows than one write batch
+    labels = ["a,b", 'q"x', "plain", "7"] * (2 ** 14 + 5)
+    path, want = tmp_path / "s.csv", tmp_path / "ref.csv"
+    write_sample_csv(path, labels)
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["species"])
+        for lab in labels:
+            writer.writerow([lab])
+    assert path.read_bytes() == want.read_bytes()
+    assert path.read_bytes().startswith(b'species\r\n"a,b"\r\n"q""x"\r\n')
