@@ -98,7 +98,9 @@ def cmd_simulate(args):
     else:
         pop = population_from_json(Path(args.population).read_text())
         labels = sample_iid_labels(pop, args.n, rng)
-        stats = partition.from_occupancy(np.bincount(labels))
+        # block sizes by sorting, not np.bincount: a power-law label is an
+        # atom index that can reach 2^62, so memory must not follow its size
+        stats = partition.from_sizes(np.unique(labels, return_counts=True)[1])
     _guard_output(args.out, args.force)
     write_sample_csv(args.out, labels)
     stats_path = args.stats_out or str(Path(args.out).with_suffix(".json"))

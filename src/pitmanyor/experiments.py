@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -44,21 +43,10 @@ CHECKS = {
 }
 
 
-def _is_integer(x):
-    """True for an integral JSON number (2 or 2.0), False for 2.5 or true."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
-        and float(x).is_integer()
-
-
-def _integer(x):
-    if not _is_integer(x):
-        raise ValueError(f"must be an integer, got {x!r}")
-    return int(x)
-
-
-_OPTIONAL_KEYS = {"replications": _integer, "M_values": tuple,
-                  "prior": inference.PriorSpec.from_dict, "seed": _integer,
-                  "M_max": float, "threads": _integer, "tolerance": float,
+_OPTIONAL_KEYS = {"replications": partition.json_integer,
+                  "M_values": tuple, "prior": inference.PriorSpec.from_dict,
+                  "seed": partition.json_integer, "M_max": float,
+                  "threads": partition.json_integer, "tolerance": float,
                   "sigma": float}  # key -> reader of its JSON value
 
 
@@ -80,9 +68,14 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replications")
         if not isinstance(self.n_grid, (list, tuple)):
             raise ValueError("n_grid must be a list of positive integers")
-        if not all(_is_integer(n) and n >= 1 for n in self.n_grid):
-            raise ValueError("n_grid entries must be positive integers")
-        grid = tuple(int(n) for n in self.n_grid)
+        try:
+            grid = tuple(partition.json_integer(n, integral_float=True)
+                         for n in self.n_grid)
+            if any(n < 1 for n in grid):
+                raise ValueError
+        except ValueError:
+            raise ValueError("n_grid entries must be positive integers") \
+                from None
         object.__setattr__(self, "n_grid", grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly increasing")

@@ -89,16 +89,35 @@ class PartitionStats:
         return stats
 
 
+def json_integer(value, integral_float=False):
+    """value as an int if it is a JSON integer within int64, the one rule for
+    integers in the package's JSON inputs; ValueError for a float, string or
+    boolean.  With integral_float an integral float such as 1e3 is read as
+    its integer (the experiment n_grid)."""
+    if integral_float and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{value} is beyond int64")
+    return int(value)
+
+
 def _json_integers(d, key):
-    """d[key] as an int64 array; ValueError unless it is a list of JSON
-    integers (no floats, strings or booleans) that fit in int64."""
+    """d[key] as an int64 array; ValueError unless it is a list of entries
+    that json_integer accepts."""
     values = d[key]
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
+    if not isinstance(values, list):
         raise ValueError(f"{key} must be a list of integers")
+    if all(type(v) is int for v in values):  # fast path, same outcome
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass  # json_integer names the entry
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{key} has an entry beyond int64") from None
+        return np.array([json_integer(v) for v in values], dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(f"{key} must be a list of integers: {exc}") from None
 
 
 def from_sizes(sizes):

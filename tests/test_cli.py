@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pitmanyor
@@ -57,6 +58,21 @@ def test_simulate_population_spec(tmp_path):
     assert run("simulate", "--population", str(spec), "--n", "500",
                "--seed", "1", "--out", str(out)) == 0
     assert len(out.read_text().splitlines()) == 501
+
+
+def test_simulate_population_with_huge_labels(tmp_path):
+    # at alpha = 1.1 some power-law labels are atom indices near 2^62; the
+    # statistic must not allocate memory in proportion to them
+    spec = tmp_path / "pop.json"
+    spec.write_text('{"kind": "power_law", "alpha": 1.1}')
+    out = tmp_path / "pl.csv"
+    assert run("simulate", "--population", str(spec), "--n", "1000",
+               "--seed", "1", "--out", str(out)) == 0
+    labels = np.loadtxt(out, dtype=np.int64, skiprows=1)
+    assert labels.max() >= 2 ** 40
+    stats = json.loads(out.with_suffix(".json").read_text())["stats"]
+    assert stats["N"] == sorted(np.unique(labels, return_counts=True)[1]
+                                .tolist(), reverse=True)
 
 
 def test_fit_from_sample(sample, tmp_path, capsys):
@@ -206,6 +222,9 @@ def test_experiment_n_grid_entries_are_positive_integers(tmp_path, capsys,
 @pytest.mark.parametrize("key,value,message", [
     ("replications", 2.5, "replications: must be an integer, got 2.5"),
     ("seed", 1.5, "seed: must be an integer, got 1.5"),
+    ("replications", 2.0, "replications: must be an integer, got 2.0"),
+    ("seed", 10 ** 400, f"seed: {10 ** 400} is beyond int64"),
+    ("n_grid", [10 ** 400], "n_grid entries must be positive integers"),
     ("n_grid", 1000, "n_grid must be a list of positive integers"),
 ])
 def test_experiment_rejects_malformed_keys(tmp_path, capsys, key, value,
@@ -225,7 +244,8 @@ def test_fit_stats_rejects_entry_beyond_int64(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2 ** 64, "K": 1, "N": [2 ** 64],
                                 "Z": [1]}))
     assert run("fit", "--stats", str(path), "--m", "1") == 1
-    assert "error: N has an entry beyond int64" in capsys.readouterr().err
+    assert f"error: N must be a list of integers: {2 ** 64} is beyond " \
+        "int64" in capsys.readouterr().err
 
 
 def test_experiment_unknown_check(tmp_path):
