@@ -121,6 +121,9 @@ def cmd_fit(args):
     warnings = []
     if res.boundary != INTERIOR:
         warnings.append(f"estimate at boundary: {res.boundary}")
+    for key, root in (("converged", "sigma"), ("M_converged", "M")):
+        if res.diagnostics.get(key) is False:
+            warnings.append(f"the {root} root did not converge")
     payload = json.loads(res.to_json(stats))
     payload["warnings"] = warnings
     payload["provenance"] = _provenance(args, inputs)

@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -37,10 +37,14 @@ class PartitionStats:
         if sizes[0] < 1 or np.any(np.diff(sizes) <= 0) or np.any(counts < 1):
             raise ValueError("block sizes must be positive and strictly "
                              "increasing, with positive counts")
+        # n in Python integers: the int64 product sizes @ counts wraps
+        n = sum(map(mul, sizes.tolist(), counts.tolist()))
+        if n >= 2 ** 63:
+            raise ValueError(f"sample size n = {n} is beyond int64")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", int(sizes @ counts))
-        object.__setattr__(self, "K", int(counts.sum()))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "K", int(counts.sum()))  # K <= n
 
     def __eq__(self, other):
         return (isinstance(other, PartitionStats)

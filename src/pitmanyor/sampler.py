@@ -119,12 +119,13 @@ def stick_breaking_weights(sigma, M, k_trunc, rng):
 
 
 def sample_iid(pop, n, rng):
-    """Multinomial occupancy counts of n i.i.d. draws from the population."""
+    """Multinomial occupancy counts of n i.i.d. draws from the population:
+    the draws of `sample_iid_labels`, counted by `Population.occupancy` from
+    the sorted uniforms, species ascending."""
     if n < 1:
         raise ValueError("n must be positive")
     gen = rng.generator()
-    idx = pop.inverse_cdf(gen.random(n))
-    species, counts = np.unique(idx, return_counts=True)
+    species, counts = pop.occupancy(np.sort(gen.random(n)))
     return OccupancyCounts(
         counts=dict(zip(species.tolist(), counts.tolist())),
         regime="multinomial", n=int(n))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pitmanyor
-from pitmanyor import experiments
+from pitmanyor import estimators, experiments
 from pitmanyor.cli import main
 
 
@@ -100,6 +100,27 @@ def test_fit_boundary_warning(tmp_path, capsys):
     assert payload["boundary"] == "UpperSigma"
     assert payload["warnings"]
     assert "boundary" in captured.err
+
+
+@pytest.mark.parametrize("argv,warnings", [
+    (("--m", "1"), ["the sigma root did not converge"]),
+    (("--profile",),
+     ["the sigma root did not converge", "the M root did not converge"]),
+])
+def test_fit_warns_when_a_root_did_not_converge(tmp_path, capsys,
+                                                monkeypatch, argv, warnings):
+    # a PY(0.5, 5) sample whose profile maximum has an interior M
+    out = tmp_path / "py.csv"
+    assert run("simulate", "--py", "0.5,5", "--n", "2000", "--seed", "1",
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(estimators, "_ROOT_MAX_ITER", 1)
+    assert run("fit", "--sample", str(out), *argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["boundary"] == "Interior"
+    assert payload["warnings"] == warnings
+    assert captured.err.splitlines() == [f"warning: {w}" for w in warnings]
 
 
 def test_fit_profile(sample, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from pitmanyor import experiments as ex
 from pitmanyor.inference import PriorSpec
-from pitmanyor.population import make_power_law
+from pitmanyor.population import _BLOCK, SyntheticPopulation, make_power_law
 
 POP_SPEC = {"kind": "power_law", "alpha": 2.0}
 
@@ -148,6 +148,32 @@ def test_determinism_across_threads():
     b = ex.run_normality(_config(n_grid=(500,), replications=6, threads=4))
     assert a.to_json(include_wall_clock=False) \
         == b.to_json(include_wall_clock=False)
+
+
+def test_threads_build_the_table_once(monkeypatch):
+    # replication threads share one cumulative table: every atom of it is
+    # computed once, in _BLOCK-atom ranges, whatever the thread count
+    calls = []
+    atom_probs_range = SyntheticPopulation.atom_probs_range
+
+    def counted(self, start, stop):
+        calls.append((start, stop))
+        return atom_probs_range(self, start, stop)
+
+    monkeypatch.setattr(SyntheticPopulation, "atom_probs_range", counted)
+    reports = []
+    for threads in (1, 3):
+        calls.clear()
+        reports.append(ex.run_precision_profile(_config(
+            population={"kind": "synthetic", "gamma": 0.5, "r": 1.0},
+            n_grid=(1000, 20000), replications=6, M_values=(0.0, 1.0),
+            M_max=5.0, seed=4, threads=threads)))
+        size = len(calls) * _BLOCK
+        assert size > 1 << 16  # the table grew past its first size
+        assert sorted(calls) == [(start, start + _BLOCK)
+                                 for start in range(0, size, _BLOCK)]
+    assert reports[0].to_json(include_wall_clock=False) \
+        == reports[1].to_json(include_wall_clock=False)
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 100, 1000])

@@ -100,6 +100,15 @@ def test_histogram_validation():
             PartitionStats(np.array(sizes), np.array(counts))
 
 
+def test_n_beyond_int64_is_rejected():
+    # the int64 product of sizes and counts would wrap to 0 and to -2^63
+    for blocks in (4, 2):
+        with pytest.raises(ValueError, match="beyond int64"):
+            from_sizes([2 ** 62] * blocks)
+    stats = from_sizes([2 ** 62, 2 ** 62 - 1])
+    assert stats.n == 2 ** 63 - 1 and type(stats.n) is int
+
+
 def test_equality_and_hash_ignore_labels():
     a = from_observations(["x", "y", "x"])
     b = from_observations(["p", "q", "q"])

@@ -1,12 +1,16 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 from scipy import special
 
-from pitmanyor.population import (INTENSITY_CUT, make_explicit,
-                                  make_power_law, make_synthetic,
-                                  population_from_json)
+from pitmanyor.population import (_BLOCK, INTENSITY_CUT, PowerLawPopulation,
+                                  make_explicit, make_power_law,
+                                  make_synthetic, population_from_json)
 from pitmanyor.sampler import RngStream, sample_iid
 
 
@@ -144,6 +148,80 @@ def test_inverse_cdf_power_law_tail_draws():
     pop = make_power_law(2.0)
     idx = pop.inverse_cdf(np.array([1.0 - 1e-13, 1.0 - 5e-14]))
     assert np.all(idx >= 1 << 16)
+
+
+def _uneven_explicit(atoms):
+    p = np.random.default_rng(atoms).random(atoms) + 0.5
+    return make_explicit(p / p.sum())
+
+
+@pytest.mark.parametrize("pop", [
+    make_power_law(2.0), make_power_law(1.1), make_synthetic(0.5, 1.0),
+    make_synthetic(0.5, -1.0), make_synthetic(0.3, 2.0),
+    _uneven_explicit(3 * _BLOCK + 123)])
+def test_cumulative_table_equals_one_cumsum(pop):
+    # grown in two steps of _BLOCK-atom blocks, the table keeps the bits of
+    # one np.cumsum over all its atoms, and the smaller table is untouched
+    small = pop._ensure_cumulative(1)
+    kept = small.copy()
+    table = pop._ensure_cumulative(1 << 20)
+    assert table.size == min(1 << 20, pop.n_atoms() or 1 << 20)
+    assert np.array_equal(table, np.cumsum(pop.atom_probs(table.size)))
+    assert np.array_equal(small, kept)
+    assert pop._ensure_cumulative(table.size) is table
+
+
+def test_concurrent_growth_computes_each_atom_once(monkeypatch):
+    # more threads than cores, switching often, ask for every table size
+    calls = []
+    atom_probs_range = PowerLawPopulation.atom_probs_range
+
+    def counted(self, start, stop):
+        calls.append((start, stop))
+        return atom_probs_range(self, start, stop)
+
+    monkeypatch.setattr(PowerLawPopulation, "atom_probs_range", counted)
+    pop = make_power_law(2.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(pop._ensure_cumulative, 1 << k)
+                       for _ in range(3) for k in range(16, 23)]
+            tables = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    full = 1 << 22
+    assert sorted(calls) == [(start, start + _BLOCK)
+                             for start in range(0, full, _BLOCK)]
+    assert all(np.array_equal(t, tables[-1][:t.size]) for t in tables)
+    assert np.array_equal(tables[-1], np.cumsum(pop.atom_probs(full)))
+
+
+def _draws_on_boundaries(pop, picks, uniforms):
+    # uniforms mixed with table entries, where a draw changes atoms
+    cum = pop._ensure_cumulative(1)
+    return np.array(uniforms + [cum[i % cum.size] for i in picks])
+
+
+_SYNTHETIC = make_synthetic(0.5, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from([make_power_law(2.0), make_power_law(1.5),
+                         _SYNTHETIC, make_synthetic(0.3, 2.0),
+                         make_explicit([0.5, 0.3, 0.2]),
+                         _uneven_explicit(40)]),
+       hst.lists(hst.integers(0, 1 << 16), max_size=50),
+       hst.lists(hst.floats(0.0, 1.0, exclude_max=True), max_size=300))
+@example(_SYNTHETIC, [], [0.5, 1.0 - 1e-12, 1.0 - 1e-12, 1.0 - 1e-7])
+def test_occupancy_equals_unique_inverse_cdf(pop, picks, uniforms):
+    u = _draws_on_boundaries(pop, picks, uniforms)
+    species, counts = pop.occupancy(np.sort(u))
+    want_species, want_counts = np.unique(pop.inverse_cdf(u),
+                                          return_counts=True)
+    assert species.tolist() == want_species.tolist()
+    assert counts.tolist() == want_counts.tolist()
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.2])

@@ -197,6 +197,24 @@ def test_sample_poissonized_frozen_draws(pop, n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("pop,n,digest", [
+    (make_power_law(2.0), 10 ** 5,
+     "208a0a47d24dc27fe6954892da197918c6b568405489313c154758540e71c55e"),
+    (make_power_law(1.1), 2 * 10 ** 4,
+     "a58bd1afdc8074ce7e5160a06187956a3b0f6187340508a9e7e8192d8ebc958d"),
+    (make_synthetic(0.5, 1.0), 3 * 10 ** 5,
+     "2d0e1b3fc84b977252c6673105fff4a630cc705d9a4ba7c078117afcba97b261"),
+    (make_explicit([0.5, 0.3, 0.2]), 10 ** 3,
+     "270b8cab9ec4850768438a20ddda34e0ad2538c47adc9ca5b49bbc961a5cc1e7"),
+])
+def test_sample_iid_frozen_draws(pop, n, digest):
+    # seeded draws, the labels past the table and the key order are frozen;
+    # the synthetic sample holds draws past its full 2^22-atom table
+    occ = sample_iid(pop, n, RngStream(7, 3))
+    text = json.dumps(list(occ.counts.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_occupancy_csv_round_trip(tmp_path):
     occ = OccupancyCounts(counts={2: 3, 5: 1}, regime="multinomial", n=4)
     path = tmp_path / "occ.csv"
