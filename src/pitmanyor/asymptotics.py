@@ -2,12 +2,16 @@
 
 Centering function E0n and its root sigma0n, the limiting function E0 and its
 negated slope tau2_sq, the sandwich numerator tau1_sq, and the precision-limit
-pair (K0, M0).  Two routines carry every occupancy quantity:
+pair (K0, M0).  The occupancy quantities come from three places:
 
-- `stirling_zeta_series`: the limit series sum_m Gamma(m+1-gamma)/m! h(m)
-  behind E0, tau1, tau2 and the occupancy-lemma limits.  Its slow tails
-  (terms ~ m^{-1-gamma} log^k m) are truncated with analytic Hurwitz-zeta
-  corrections rather than summed by brute force.
+- closed forms: `E0_series`, `tau2_sq` and `stirling_series`, the sums
+  sum_m Gamma(m+1-gamma)/(m! (m-sigma)^p) for p = 1, 2.
+- `karlin_integrals`: every other limit, in the form of Karlin (1967) and
+  Gnedin, Hansen & Pitman (2007): sum_j h(n p_j)/alpha0(n) ->
+  gamma int_0^inf h(lam) lam^{-1-gamma} dlam for a per-atom Poisson
+  expectation h.  One Gauss-Legendre rule in log lam takes every h from one
+  `poisson_g_moments` call; past its last node each row's tail is
+  integrated in closed form.  tau1_sq is built on it.
 - `poisson_g_moments`: per-atom Poisson expectations of g_sigma and its
   powers and sigma-derivative, summed over `Population.intensities` by E0n
   and by the occupancy-lemma left-hand sides.  The atoms folded into power
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import special
@@ -28,157 +32,134 @@ from scipy import special
 from .numerics import g_sigma_values, log_gamma, newton_root
 
 # ---------------------------------------------------------------------------
-# Stirling-ratio series with Hurwitz-zeta tails
-
-_ZETA_STEP = 1e-5  # step in s of the first difference; x10 for the second
-_SERIES_HEAD = (100_000, 1_000_000, 1_000_000)  # terms summed, by g-power k
+# closed forms: E0, tau2 and the Stirling-ratio series
 
 
-def _zeta_log(s, a, k):
-    """sum_{m >= a} m^{-s} log^k m = (-d/ds)^k zeta(s, a), k <= 2, the
-    derivatives by central differences."""
-    if k == 0:
-        return float(special.zeta(s, a))
-    h = _ZETA_STEP if k == 1 else 10.0 * _ZETA_STEP
-    lo, hi = special.zeta(s - h, a), special.zeta(s + h, a)
-    if k == 1:
-        return float((lo - hi) / (2.0 * h))
-    return float((lo - 2.0 * special.zeta(s, a) + hi) / h ** 2)
-
-
-def stirling_zeta_series(gamma, sigma, p, k):
-    """sum_{m >= 1} Gamma(m+1-gamma)/(m! (m-sigma)^p) G_k(m), k <= 2, with
-    G_0 = 1, G_1 = g(m+1) + g(m), G_2 = g(m+1)^2 + g(m+1) g(m) + g(m)^2 and
-    g = g_gamma.
-
-    The head is summed directly; the tail uses
-    Gamma(m+1-gamma)/m! = m^{-gamma}(1 - gamma(1-gamma)/(2m) + O(m^-2)).
-    For k = 0 it keeps that second order,
-    m^{-p-gamma}(1 + (p sigma - gamma(1-gamma)/2)/m), accurate to
-    ~m_star^{-1-p-gamma}; for k >= 1 it keeps the leading
-    G_k ~ (k+1)(log m - psi(1-gamma))^k, a log-zeta sum.
-    """
-    m_star = _SERIES_HEAD[k]
-    m = np.arange(1, m_star + 1, dtype=float)
-    # built in place: at m_star = 1e6 each temporary costs 8 MB
-    terms = special.gammaln(m + 1.0 - gamma)
-    terms -= special.gammaln(m + 1.0)
-    np.exp(terms, out=terms)
-    terms /= (m - sigma) ** p
-    del m
-    if k:
-        g = g_sigma_values(np.arange(1, m_star + 2), gamma)
-        g0, g1 = g[:-1], g[1:]  # g(m), g(m+1)
-        terms *= g1 + g0 if k == 1 else g1 ** 2 + g1 * g0 + g0 ** 2
-    head = float(np.sum(terms))
-    a, s = m_star + 1, p + gamma
-    if k == 0:
-        second = p * sigma - gamma * (1.0 - gamma) / 2.0
-        return head + _zeta_log(s, a, 0) + second * _zeta_log(s + 1.0, a, 0)
-    B = -float(special.digamma(1.0 - gamma))
-    return head + (k + 1) * sum(
-        math.comb(k, j) * B ** (k - j) * _zeta_log(s, a, j)
-        for j in range(k + 1))
-
-
-# ---------------------------------------------------------------------------
-# limiting function E0 and tau2
+def _check_unit(**values):
+    for name, x in values.items():
+        if not 0.0 < x < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1)")
 
 
 def E0_series(sigma, sigma0):
-    """E0(sigma) = Gamma(1-sigma0)/sigma
-    - sum_m Gamma(m+1-sigma0)/(m!(m-sigma))."""
-    if not 0.0 < sigma < 1.0 or not 0.0 < sigma0 < 1.0:
-        raise ValueError("sigma and sigma0 must lie in (0, 1)")
-    return math.exp(log_gamma(1.0 - sigma0)) / sigma \
-        - stirling_zeta_series(sigma0, sigma, 1, 0)
+    """E0(sigma) = Gamma(1-sigma0) Gamma(1-sigma) Gamma(sigma0)
+    / (sigma Gamma(sigma0-sigma)), the limit of E0n/alpha0(n); exactly 0 at
+    sigma0, where 1/Gamma(0) = 0."""
+    _check_unit(sigma=sigma, sigma0=sigma0)
+    G = special.gamma
+    return float(G(1.0 - sigma0) * G(1.0 - sigma) * G(sigma0)
+                 * special.rgamma(sigma0 - sigma) / sigma)
 
 
-def gamma_ratio_sum(gamma):
-    """sum_m Gamma(m-gamma)/m!  (equals Gamma(1-gamma)/gamma)."""
-    return stirling_zeta_series(gamma, gamma, 1, 0)
-
-
-@lru_cache(maxsize=256)
 def tau2_sq(sigma0):
-    """-E0'(sigma0) = Gamma(1-sigma0)/sigma0^2
-    + sum_m Gamma(m+1-sigma0)/(m!(m-sigma0)^2)."""
-    if not 0.0 < sigma0 < 1.0:
-        raise ValueError("sigma0 must lie in (0, 1)")
-    out = math.exp(log_gamma(1.0 - sigma0)) / sigma0 ** 2 \
-        + stirling_zeta_series(sigma0, sigma0, 2, 0)
-    if out <= 0.0:
-        raise ArithmeticError("tau2_sq must be positive")
+    """-E0'(sigma0) = Gamma(1-sigma0)^2 Gamma(sigma0)/sigma0."""
+    _check_unit(sigma0=sigma0)
+    out = float(special.gamma(1.0 - sigma0) ** 2 * special.gamma(sigma0)
+                / sigma0)
+    if not out > 0.0:
+        raise ArithmeticError(f"tau2_sq came out nonpositive ({out})")
     return out
 
 
+def stirling_series(gamma, sigma):
+    """(S1, S2), S_p = sum_{m >= 1} Gamma(m+1-gamma)/(m! (m-sigma)^p):
+    S1 = Gamma(1-gamma) [Gamma(-sigma) Gamma(gamma)/Gamma(gamma-sigma)
+    + 1/sigma] and S2 = dS1/dsigma.  With x = gamma - sigma, the
+    psi(x)/Gamma(x) of S2 is written (x psi(x+1) - 1)/Gamma(x+1), which is
+    finite at x = 0."""
+    _check_unit(gamma=gamma, sigma=sigma)
+    x = gamma - sigma
+    pre = special.gamma(1.0 - gamma)
+    head = special.gamma(gamma) * special.gamma(-sigma)
+    s1 = pre * (head * special.rgamma(x) + 1.0 / sigma)
+    psi_over_gamma = (x * special.digamma(x + 1.0) - 1.0) \
+        * special.rgamma(x + 1.0)
+    s2 = pre * (head * (psi_over_gamma
+                        - special.digamma(-sigma) * special.rgamma(x))
+                - 1.0 / sigma ** 2)
+    return float(s1), float(s2)
+
+
 # ---------------------------------------------------------------------------
-# tau1 (sandwich numerator)
+# Karlin integrals and tau1
 
-_DIAGONALS = 10_000  # diagonals of the tau1 double series summed directly
-_FIT_DECADE = 10.0  # its tail is fitted on the last 1/_FIT_DECADE of them
-
-
-def _tau1_component4(sigma0):
-    """sum_{m=2}^{400} g(m) Gamma(m-sigma0)/(m! 2^{m-sigma0-1}); the terms
-    decay geometrically."""
-    m = np.arange(2, 401, dtype=float)
-    logs = special.gammaln(m - sigma0) - special.gammaln(m + 1.0) \
-        - (m - sigma0 - 1.0) * math.log(2.0)
-    g = g_sigma_values(np.arange(2, 401), sigma0)
-    return float(np.sum(np.exp(logs) * g))
+_KARLIN_LOG_LAM = (-30.0, math.log(1e4))  # the rule's range in log lam
+_KARLIN_PANELS, _KARLIN_NODES = 40, 16  # Gauss-Legendre panels, nodes each
+_KARLIN_ROWS = ("iii", "iv", "v", "vi", "vii", "viii", "var")
 
 
-def _tau1_component3(sigma0):
-    """Double series sum_{k>=2} sum_{m>=1} g(k) Gamma(k+m+1-sigma0)
-    / (k! m! 2^{k+m-sigma0} (m-sigma0)), summed along diagonals N = k+m.
+@cache
+def _karlin_rule():
+    """(log lam, weight) of the composite Gauss-Legendre rule."""
+    x, w = special.roots_legendre(_KARLIN_NODES)
+    edges = np.linspace(*_KARLIN_LOG_LAM, _KARLIN_PANELS + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
 
-    On diagonal N the weights are binomial(N, k)/2^N up to a factor in N, so
-    only k in N/2 +- (5 sqrt(N) + 10) is summed (the rest is below 1e-20 of
-    the diagonal); one vectorized pass per offset from N/2 covers all
-    diagonals.  Diagonal sums decay like (a + b log N) N^{-1-sigma0}; a and b
-    are fitted on the last decade of computed diagonals and the tail beyond
-    them is integrated analytically via Hurwitz zeta values.
+
+def karlin_integrals(gamma, sigma):
+    """gamma int_0^inf h(lam) lam^{-1-gamma} dlam, the limit of
+    sum_j h(n p_j)/alpha0(n) when alpha0 varies regularly with index gamma,
+    for these rows h of g = g_sigma at X ~ Poisson(lam), keyed by the
+    occupancy-lemma rows they serve: E g ("iii"), E gdot ("iv"),
+    E g^2 ("v"), (E g)^2 ("vi"), e^-lam E g ("vii"), E g^3 ("viii") and
+    Var g ("var").
+
+    Gauss-Legendre in log lam covers [e^-30, 1e4], where every row is
+    O(lam^2) at the left end.  Past 1e4 the rows follow from the large-lam
+    Poisson moments of g, with L = log lam - psi(1-sigma):
+    mean L - (1+sigma)/lam - (1+sigma)(2+sigma)/(2 lam^2),
+    variance 1/lam + (2 sigma + 5/2)/lam^2, third cumulant -2/lam^2 and
+    E gdot = psi'(1-sigma) - 1/lam - (sigma + 3/2)/lam^2, each to
+    O(lam^-3 L^k), and their tails are integrated exactly.
     """
-    lg = special.gammaln(np.arange(1, _DIAGONALS + 2, dtype=float))  # ln(i!)
-    g = g_sigma_values(np.arange(0, _DIAGONALS + 1), sigma0)
-    N = np.arange(3, _DIAGONALS + 1)
-    log_pref = special.gammaln(N + 1.0 - sigma0) - (N - sigma0) * math.log(2.0)
-    half = N // 2
-    width = (5.0 * np.sqrt(N) + 10.0).astype(np.int64)
-    diag = np.zeros(N.size)
-    for d in range(-int(width[-1]), int(width[-1]) + 1):
-        k = half + d
-        ok = (abs(d) <= width) & (k >= 2) & (k <= N - 1)
-        k = np.where(ok, k, 2)
-        m = N - k
-        terms = np.exp(log_pref - lg[k] - lg[m]) * g[k] / (m - sigma0)
-        diag += np.where(ok, terms, 0.0)
-    total = float(np.sum(diag))
-    # tail fit on the last decade: d_N * N^{1+sigma0} ~ a + b log N
-    fit = N >= int(_DIAGONALS / _FIT_DECADE)
-    N_fit = N[fit].astype(float)
-    y = diag[fit] * N_fit ** (1.0 + sigma0)
-    X = np.column_stack([np.ones_like(N_fit), np.log(N_fit)])
-    (a_fit, b_fit), *_ = np.linalg.lstsq(X, y, rcond=None)
-    start = _DIAGONALS + 1
-    tail = a_fit * _zeta_log(1.0 + sigma0, start, 0) \
-        + b_fit * _zeta_log(1.0 + sigma0, start, 1)
-    return total + tail
+    _check_unit(gamma=gamma, sigma=sigma)
+    t, w = _karlin_rule()
+    lam = np.exp(t)
+    eg, eg2, eg3, egdot = poisson_g_moments(lam, sigma)
+    body = np.stack([eg, egdot, eg2, eg * eg, np.exp(-lam) * eg, eg3,
+                     eg2 - eg * eg]) @ (w * np.exp(-gamma * t))
+    cut = math.exp(_KARLIN_LOG_LAM[1])
+    u0 = _KARLIN_LOG_LAM[1] - float(special.digamma(1.0 - sigma))
+
+    def T(k, p):  # int_cut^inf L^k lam^{-1-s} dlam, s = gamma + p, by parts
+        s = gamma + p
+        return cut ** -s * sum(math.perm(k, j) * u0 ** (k - j) / s ** (j + 1)
+                               for j in range(k + 1))
+
+    a, b, c = 1.0 + sigma, (1.0 + sigma) * (2.0 + sigma) / 2.0, \
+        2.0 * sigma + 2.5
+    mean_sq = T(2, 0) - 2.0 * a * T(1, 1) + a * a * T(0, 2) \
+        - 2.0 * b * T(1, 2)
+    var = T(0, 1) + c * T(0, 2)
+    tails = (
+        T(1, 0) - a * T(0, 1) - b * T(0, 2),
+        float(special.polygamma(1, 1.0 - sigma)) * T(0, 0) - T(0, 1)
+        - (sigma + 1.5) * T(0, 2),
+        mean_sq + var,
+        mean_sq,
+        0.0,
+        T(3, 0) - 3.0 * a * T(2, 1) - 3.0 * b * T(2, 2) + 3.0 * T(1, 1)
+        + (3.0 * a * a + 3.0 * c) * T(1, 2) - (3.0 * a + 2.0) * T(0, 2),
+        var,
+    )
+    return {k: float(gamma * (v + tail))
+            for k, v, tail in zip(_KARLIN_ROWS, body, tails)}
 
 
 @lru_cache(maxsize=64)
 def tau1_sq(sigma0):
-    """Limit variance of the normalized score (sandwich numerator)."""
-    if not 0.0 < sigma0 < 1.0:
-        raise ValueError("sigma0 must lie in (0, 1)")
-    c1 = (2.0 ** sigma0 - 1.0) * math.exp(log_gamma(1.0 - sigma0)) \
-        / sigma0 ** 2
-    c2 = stirling_zeta_series(sigma0, sigma0, 1, 1)
-    out = c1 + c2 - _tau1_component3(sigma0) - _tau1_component4(sigma0)
-    if out <= 0.0:
-        raise ArithmeticError(
-            f"tau1_sq came out nonpositive ({out}); series bug")
+    """Limit variance of the normalized score (sandwich numerator), the
+    Poissonized per-atom score variance
+    (2^sigma0 - 1) Gamma(1-sigma0)/sigma0^2
+    + sigma0 int [Var g(X) - (2/sigma0) e^-lam E g(X)] lam^{-1-sigma0} dlam
+    with g = g_sigma0 and X ~ Poisson(lam)."""
+    _check_unit(sigma0=sigma0)
+    rows = karlin_integrals(sigma0, sigma0)
+    out = math.expm1(sigma0 * math.log(2.0)) * math.gamma(1.0 - sigma0) \
+        / sigma0 ** 2 + rows["var"] - 2.0 * rows["vii"] / sigma0
+    if not out > 0.0:
+        raise ArithmeticError(f"tau1_sq came out nonpositive ({out})")
     return out
 
 
@@ -302,11 +283,6 @@ class E0nEvaluator:
     def value_and_derivative(self, sigma):
         """Both from one sweep over the atoms (for Newton root finding)."""
         return self._sweep(sigma)
-
-
-def E0n(pop, n, sigma):
-    """The finite-n centering function of Eq.-(4) type, exact atom sum."""
-    return E0nEvaluator(pop, n).value(sigma)
 
 
 _ROOT_BRACKET = (0.01, 0.99)  # where sigma0n is sought

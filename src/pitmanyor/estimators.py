@@ -140,8 +140,9 @@ def plugin_alpha(stats, sigma_hat):
 
 
 def sandwich_se(stats, sigma_hat, alpha_n=None):
-    """tau1 / (tau2^2 sqrt(alpha_n)) with the series constants evaluated at
-    sigma_hat; alpha_n defaults to the K_n plug-in."""
+    """tau1 / (tau2^2 sqrt(alpha_n)) with the limit constants
+    asymptotics.tau1_sq and tau2_sq evaluated at sigma_hat; alpha_n
+    defaults to the K_n plug-in."""
     if not 0.0 < sigma_hat < 1.0:
         raise ValueError("sigma_hat must be interior")
     if alpha_n is None:

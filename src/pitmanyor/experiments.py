@@ -7,8 +7,9 @@ RngStream(config.seed, r) and results fold in index order, so a report's
 JSON is byte-identical across reruns and worker counts (modulo the
 wall-clock field).  The deterministic occupancy checks own no numerics of
 their own: their left-hand sides come from asymptotics.poisson_g_moments
-over Population.intensities, their right-hand sides from
-asymptotics.stirling_zeta_series and the tau1 components.
+over Population.intensities, their right-hand sides from the closed forms
+asymptotics.stirling_series and the quadrature
+asymptotics.karlin_integrals.
 """
 
 from __future__ import annotations
@@ -283,7 +284,9 @@ def lemma_limit_ratios(pop, n, sigma=None):
 
     LHS are exact sums of Poisson expectations over the atoms (no sampling),
     from asymptotics.poisson_g_moments plus the third-order tails; RHS are
-    the limit series.  sigma defaults to the population's sigma0.
+    their limits, in closed form for i to iv and from
+    asymptotics.karlin_integrals for v to viii.  sigma defaults to the
+    population's sigma0.
     """
     gamma = pop.rv.sigma0
     sigma = gamma if sigma is None else sigma
@@ -312,17 +315,10 @@ def lemma_limit_ratios(pop, n, sigma=None):
         + float(g_sigma_values(np.arange(1, 4), sigma) @ weighted),
         "viii": sum_eg3,
     }
-    series = asymptotics.stirling_zeta_series
-    rhs = {
-        "i": gfac,
-        "ii": (2.0 ** gamma - 1.0) * gfac,
-        "iii": series(gamma, sigma, 1, 0),
-        "iv": series(gamma, sigma, 2, 0),
-        "v": series(gamma, sigma, 1, 1),
-        "vi": asymptotics._tau1_component3(gamma),
-        "vii": gamma * asymptotics._tau1_component4(gamma) / 2.0,
-        "viii": series(gamma, sigma, 1, 2),
-    }
+    rhs = asymptotics.karlin_integrals(gamma, sigma)
+    rhs["i"] = gfac
+    rhs["ii"] = (2.0 ** gamma - 1.0) * gfac
+    rhs["iii"], rhs["iv"] = asymptotics.stirling_series(gamma, sigma)
     return {k: float(lhs[k] / (a0 * rhs[k])) for k in lhs}
 
 
@@ -569,8 +565,8 @@ def verify_suite(fast=True):
     for gamma in (0.2, 0.35, 0.5, 0.65, 0.8):
         worst = max(worst, abs(asymptotics.E0_series(gamma, gamma)))
         target = math.exp(special.gammaln(1.0 - gamma)) / gamma
-        worst = max(worst,
-                    abs(asymptotics.gamma_ratio_sum(gamma) / target - 1.0))
+        eg = asymptotics.karlin_integrals(gamma, gamma)["iii"]
+        worst = max(worst, abs(eg / target - 1.0))
     rows.append(("series identities", worst <= 1e-7,
                  f"max residual = {worst:.2e}"))
 

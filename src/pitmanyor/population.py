@@ -136,10 +136,12 @@ class Population:
         uniforms to: np.unique(inverse_cdf(u), return_counts=True), bit for
         bit.  The head, the alpha0(n) atoms with n p_j >= 1 for n draws, is
         counted by searching its table boundaries in the sorted draws; only
-        the draws past it go through inverse_cdf."""
+        the draws past it go through inverse_cdf.  The head stops short of
+        the table's last atom, where an explicit population also puts the
+        draws past its table, so that no atom is counted twice."""
         u = np.asarray(sorted_uniforms, dtype=float)
         cum = self._ensure_cumulative(self._CACHE_START)
-        head = min(self.alpha0(u.size), cum.size)
+        head = min(self.alpha0(u.size), cum.size - 1)
         # draws below cum[j] are those with atom index <= j
         ends = np.searchsorted(u, cum[:head], side="left")
         counts = np.diff(ends, prepend=0)
@@ -327,6 +329,9 @@ class ExplicitPopulation(Population):
     def n_atoms(self):
         return int(self.probs.size)
 
+    def _capacity(self):
+        return self.n_atoms()  # the table holds every atom
+
     def atom_probs_range(self, start, stop):
         return self.probs[start:stop]
 
@@ -337,6 +342,14 @@ class ExplicitPopulation(Population):
 
     def tail_power_sum(self, after, k):
         return float(np.sum(self.probs[after:] ** k))
+
+    def _tail_indices(self, u, cached, cum_last):
+        # inverse_cdf stops growing the table once it holds all but 1e-9 of
+        # the mass, so search the full table; a draw past its last entry
+        # only marks the rounding shortfall of the summed probabilities and
+        # belongs to the last atom
+        cum = self._ensure_cumulative(self.n_atoms())
+        return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
 
     def spec_dict(self):
         return {"kind": self.kind, "probs": [float(x) for x in self.probs]}

@@ -54,14 +54,15 @@ def test_criterion_02_sampler_law_matches_eppf():
 
 
 def test_criterion_03_series_identities():
-    # E0(sigma0; sigma0) = 0 and the occupancy series equals
+    # E0(sigma0; sigma0) = 0 and the occupancy limit
+    # gamma int E g_gamma(Poisson lam) lam^{-1-gamma} dlam equals
     # Gamma(1 - gamma)/gamma, both to 1e-7, across the gamma grid
     worst = 0.0
     for gamma in (0.2, 0.35, 0.5, 0.65, 0.8):
         worst = max(worst, abs(asymptotics.E0_series(gamma, gamma)))
         target = math.gamma(1.0 - gamma) / gamma
-        worst = max(worst,
-                    abs(asymptotics.gamma_ratio_sum(gamma) / target - 1.0))
+        eg = asymptotics.karlin_integrals(gamma, gamma)["iii"]
+        worst = max(worst, abs(eg / target - 1.0))
     assert worst <= 1e-7, f"max residual = {worst:.3e}"
 
 

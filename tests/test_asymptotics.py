@@ -10,21 +10,22 @@ from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor import asymptotics
-from pitmanyor.asymptotics import (E0_series, E0n, E0nEvaluator,
-                                   compute_constants, gamma_ratio_sum,
+from pitmanyor.asymptotics import (E0_series, E0nEvaluator,
+                                   compute_constants, karlin_integrals,
                                    poisson_g_moments, precision_limit,
-                                   sigma0n_root, stirling_zeta_series,
+                                   sigma0n_root, stirling_series,
                                    tail_g_moments, tail_pmf, tau1_sq,
                                    tau2_sq)
-from pitmanyor.numerics import g_sigma_values
 from pitmanyor.population import RegularVariation, make_explicit, \
     make_power_law, make_synthetic
 
 GAMMAS = (0.2, 0.35, 0.5, 0.65, 0.8)
 
-# frozen values, cross-checked against finite differences and Monte Carlo
+# frozen values: tau2 cross-checked against finite differences and Monte
+# Carlo, tau1 from the 30-digit reference _mp_karlin_reference below
 TAU2_ORACLE = {0.25: 21.77753184, 0.5: 11.13665599, 0.75: 21.47754720}
-TAU1_ORACLE = {0.25: 3.475266, 0.5: 3.262311, 0.75: 8.706963}
+TAU1_ORACLE = {0.1: 7.27537262978866, 0.5: 3.261851020802206,
+               0.9: 49.875775100950015}
 ROOT_ORACLE = {  # power law alpha=2
     10 ** 3: 0.51879709, 10 ** 4: 0.50717970, 10 ** 5: 0.50267714,
 }
@@ -42,26 +43,32 @@ def test_e0_series_sign_change():
 
 
 def test_gamma_ratio_sum_identity():
+    # gamma int E g_gamma(Poisson lam) lam^{-1-gamma} dlam
+    #   = sum_m Gamma(m-gamma)/m! = Gamma(1-gamma)/gamma
     for gamma in GAMMAS:
         target = math.gamma(1.0 - gamma) / gamma
-        assert abs(gamma_ratio_sum(gamma) / target - 1.0) <= 1e-7
+        got = karlin_integrals(gamma, gamma)["iii"]
+        assert abs(got / target - 1.0) <= 1e-7
 
 
 def test_series_engine_matches_closed_forms():
-    # sum_{m>=1} Gamma(m+1-g)/(m!(m-s))
-    #   = Gamma(1-g) [Gamma(-s) Gamma(g)/Gamma(g-s) + 1/s]
+    # the quadrature's rows iii and iv are the Stirling-ratio series
+    # sum_{m>=1} Gamma(m+1-g)/(m!(m-s)^p), p = 1, 2, whose closed forms
+    # also give E0 = Gamma(1-g)/s - S1 and tau2 = Gamma(1-g)/g^2 + S2(g, g)
     G = special.gamma
     grid = np.linspace(0.05, 0.95, 7)
     for s0 in grid:
-        want = G(1.0 - s0) ** 2 * G(s0) / s0
-        assert abs(tau2_sq(s0) / want - 1.0) <= 1e-14
+        s2 = stirling_series(s0, s0)[1]
+        assert tau2_sq(s0) == pytest.approx(
+            G(1.0 - s0) / s0 ** 2 + s2, rel=1e-13)
         for s in grid:
-            ratio = G(s0) * special.rgamma(s0 - s)
-            want = G(1.0 - s0) * (G(-s) * ratio + 1.0 / s)
-            got = stirling_zeta_series(s0, s, 1, 0)
-            assert abs(got / want - 1.0) <= 1e-11
-            want = G(1.0 - s0) * G(1.0 - s) * ratio / s
-            assert abs(E0_series(s, s0) - want) <= 1e-10 * G(1.0 - s0) / s
+            s1, s2 = stirling_series(s0, s)
+            rows = karlin_integrals(s0, s)
+            assert abs(rows["iii"] / s1 - 1.0) <= 1e-11
+            assert abs(rows["iv"] / s2 - 1.0) <= 1e-11
+            assert abs(E0_series(s, s0) - (G(1.0 - s0) / s - s1)) \
+                <= 1e-13 * G(1.0 - s0) / s
+        assert E0_series(s0, s0) == 0.0
 
 
 def test_tau2_oracle_values():
@@ -78,40 +85,81 @@ def test_tau2_matches_slope_of_e0():
 
 def test_tau1_oracle_values():
     for s0, want in TAU1_ORACLE.items():
-        assert tau1_sq(s0) == pytest.approx(want, rel=1e-4)
+        value = tau1_sq(s0)
+        assert type(value) is float
+        assert value == pytest.approx(want, rel=1e-9)
 
 
-def test_tau1_first_component_closed_form():
-    # tau1^2 = c1 + c2 - c3 - c4 with c1 = (2^0.5 - 1) Gamma(0.5) / 0.25
-    c1 = tau1_sq(0.5) - stirling_zeta_series(0.5, 0.5, 1, 1) \
-        + asymptotics._tau1_component3(0.5) \
-        + asymptotics._tau1_component4(0.5)
-    want = (math.sqrt(2.0) - 1.0) * math.sqrt(math.pi) / 0.25
-    assert c1 == pytest.approx(want, rel=1e-12)
-    assert c1 == pytest.approx(2.9366976949, rel=1e-9)
+def test_tau1_finite_and_positive_near_both_ends():
+    # tau1^2 ~ ln 2/sigma0 as sigma0 -> 0, from its first term
+    # (2^sigma0 - 1) Gamma(1 - sigma0)/sigma0^2
+    ends = np.geomspace(1e-9, 0.5, 25)
+    for s0 in np.concatenate([ends, 1.0 - ends]):
+        value = tau1_sq(float(s0))
+        assert math.isfinite(value) and value > 0.0, (s0, value)
+    gaps = [abs(s0 * tau1_sq(s0) - math.log(2.0))
+            for s0 in (1e-3, 1e-5, 1e-7, 1e-9)]
+    assert all(b < a / 50.0 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-9
 
 
-def test_tau1_component3_matches_full_diagonals(monkeypatch):
-    # the windowed diagonal pass equals every term of every diagonal summed
-    monkeypatch.setattr(asymptotics, "_DIAGONALS", 600)
-    for s0 in (0.1, 0.5, 0.9):
-        lg = special.gammaln(np.arange(1, 602, dtype=float))
-        g = g_sigma_values(np.arange(0, 601), s0)
-        diag = np.zeros(601)
-        for N in range(3, 601):
-            k = np.arange(2, N)
-            m = N - k
-            diag[N] = np.sum(np.exp(
-                special.gammaln(N + 1.0 - s0) - (N - s0) * math.log(2.0)
-                - lg[k] - lg[m]) * g[k] / (m - s0))
-        N_fit = np.arange(60, 601, dtype=float)
-        X = np.column_stack([np.ones_like(N_fit), np.log(N_fit)])
-        (a, b), *_ = np.linalg.lstsq(
-            X, diag[60:] * N_fit ** (1.0 + s0), rcond=None)
-        want = np.sum(diag) + a * special.zeta(1.0 + s0, 601) \
-            + b * asymptotics._zeta_log(1.0 + s0, 601, 1)
-        assert asymptotics._tau1_component3(s0) == pytest.approx(
-            want, rel=1e-14)
+def _mp_karlin_reference(s0):
+    """(v, vi, vii, viii, tau1_sq) at gamma = sigma = s0 in 30-digit
+    arithmetic, by routes that share nothing with the Poisson kernel:
+
+    - v, viii: the series gamma sum_{m>=2} g(m)^k Gamma(m-gamma)/m!, summed
+      directly to m = 99 and by Euler-Maclaurin from m = 100 on;
+    - vii: gamma sum_m g(m) Gamma(m-gamma)/(m! 2^{m-gamma}), which converges
+      geometrically;
+    - vi: Mellin-Parseval, (gamma/pi) int_0^inf |F(-gamma/2 + iy)|^2 dy, with
+      F(z) = -Gamma(1+z)/z [Gamma(-s) Gamma(-z)/Gamma(-z-s) + 1/s] the Mellin
+      transform of E g(Poisson lam) in lam;
+    - tau1^2 = (2^s - 1) Gamma(1-s)/s^2 + v - vi - 2 vii/s.
+    """
+    with mp.workdps(30):
+        s = mp.mpf(s0)
+        psi1 = mp.digamma(1 - s)
+
+        def g(m):
+            return mp.digamma(m - s) - psi1
+
+        def w(m):  # s Gamma(m - s)/m!, with the digits that the log-gamma
+            # difference cancels at large m
+            with mp.extradps(int(mp.log10(m * mp.log(m + 1) + 1)) + 5):
+                return s * mp.exp(mp.loggamma(m - s) - mp.loggamma(m + 1))
+
+        def series(k, cut=100):
+            def f(m):
+                return w(m) * g(m) ** k
+            head = mp.fsum(f(m) for m in range(2, cut))
+            tail = mp.quad(lambda t: f(mp.exp(t)) * mp.exp(t),
+                           [mp.log(cut), 10, 30, 100, 300, 800])
+            corr = f(cut) / 2 - mp.fsum(
+                mp.bernoulli(2 * j) / mp.factorial(2 * j)
+                * mp.diff(f, cut, 2 * j - 1) for j in range(1, 6))
+            return head + tail + corr
+
+        def mellin(z):
+            return -mp.gamma(1 + z) / z * (
+                mp.gamma(-s) * mp.gamma(-z) * mp.rgamma(-z - s) + 1 / s)
+
+        v, viii = series(2), series(3)
+        vii = mp.fsum(w(m) * g(m) * mp.mpf(2) ** (s - m)
+                      for m in range(2, 400))
+        vi = s / mp.pi * mp.quad(lambda y: abs(mellin(-s / 2 + 1j * y)) ** 2,
+                                 [0, s / 4, s, 1, 4, mp.inf])
+        tau1 = (2 ** s - 1) * mp.gamma(1 - s) / s ** 2 + v - vi - 2 * vii / s
+        return [float(x) for x in (v, vi, vii, viii, tau1)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("s0", [0.1, 0.5, 0.9])
+def test_karlin_integrals_and_tau1_against_mpmath(s0):
+    rows = karlin_integrals(s0, s0)
+    got = [rows["v"], rows["vi"], rows["vii"], rows["viii"], tau1_sq(s0)]
+    want = _mp_karlin_reference(s0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    assert want[-1] == pytest.approx(TAU1_ORACLE[s0], rel=1e-14)
 
 
 def _mp_poisson_g_moments(lam, sigma):
@@ -192,7 +240,8 @@ def test_tau1_positive():
 def test_e0n_strictly_decreasing():
     pop = make_power_law(2.0)
     sig = np.linspace(0.05, 0.95, 10)
-    vals = [E0n(pop, 1000, float(s)) for s in sig]
+    ev = E0nEvaluator(pop, 1000)
+    vals = [ev.value(float(s)) for s in sig]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -200,9 +249,9 @@ def test_e0n_derivative_matches_fd():
     pop = make_power_law(2.0)
     h = 1e-5
     for sigma in (0.3, 0.5, 0.7):
-        fd = (E0n(pop, 10 ** 4, sigma + h)
-              - E0n(pop, 10 ** 4, sigma - h)) / (2.0 * h)
-        der = E0nEvaluator(pop, 10 ** 4).value_and_derivative(sigma)[1]
+        ev = E0nEvaluator(pop, 10 ** 4)
+        fd = (ev.value(sigma + h) - ev.value(sigma - h)) / (2.0 * h)
+        der = ev.value_and_derivative(sigma)[1]
         assert abs(der / fd - 1.0) <= 1e-5
 
 
@@ -210,7 +259,7 @@ def test_sigma0n_root_keeps_no_reference_to_its_population():
     pop = make_explicit([0.5, 0.3, 0.2])
     ref = weakref.ref(pop)
     sigma0n_root(pop, 10)
-    E0n(pop, 10, 0.5)
+    E0nEvaluator(pop, 10).value(0.5)
     del pop
     gc.collect()
     assert ref() is None
@@ -226,7 +275,8 @@ def test_root_contract():
     pop = make_power_law(2.0)
     for n in (10 ** 3, 10 ** 5):
         root = sigma0n_root(pop, n)
-        assert abs(E0n(pop, n, root)) <= pop.alpha0(n) * 1e-8
+        assert abs(E0nEvaluator(pop, n).value(root)) \
+            <= pop.alpha0(n) * 1e-8
 
 
 def test_root_in_sanity_window():
@@ -248,7 +298,7 @@ def test_scaled_convergence_to_e0_series():
     pop = make_power_law(2.0)
     sigma = 0.3
     target = E0_series(sigma, 0.5)
-    errs = [abs(E0n(pop, n, sigma) / pop.alpha0(n) - target)
+    errs = [abs(E0nEvaluator(pop, n).value(sigma) / pop.alpha0(n) - target)
             for n in (10 ** 3, 10 ** 4, 10 ** 5)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 0.02 * abs(target)
@@ -339,3 +389,7 @@ def test_domain_errors():
         tau2_sq(0.0)
     with pytest.raises(ValueError):
         tau1_sq(1.0)
+    with pytest.raises(ValueError):
+        karlin_integrals(0.0, 0.5)
+    with pytest.raises(ValueError):
+        stirling_series(0.5, 1.0)

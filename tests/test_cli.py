@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pitmanyor
-from pitmanyor import estimators, experiments
+from pitmanyor import estimators, experiments, partition
 from pitmanyor.cli import main
 
 
@@ -121,6 +122,26 @@ def test_fit_warns_when_a_root_did_not_converge(tmp_path, capsys,
     assert payload["boundary"] == "Interior"
     assert payload["warnings"] == warnings
     assert captured.err.splitlines() == [f"warning: {w}" for w in warnings]
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_fit_se_near_sigma_zero_prints_finite_json(tmp_path, capsys):
+    # an interior sigma_hat of 3.1e-6, where the sandwich constants are
+    # largest; the SE must be a finite JSON number, never the token NaN
+    path = tmp_path / "tiny.json"
+    path.write_text(partition.from_sizes([40, 17, 46, 46, 20]).to_json())
+    assert run("fit", "--stats", str(path), "--m", "0.5006932866317516",
+               "--se") == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["boundary"] == "Interior"
+    assert 0.0 < payload["sigma_hat"] < 1e-5
+    assert math.isfinite(payload["se_sandwich"])
+    assert payload["se_sandwich"] > 0.0
 
 
 def test_fit_profile(sample, capsys):

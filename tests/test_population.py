@@ -143,6 +143,42 @@ def test_inverse_cdf_deterministic_quantiles():
     assert idx.tolist() == [0, 0, 1, 1, 2, 2]
 
 
+def test_explicit_draw_in_rounding_shortfall_is_the_last_atom():
+    # ten probabilities of 0.1 sum to 1 - 2^-53 in floating point; a draw
+    # past that sum belongs to the last atom, not to an eleventh
+    pop = make_explicit([0.1] * 10)
+    assert pop._ensure_cumulative(1)[-1] < 1.0
+    u = np.array([0.05, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53])
+    assert pop.inverse_cdf(u).tolist() == [0, 9, 9]
+    species, counts = pop.occupancy(u)
+    assert species.tolist() == [0, 9]
+    assert counts.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, 5e-10])
+def test_explicit_draws_only_its_own_atoms_past_the_table_cap(tail_mass):
+    # with the cap below the atom count, draws past the first 2^16 atoms
+    # still find their atoms (no fresh labels that collide with them), also
+    # when the first table already holds all but tail_mass of the mass
+    head, tail = 1 << 16, 1 << 15
+    p = np.random.default_rng(3).random(head + tail) + 0.5
+    p[:head] *= (1.0 - tail_mass) / p[:head].sum()
+    p[head:] *= (tail_mass or 1.0) / p[head:].sum()
+    pop = make_explicit(p / p.sum())
+    pop._CACHE_MAX = head
+    assert pop._capacity() == head + tail
+    cum = np.cumsum(pop.probs)
+    u = np.sort(np.concatenate([
+        np.random.default_rng(4).random(2000),
+        1.0 - tail_mass * np.array([0.7, 0.3, 1e-3])]))
+    want = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    assert pop.inverse_cdf(u).tolist() == want.tolist()
+    species, counts = pop.occupancy(u)
+    want_species, want_counts = np.unique(want, return_counts=True)
+    assert species.tolist() == want_species.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
 def test_inverse_cdf_power_law_tail_draws():
     # draws beyond the cached mass must land on distinct deep-tail atoms
     pop = make_power_law(2.0)
