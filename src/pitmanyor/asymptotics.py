@@ -27,9 +27,10 @@ from dataclasses import dataclass, asdict
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy import special
 
-from .numerics import g_sigma_values, log_gamma, newton_root
+from .numerics import (GL16_NODES, GL16_WEIGHTS, digamma, g_sigma_values,
+                       gdot_sigma_values, log_gamma, newton_root, rgamma,
+                       trigamma)
 
 # ---------------------------------------------------------------------------
 # closed forms: E0, tau2 and the Stirling-ratio series
@@ -46,16 +47,15 @@ def E0_series(sigma, sigma0):
     / (sigma Gamma(sigma0-sigma)), the limit of E0n/alpha0(n); exactly 0 at
     sigma0, where 1/Gamma(0) = 0."""
     _check_unit(sigma=sigma, sigma0=sigma0)
-    G = special.gamma
-    return float(G(1.0 - sigma0) * G(1.0 - sigma) * G(sigma0)
-                 * special.rgamma(sigma0 - sigma) / sigma)
+    G = math.gamma
+    return G(1.0 - sigma0) * G(1.0 - sigma) * G(sigma0) \
+        * rgamma(sigma0 - sigma) / sigma
 
 
 def tau2_sq(sigma0):
     """-E0'(sigma0) = Gamma(1-sigma0)^2 Gamma(sigma0)/sigma0."""
     _check_unit(sigma0=sigma0)
-    out = float(special.gamma(1.0 - sigma0) ** 2 * special.gamma(sigma0)
-                / sigma0)
+    out = math.gamma(1.0 - sigma0) ** 2 * math.gamma(sigma0) / sigma0
     if not out > 0.0:
         raise ArithmeticError(f"tau2_sq came out nonpositive ({out})")
     return out
@@ -69,29 +69,27 @@ def stirling_series(gamma, sigma):
     finite at x = 0."""
     _check_unit(gamma=gamma, sigma=sigma)
     x = gamma - sigma
-    pre = special.gamma(1.0 - gamma)
-    head = special.gamma(gamma) * special.gamma(-sigma)
-    s1 = pre * (head * special.rgamma(x) + 1.0 / sigma)
-    psi_over_gamma = (x * special.digamma(x + 1.0) - 1.0) \
-        * special.rgamma(x + 1.0)
-    s2 = pre * (head * (psi_over_gamma
-                        - special.digamma(-sigma) * special.rgamma(x))
+    pre = math.gamma(1.0 - gamma)
+    head = math.gamma(gamma) * math.gamma(-sigma)
+    s1 = pre * (head * rgamma(x) + 1.0 / sigma)
+    psi_over_gamma = (x * digamma(x + 1.0) - 1.0) * rgamma(x + 1.0)
+    s2 = pre * (head * (psi_over_gamma - digamma(-sigma) * rgamma(x))
                 - 1.0 / sigma ** 2)
-    return float(s1), float(s2)
+    return s1, s2
 
 
 # ---------------------------------------------------------------------------
 # Karlin integrals and tau1
 
 _KARLIN_LOG_LAM = (-30.0, math.log(1e4))  # the rule's range in log lam
-_KARLIN_PANELS, _KARLIN_NODES = 40, 16  # Gauss-Legendre panels, nodes each
+_KARLIN_PANELS = 40  # Gauss-Legendre panels of 16 nodes
 _KARLIN_ROWS = ("iii", "iv", "v", "vi", "vii", "viii", "var")
 
 
 @cache
 def _karlin_rule():
     """(log lam, weight) of the composite Gauss-Legendre rule."""
-    x, w = special.roots_legendre(_KARLIN_NODES)
+    x, w = GL16_NODES, GL16_WEIGHTS
     edges = np.linspace(*_KARLIN_LOG_LAM, _KARLIN_PANELS + 1)
     half = np.diff(edges)[:, None] / 2.0
     return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
@@ -120,7 +118,7 @@ def karlin_integrals(gamma, sigma):
     body = np.stack([eg, egdot, eg2, eg * eg, np.exp(-lam) * eg, eg3,
                      eg2 - eg * eg]) @ (w * np.exp(-gamma * t))
     cut = math.exp(_KARLIN_LOG_LAM[1])
-    u0 = _KARLIN_LOG_LAM[1] - float(special.digamma(1.0 - sigma))
+    u0 = _KARLIN_LOG_LAM[1] - digamma(1.0 - sigma)
 
     def T(k, p):  # int_cut^inf L^k lam^{-1-s} dlam, s = gamma + p, by parts
         s = gamma + p
@@ -134,7 +132,7 @@ def karlin_integrals(gamma, sigma):
     var = T(0, 1) + c * T(0, 2)
     tails = (
         T(1, 0) - a * T(0, 1) - b * T(0, 2),
-        float(special.polygamma(1, 1.0 - sigma)) * T(0, 0) - T(0, 1)
+        trigamma(1.0 - sigma) * T(0, 0) - T(0, 1)
         - (sigma + 1.5) * T(0, 2),
         mean_sq + var,
         mean_sq,
@@ -176,9 +174,7 @@ _BATCH = 1 << 20  # (atom, count) cells evaluated per batch
 def _g_rows(m, sigma):
     """g, g^2, g^3 and gdot = dg/dsigma = sum_{l<m} (l-sigma)^-2 at m."""
     g = g_sigma_values(m, sigma)
-    gdot = np.where(m >= 2, special.polygamma(1, 1.0 - sigma)
-                    - special.polygamma(1, np.maximum(m, 2) - sigma), 0.0)
-    return np.stack([g, g * g, g * g * g, gdot])
+    return np.stack([g, g * g, g * g * g, gdot_sigma_values(m, sigma)])
 
 
 def poisson_g_moments(lam, sigma):
@@ -220,7 +216,7 @@ def poisson_g_moments(lam, sigma):
         starts = np.cumsum(n_m) - n_m
         atom = np.repeat(np.arange(l.size), n_m)
         m = np.arange(atom.size) - starts[atom] + lo[sel][atom]
-        logp = special.xlogy(m, l[atom]) - special.gammaln(m + 1.0)
+        logp = m * np.log(l[atom]) - log_gamma(m + 1.0)
         w = np.exp(logp - np.maximum.reduceat(logp, starts)[atom])
         inc = np.where(m >= 2, 1.0 / (m - 1.0 - sigma), 0.0)
         inc[starts] = 0.0
@@ -335,12 +331,12 @@ def precision_limit(sigma0, rv, M_max):
     if r < 0.0:
         return -math.inf, 0.0
     K0 = math.log(rv.L0_const)
-    c = (K0 + log_gamma(1.0 - sigma0)) / sigma0
+    c = (K0 + math.lgamma(1.0 - sigma0)) / sigma0
 
     def slope(M):  # (f'(M), f''(M))
-        x = np.array([1.0 + M, 1.0 + M / sigma0])
-        (d0, d1), (t0, t1) = special.digamma(x), special.polygamma(1, x)
-        return c + d0 - d1 / sigma0, t0 - t1 / sigma0 ** 2
+        x0, x1 = 1.0 + M, 1.0 + M / sigma0
+        return (c + digamma(x0) - digamma(x1) / sigma0,
+                trigamma(x0) - trigamma(x1) / sigma0 ** 2)
 
     if slope(0.0)[0] <= 0.0:
         return K0, 0.0
@@ -382,7 +378,7 @@ def compute_constants(pop, n, M_max=50.0):
     s0 = pop.rv.sigma0
     t2 = tau2_sq(s0)
     t1 = tau1_sq(s0)
-    c0 = math.exp(log_gamma(1.0 - s0)) * (1.0 + s0) / (s0 * t2)
+    c0 = math.exp(math.lgamma(1.0 - s0)) * (1.0 + s0) / (s0 * t2)
     K0, M0 = precision_limit(s0, pop.rv, M_max)
     return AsymptoticConstants(
         sigma0=s0, sigma0n=sigma0n_root(pop, n), alpha_n=float(pop.alpha0(n)),

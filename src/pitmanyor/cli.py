@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, experiments, inference, partition
 from .estimators import INTERIOR, mle_sigma, profile_mle
+from .numerics import IntegrationError
 from .population import population_from_json
 from .sampler import RngStream, sample_iid_labels, sample_py_partition, \
     write_sample_csv
@@ -282,7 +283,8 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

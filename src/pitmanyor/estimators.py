@@ -17,7 +17,7 @@ import numpy as np
 from . import asymptotics
 from .likelihood import (SIGMA_EPS, hess_sigma, log_eppf, m_derivatives,
                          score_sigma)
-from .numerics import log_gamma, newton_root
+from .numerics import newton_root
 
 INTERIOR = "Interior"
 LOWER_SIGMA = "LowerSigma"
@@ -136,7 +136,7 @@ def profile_mle(stats, M_max=50.0, se=False):
 def plugin_alpha(stats, sigma_hat):
     """alpha_hat(n) = K_n / Gamma(1 - sigma_hat) (K_n/alpha0(n) tends to
     Gamma(1 - sigma0))."""
-    return stats.K / math.exp(log_gamma(1.0 - sigma_hat))
+    return stats.K / math.exp(math.lgamma(1.0 - sigma_hat))
 
 
 def sandwich_se(stats, sigma_hat, alpha_n=None):

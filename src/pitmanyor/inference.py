@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .likelihood import log_eppf_grid
-from .numerics import log_sum_exp
+from .numerics import log_sum_exp, normal_cdf
 
 _GRID_EPS = 1e-6
 _COARSE_NODES = 512
@@ -56,7 +55,7 @@ class PriorSpec:
             return np.zeros(sigma.shape)
         a, b = self.beta_a, self.beta_b
         return (a - 1.0) * np.log(sigma) + (b - 1.0) * np.log1p(-sigma) \
-            - float(special.betaln(a, b))
+            - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
     def M_quadrature(self):
         """Nodes and weights integrating over the M prior: a fixed M is one
@@ -200,7 +199,7 @@ def bvm_gap(post, sigma_hat, var_bvm):
         raise ValueError("var_bvm must be positive")
     sd = math.sqrt(var_bvm)
     nodes = post.sigma_nodes
-    gauss_cdf = special.ndtr((nodes - sigma_hat) / sd)
+    gauss_cdf = normal_cdf((nodes - sigma_hat) / sd)
     gauss_cells = np.diff(gauss_cdf)
     outside = gauss_cdf[0] + (1.0 - gauss_cdf[-1])
     return float(0.5 * np.sum(np.abs(post.cell_mass - gauss_cells))

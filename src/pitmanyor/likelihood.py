@@ -1,16 +1,17 @@
 """Marginal likelihood surface of the two-parameter model.
 
-Log-EPPF in closed form over block-size counts (O(distinct sizes) per
-(sigma, M) node, vectorized over a sigma x M grid), its derivatives (two in
-sigma, those in M behind the profile slope), and the h correction term.
+Log-EPPF in closed form over block-size counts, vectorized over a sigma x M
+grid, its derivatives (two in sigma, those in M behind the profile slope),
+and the h correction term.  The sums over the block sizes come from the
+statistic's `numerics.SizeSums`, built once per statistic, after which they
+cost O(1) per sigma whatever the number of distinct sizes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
-from .numerics import log_ascending_factorial
+from .numerics import digamma, log_ascending_factorial, trigamma
 
 SIGMA_EPS = 1e-9
 
@@ -38,9 +39,10 @@ def log_eppf_grid(stats, sigmas, M):
         Lambda = sum_s c_s [lnGamma(s - sigma) - lnGamma(1 - sigma)]
                + (K - 1) ln sigma + ln (a + 1)^[K-1] - ln (M + 1)^[n-1],
 
-    where x^[m] = x(x+1)...(x+m-1).  The size-count sum and ln sigma are
-    computed once per sigma node; only the two rising factorials span the
-    sigma x M grid.  Cost O(nodes x (distinct sizes + M nodes)).
+    where x^[m] = x(x+1)...(x+m-1).  The size-count sum
+    (`SizeSums.log_rising`) and ln sigma are computed once per sigma node;
+    only the two rising factorials span the sigma x M grid.  Cost
+    O(nodes x M nodes) after the statistic's O(distinct sizes) set-up.
     """
     return _log_eppf_kernel(stats, np.asarray(sigmas, dtype=float), M)
 
@@ -54,14 +56,15 @@ def _log_eppf_kernel(stats, sigmas, M):
     if not np.any(ok):
         return out
     s = sigmas[ok]
-    sizes, counts = stats.sizes, stats.counts
-    occupancy = (special.gammaln(sizes[None, :] - s[:, None])
-                 - special.gammaln(1.0 - s)[:, None]) @ counts
     k1 = stats.K - 1
-    head = occupancy + k1 * np.log(s)
+    head = stats.size_sums.log_rising(s) + k1 * np.log(s)
     s_col = s.reshape(s.shape + (1,) * M.ndim)
-    new_blocks = log_ascending_factorial(M / s_col + 1.0, k1)
-    denominator = log_ascending_factorial(M + 1.0, stats.n - 1)
+    # ln (M/sigma + 1)^[K-1] and ln (M + 1)^[n-1] from one call
+    a = M / s_col + 1.0
+    rising = log_ascending_factorial(
+        np.append(a, M + 1.0), np.repeat([k1, stats.n - 1], [a.size, M.size]))
+    new_blocks = rising[:a.size].reshape(a.shape)
+    denominator = rising[a.size:].reshape(M.shape)
     out[ok] = head.reshape(s_col.shape) + new_blocks - denominator
     return out
 
@@ -73,12 +76,9 @@ def score_sigma(stats, sigma, M):
     The first sum stays a direct O(K) sum: its digamma form cancels
     catastrophically at sigma = SIGMA_EPS."""
     sigma, M = float(sigma), float(M)
-    sizes, counts = stats.sizes, stats.counts
     l_new = np.arange(1, stats.K, dtype=float)
-    out = float(np.sum(l_new / (M + l_new * sigma)))
-    out -= float(counts @ (special.digamma(sizes - sigma)
-                           - special.digamma(1.0 - sigma)))
-    return out
+    return float(np.sum(l_new / (M + l_new * sigma))) \
+        - stats.size_sums.g(sigma)
 
 
 def hess_sigma(stats, sigma, M):
@@ -86,12 +86,9 @@ def hess_sigma(stats, sigma, M):
     -sum_{l<K} (l/(M + l sigma))^2
     - sum_s c_s [psi'(1 - sigma) - psi'(s - sigma)]."""
     sigma, M = float(sigma), float(M)
-    sizes, counts = stats.sizes, stats.counts
     l_new = np.arange(1, stats.K, dtype=float)
-    out = -float(np.sum((l_new / (M + l_new * sigma)) ** 2))
-    out -= float(counts @ (special.polygamma(1, 1.0 - sigma)
-                           - special.polygamma(1, sizes - sigma)))
-    return out
+    return -float(np.sum((l_new / (M + l_new * sigma)) ** 2)) \
+        - stats.size_sums.gdot(sigma)
 
 
 def m_derivatives(stats, sigma, M):
@@ -101,8 +98,8 @@ def m_derivatives(stats, sigma, M):
     -sum_{l<K} l/(M + l sigma)^2."""
     l_new = np.arange(1, stats.K, dtype=float)
     inv = 1.0 / (M + l_new * sigma)
-    x = np.array([M + 1.0, M + stats.n], dtype=float)
-    (d1, dn), (t1, tn) = special.digamma(x), special.polygamma(1, x)
+    d1, dn = digamma(M + 1.0), digamma(M + stats.n)
+    t1, tn = trigamma(M + 1.0), trigamma(M + stats.n)
     return (float(np.sum(inv) - (dn - d1)), float(t1 - tn - inv @ inv),
             -float(l_new @ (inv * inv)))
 

@@ -21,6 +21,8 @@ from operator import itemgetter, mul
 
 import numpy as np
 
+from .numerics import SizeSums
+
 
 @dataclass(frozen=True)
 class PartitionStats:
@@ -58,6 +60,11 @@ class PartitionStats:
     def N(self):
         """Block sizes, descending (length K)."""
         return np.repeat(self.sizes[::-1], self.counts[::-1])
+
+    @cached_property
+    def size_sums(self):
+        """The likelihood's sums over the histogram (numerics.SizeSums)."""
+        return SizeSums(self.sizes, self.counts)
 
     def expand(self):
         """Label sequence with N_j copies of label j (canonical order)."""

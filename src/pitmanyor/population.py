@@ -20,12 +20,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .numerics import adaptive_integrate
+from .numerics import adaptive_integrate, hurwitz_zeta
 
 INTENSITY_CUT = 1e-4  # atoms with n p_j below this are folded into power sums
 _INDEX_CAP = 1 << 62  # exact power-law tail indices stay below this
+_TIE = 2e-15  # above any |cdf on the array zeta - cdf on the scalar zeta|
 _BLOCK = 1 << 14  # atoms per block of the cumulative table
 _GROWTH = threading.Lock()  # held while any cumulative table grows
 
@@ -177,7 +177,7 @@ class PowerLawPopulation(Population):
         if not alpha > 1.0:
             raise ValueError("power law requires alpha > 1")
         self.alpha = float(alpha)
-        self.c = 1.0 / float(special.zeta(self.alpha, 1))
+        self.c = 1.0 / hurwitz_zeta(self.alpha, 1.0)
         sigma0 = 1.0 / self.alpha
         self.rv = RegularVariation(sigma0=sigma0, L0_const=self.c ** sigma0,
                                    log_power_r=0.0, beta0=0.0, C=1.0)
@@ -198,33 +198,44 @@ class PowerLawPopulation(Population):
         return k
 
     def tail_power_sum(self, after, k):
-        return self.c ** k * float(special.zeta(k * self.alpha, after + 1))
+        return self.c ** k * hurwitz_zeta(k * self.alpha, after + 1)
 
     def _tail_indices(self, u, cached, cum_last):
-        # exact inversion via the Hurwitz zeta tail mass; a draw past
-        # _INDEX_CAP (alpha near 1) gets a fresh label at or above the cap,
-        # which no exact index reaches
-        out = np.empty(u.size, dtype=np.int64)
-        fresh = _INDEX_CAP
+        # Exact inversion via the Hurwitz zeta tail mass, for all draws at
+        # once: hi doubles from 2^40 until cdf(hi) >= u, then bisection on
+        # (cached, hi] finds the first such hi, and the index is hi - 1.  A
+        # draw with cdf(_INDEX_CAP) < u (alpha near 1) gets a fresh label at
+        # or above the cap, which no exact index reaches.
+        lo = np.full(u.size, cached, dtype=np.int64)
+        hi = np.full(u.size, max(2 * cached, 1 << 40), dtype=np.int64)
 
-        def cdf(j):  # P(index < j)
-            return 1.0 - self.c * float(special.zeta(self.alpha, j + 1))
+        def below(i, j):
+            # cdf(j) < u[i], on the array zeta; within _TIE, where it may
+            # round apart from the scalar zeta, on the scalar zeta, whose
+            # bits define the draw
+            q = (j + 1).astype(float)
+            gap = 1.0 - self.c * hurwitz_zeta(self.alpha, q) - u[i]
+            near = np.flatnonzero(np.abs(gap) <= _TIE)
+            gap[near] = [1.0 - self.c * hurwitz_zeta(self.alpha, qk) - uk
+                         for qk, uk in zip(q[near].tolist(),
+                                           u[i[near]].tolist())]
+            return gap < 0.0
 
-        for i, ui in enumerate(u):
-            lo, hi = cached, max(2 * cached, 1 << 40)
-            while hi < _INDEX_CAP and cdf(hi) < ui:
-                hi *= 2
-            if cdf(min(hi, _INDEX_CAP)) < ui:
-                out[i] = fresh
-                fresh += 1
-                continue
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if cdf(mid) >= ui:
-                    hi = mid
-                else:
-                    lo = mid
-            out[i] = hi - 1
+        i = np.arange(u.size)
+        while i.size:
+            i = i[hi[i] < _INDEX_CAP]
+            i = i[below(i, hi[i])]
+            hi[i] *= 2
+        fresh = below(np.arange(u.size), np.minimum(hi, _INDEX_CAP))
+        i = np.flatnonzero(~fresh & (hi - lo > 1))
+        while i.size:
+            mid = (lo[i] + hi[i]) // 2
+            short = below(i, mid)
+            lo[i[short]] = mid[short]
+            hi[i[~short]] = mid[~short]
+            i = i[hi[i] - lo[i] > 1]
+        out = hi - 1
+        out[fresh] = _INDEX_CAP + np.arange(np.count_nonzero(fresh))
         return out
 
     def spec_dict(self):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import pitmanyor
-from pitmanyor import estimators, experiments, partition
+from pitmanyor import estimators, experiments, partition, population
 from pitmanyor.cli import main
+from pitmanyor.numerics import IntegrationError
 
 
 def run(*argv):
@@ -304,12 +305,75 @@ def test_unknown_flag_is_hard_error(tmp_path):
     assert info.value.code == 2
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    code = ("import sys, pitmanyor.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
+_BLOCKED_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from pitmanyor.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    sample, pop = tmp_path / "s.csv", tmp_path / "population.json"
+    pop.write_text('{"kind": "power_law", "alpha": 1.1}')
+    configs = {
+        "normality": {"n_grid": [300], "replications": 4, "M_values": [0.0]},
+        "bvm": {"n_grid": [300, 1000], "replications": 3, "M_values": [0.0]},
+        "lemma_limits": {"n_grid": [10 ** 3]},
+    }
+    for check, spec in configs.items():
+        (tmp_path / f"{check}.json").write_text(json.dumps(dict(
+            spec, check=check, seed=3,
+            population={"kind": "power_law", "alpha": 2.0})))
+    commands = [
+        ["simulate", "--py", "0.5,1.0", "--n", "800", "--seed", "7",
+         "--out", str(sample)],
+        # power_law(1.1) puts a fifth of its draws past the cumulative table
+        ["simulate", "--population", str(pop), "--n", "20000", "--seed", "3",
+         "--out", str(tmp_path / "pl.csv")],
+        ["fit", "--sample", str(sample), "--m", "1", "--se"],
+        ["fit", "--sample", str(sample), "--profile"],
+        ["posterior", "--sample", str(sample), "--m", "1"],
+        ["posterior", "--sample", str(sample), "--m-uniform-max", "10"],
+        ["lr", "--db", str(sample), "--crime-profile", "unseen",
+         "--m-uniform-max", "10"],
+        ["verify", "--fast"],
+    ] + [["experiment", "--config", str(tmp_path / f"{check}.json"),
+          "--out", str(tmp_path / f"{check}.report.json")]
+         for check in configs]
     src = str(Path(pitmanyor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_SCIPY, json.dumps(commands)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # an experiment exits 1 when its check fails, but writes its report
+    assert result["codes"][:-len(configs)] == [0] * (len(commands)
+                                                     - len(configs))
+    assert all(code in (0, 1) for code in result["codes"][-len(configs):])
+    for check in configs:
+        assert (tmp_path / f"{check}.report.json").exists()
+    assert result["loaded"] == ["scipy"]  # only the blocking entry
+
+
+def test_integration_failure_is_an_error_line(tmp_path, capsys,
+                                              monkeypatch):
+    def fail(*args, **kwargs):
+        raise IntegrationError("quadrature did not converge: estimate 1.0, "
+                               "error bound 0.5", estimate=1.0,
+                               error_bound=0.5)
+
+    monkeypatch.setattr(population, "adaptive_integrate", fail)
+    spec = tmp_path / "synthetic.json"
+    spec.write_text('{"kind": "synthetic", "gamma": 0.5, "r": 1.0}')
+    out = tmp_path / "syn.csv"
+    assert run("simulate", "--population", str(spec), "--n", "100",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: quadrature did not converge: estimate 1.0, "
+        "error bound 0.5\n")
+    assert not out.exists()

@@ -209,7 +209,23 @@ def _derivative_scale(st, sigma, M, power):
                        + np.sum(Z[1:] / (l_old - sigma) ** power))
 
 
+def _m_direct(st, sigma, M):
+    """m_derivatives as direct sums over l < K and i < n, each with the sum
+    of the absolute values of its terms."""
+    inv = 1.0 / (M + np.arange(1, st.K, dtype=float) * sigma)
+    inv_i = 1.0 / (M + np.arange(1, st.n, dtype=float))
+    l_new = np.arange(1, st.K, dtype=float)
+    d1 = (np.sum(inv) - np.sum(inv_i), np.sum(inv) + np.sum(inv_i))
+    d2 = (np.sum(inv_i ** 2) - np.sum(inv ** 2),
+          np.sum(inv_i ** 2) + np.sum(inv ** 2))
+    cross = (-np.sum(l_new * inv ** 2), np.sum(l_new * inv ** 2))
+    return d1, d2, cross
+
+
 def _assert_kernel_matches(st, sigma, M):
+    for got, (ref, scale) in zip(m_derivatives(st, sigma, M),
+                                 _m_direct(st, sigma, M)):
+        assert abs(got - ref) <= 1e-12 * (1.0 + scale)
     lam, score, hess = _direct_sums(st, sigma, M)
     tol = 1e-12 * _lam_scale(st, M)
     assert abs(log_eppf(st, sigma, M) - lam) <= tol

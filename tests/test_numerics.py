@@ -1,14 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from scipy import special
 
-from pitmanyor.numerics import (IntegrationError, adaptive_integrate,
-                                g_sigma_values, log_ascending_factorial,
-                                log_gamma, log_sum_exp, newton_root)
+from pitmanyor.likelihood import SIGMA_EPS
+from pitmanyor.numerics import (H, IntegrationError, SizeSums,
+                                adaptive_integrate, digamma, g_sigma_values,
+                                gdot_sigma_values, hurwitz_zeta,
+                                log_ascending_factorial, log_gamma,
+                                log_sum_exp, newton_root, normal_cdf, rgamma,
+                                trigamma)
 
 
 def _g_direct(m, sigma):
@@ -172,3 +177,159 @@ def test_adaptive_integrate_failure_carries_estimate():
 def test_adaptive_integrate_domain():
     with pytest.raises(ValueError):
         adaptive_integrate(math.exp, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the special functions against scipy.special (the reference) and mpmath
+
+_KERNEL = settings(derandomize=True, deadline=None, database=None,
+                   max_examples=200)
+_RTOL = 1e-13
+
+
+def _close(got, ref, rtol=_RTOL):
+    """|got - ref| <= rtol max(1, |ref|), elementwise."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return bool(np.all(np.abs(got - ref)
+                       <= rtol * np.maximum(1.0, np.abs(ref))))
+
+
+def _off_poles(x):
+    return abs(x - round(x)) > 1e-3 or x > 0.5
+
+
+_REAL = hst.floats(-15.0, 1e6).filter(_off_poles)
+_POSITIVE = hst.floats(1e-9, 1e12)
+
+
+@_KERNEL
+@given(x=_REAL)
+@example(x=1e-9)
+@example(x=H - 1e-12)
+@example(x=-0.5)
+def test_digamma_trigamma_match_scipy(x):
+    assert _close(digamma(x), special.digamma(x))
+    assert _close(trigamma(x), special.polygamma(1, x))
+
+
+@_KERNEL
+@given(x=hst.floats(-30.0, 171.0).filter(_off_poles))
+def test_rgamma_matches_scipy(x):
+    assert _close(rgamma(x), special.rgamma(x))
+
+
+@_KERNEL
+@given(x=hst.lists(_POSITIVE, min_size=1, max_size=40))
+@example(x=[1.0, 2.0, H - 1e-9, H, 1e-9])
+def test_log_gamma_array_matches_scipy(x):
+    assert _close(log_gamma(np.array(x)), special.gammaln(x))
+
+
+@_KERNEL
+@given(a=hst.lists(hst.floats(1e-6, 1e9), min_size=1, max_size=20),
+       n=hst.floats(0.0, 1e7))
+def test_log_ascending_factorial_matches_scipy(a, n):
+    a = np.array(a)
+    ref = special.gammaln(a + n) - special.gammaln(a)
+    # the reference difference loses digits to the size of its terms
+    scale = np.maximum(1.0, np.abs(special.gammaln(a + n)))
+    assert np.all(np.abs(log_ascending_factorial(a, n) - ref) <= _RTOL * scale)
+
+
+@_KERNEL
+@given(s=hst.floats(1.01, 17.0),
+       q=hst.lists(hst.floats(1e-3, 2.0 ** 40), min_size=1, max_size=20))
+@example(s=1.1, q=[1.0, H, 2.0 ** 22, 2.0 ** 40])
+def test_hurwitz_zeta_matches_scipy(s, q):
+    ref = special.zeta(s, q)
+    assert np.all(np.abs(hurwitz_zeta(s, np.array(q)) / ref - 1.0) <= _RTOL)
+    # a scalar pair follows the Cephes scheme bit for bit
+    assert [hurwitz_zeta(s, qi) for qi in q] == ref.tolist()
+
+
+@_KERNEL
+@given(z=hst.lists(hst.floats(-37.0, 9.0), min_size=1, max_size=50))
+def test_normal_cdf_matches_scipy(z):
+    ref = special.ndtr(z)
+    assert np.all(np.abs(normal_cdf(np.array(z)) - ref) <= _RTOL * ref)
+    assert normal_cdf(z[0]) == normal_cdf(np.array(z))[0]
+
+
+@_KERNEL
+@given(m=hst.lists(hst.integers(0, 10 ** 7), min_size=1, max_size=30),
+       sigma=hst.floats(SIGMA_EPS, 1.0 - SIGMA_EPS))
+def test_g_sigma_kernels_match_scipy(m, sigma):
+    m = np.array(m)
+    ref_g = np.where(m >= 2, special.digamma(m - sigma)
+                     - special.digamma(1.0 - sigma), 0.0)
+    ref_gdot = np.where(m >= 2, special.polygamma(1, 1.0 - sigma)
+                        - special.polygamma(1, m - sigma), 0.0)
+    assert _close(g_sigma_values(m, sigma), ref_g)
+    assert _close(gdot_sigma_values(m, sigma), ref_gdot)
+
+
+def _mp_close(got, ref, rtol=_RTOL):
+    return abs(got - float(ref)) <= rtol * max(1.0, abs(float(ref)))
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-3, 0.3, 0.5, 0.9,
+                                   1.0 - 1e-6, 1.0 - SIGMA_EPS])
+def test_kernels_at_hard_points_match_mpmath(sigma):
+    mpmath.mp.dps = 40
+    s = mpmath.mpf(sigma)
+    # psi at -sigma: scipy's reflection formula loses digits near -1
+    assert _mp_close(digamma(-sigma), mpmath.digamma(-s))
+    # arguments near 0+: 1 - sigma with sigma near 1 - SIGMA_EPS
+    x = 1.0 - sigma
+    xm = mpmath.mpf(x)
+    assert _mp_close(digamma(x), mpmath.digamma(xm))
+    assert _mp_close(trigamma(x), mpmath.psi(1, xm))
+    assert _mp_close(log_gamma(x), mpmath.loggamma(xm))
+    assert _mp_close(float(log_gamma(np.array([x]))[0]), mpmath.loggamma(xm))
+    assert _mp_close(rgamma(x), mpmath.rgamma(xm))
+    assert _mp_close(log_ascending_factorial(x, 1e6),
+                     mpmath.loggamma(xm + 10 ** 6) - mpmath.loggamma(xm))
+
+
+def test_rgamma_is_zero_at_the_poles():
+    assert rgamma(0.0) == 0.0
+    assert rgamma(-3.0) == 0.0
+    assert rgamma(200.0) == 0.0  # Gamma overflows
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5, float(H), 1e3, 2.0 ** 22, 2.0 ** 30,
+                               2.0 ** 40])
+def test_hurwitz_zeta_matches_mpmath(q):
+    mpmath.mp.dps = 40
+    ref = mpmath.zeta(mpmath.mpf(1.1), mpmath.mpf(q))
+    assert _mp_close(hurwitz_zeta(1.1, q), ref)
+    assert _mp_close(float(hurwitz_zeta(1.1, np.array([q]))[0]), ref)
+
+
+def _size_sums_direct(sizes, counts, sigma):
+    """(sum ln(l - sigma), sum 1/(l - sigma), sum 1/(l - sigma)^2) over
+    l < s for every block, and the sum of |ln(l - sigma)|, by fsum."""
+    terms = [(int(c), np.arange(1, int(s)) - sigma)
+             for s, c in zip(sizes, counts)]
+    lr = math.fsum(c * math.fsum(np.log(d)) for c, d in terms)
+    lr_abs = math.fsum(c * math.fsum(np.abs(np.log(d))) for c, d in terms)
+    g = math.fsum(c * math.fsum(1.0 / d) for c, d in terms)
+    gdot = math.fsum(c * math.fsum(1.0 / (d * d)) for c, d in terms)
+    return lr, lr_abs, g, gdot
+
+
+@_KERNEL
+@given(hist=hst.dictionaries(hst.integers(1, 5000), hst.integers(1, 50),
+                             min_size=1, max_size=40),
+       sigma=hst.floats(SIGMA_EPS, 1.0 - SIGMA_EPS))
+@example(hist={1: 3}, sigma=0.5)
+@example(hist={H: 2, H + 1: 1}, sigma=1.0 - SIGMA_EPS)
+@example(hist={2: 1, 5000: 1}, sigma=SIGMA_EPS)
+def test_size_sums_match_direct_sums(hist, sigma):
+    sizes = np.array(sorted(hist))
+    counts = np.array([hist[s] for s in sizes])
+    lr, lr_abs, g, gdot = _size_sums_direct(sizes, counts, sigma)
+    ss = SizeSums(sizes, counts)
+    assert abs(ss.log_rising(np.array([sigma]))[0] - lr) <= 1e-12 * (1 + lr_abs)
+    assert abs(ss.g(sigma) - g) <= 1e-12 * (1.0 + g)
+    assert abs(ss.gdot(sigma) - gdot) <= 1e-12 * (1.0 + gdot)

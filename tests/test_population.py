@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import special
 
-from pitmanyor.population import (_BLOCK, INTENSITY_CUT, PowerLawPopulation,
-                                  make_explicit, make_power_law,
-                                  make_synthetic, population_from_json)
+from pitmanyor.numerics import hurwitz_zeta
+from pitmanyor.population import (_BLOCK, _INDEX_CAP, _TIE, INTENSITY_CUT,
+                                  PowerLawPopulation, make_explicit,
+                                  make_power_law, make_synthetic,
+                                  population_from_json)
 from pitmanyor.sampler import RngStream, sample_iid
 
 
@@ -258,6 +260,56 @@ def test_occupancy_equals_unique_inverse_cdf(pop, picks, uniforms):
                                           return_counts=True)
     assert species.tolist() == want_species.tolist()
     assert counts.tolist() == want_counts.tolist()
+
+
+def _tail_index_reference(pop, u, cached):
+    """One draw's tail search, on the scalar zeta: the index, or None for a
+    fresh label."""
+    def cdf(j):  # P(index < j)
+        return 1.0 - pop.c * hurwitz_zeta(pop.alpha, float(j + 1))
+
+    lo, hi = cached, max(2 * cached, 1 << 40)
+    while hi < _INDEX_CAP and cdf(hi) < u:
+        hi *= 2
+    if cdf(min(hi, _INDEX_CAP)) < u:
+        return None
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if cdf(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+    return hi - 1
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5])
+def test_tail_indices_match_the_scalar_search(alpha):
+    # the array search gives each draw the index of the one-draw search on
+    # the scalar zeta, deep-tail near ties included; fresh labels count up
+    # from the cap in draw order
+    pop = make_power_law(alpha)
+    cached = 1 << 22
+    tail = pop.c * hurwitz_zeta(alpha, float(cached + 1))
+    u = 1.0 - tail * np.random.default_rng(5).random(400) ** 3
+    want, fresh = [], _INDEX_CAP
+    for ui in u.tolist():
+        idx = _tail_index_reference(pop, ui, cached)
+        if idx is None:
+            idx, fresh = fresh, fresh + 1
+        want.append(idx)
+    assert pop._tail_indices(u, cached, 1.0 - tail).tolist() == want
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.1, 2.0])
+def test_array_and_scalar_zeta_cdfs_agree_within_the_tie_band(alpha):
+    pop = make_power_law(alpha)
+    j = np.unique(np.exp(np.random.default_rng(1).uniform(
+        math.log(2.0 ** 22), math.log(2.0 ** 62), 2000)).astype(np.int64))
+    q = (j + 1).astype(float)
+    array = 1.0 - pop.c * hurwitz_zeta(alpha, q)
+    scalar = np.array([1.0 - pop.c * hurwitz_zeta(alpha, v)
+                       for v in q.tolist()])
+    assert np.max(np.abs(array - scalar)) <= _TIE / 2
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.2])
