@@ -267,7 +267,9 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="run a Monte Carlo check")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the replications (forked; "
+                   "replication 0 runs in this process; default 1)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_experiment)

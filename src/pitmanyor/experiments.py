@@ -5,11 +5,13 @@ configured by one ExperimentConfig (from_dict reads its JSON form and
 applies the per-check defaults of CHECKS).  Replication r draws from
 RngStream(config.seed, r) and results fold in index order, so a report's
 JSON is byte-identical across reruns and worker counts (modulo the
-wall-clock field).  The deterministic occupancy checks own no numerics of
-their own: their left-hand sides come from asymptotics.poisson_g_moments
-over Population.intensities, their right-hand sides from the closed forms
-asymptotics.stirling_series and the quadrature
-asymptotics.karlin_integrals.
+wall-clock field).  With config.threads > 1 the replications run on forked
+worker processes, after the parent has run replication 0 and so built the
+tables and caches they inherit (_map_replications).  The deterministic
+occupancy checks own no numerics of their own: their left-hand sides come
+from asymptotics.poisson_g_moments over Population.intensities, their
+right-hand sides from the closed forms asymptotics.stirling_series and the
+quadrature asymptotics.karlin_integrals.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -148,14 +150,40 @@ def _check(body):
     return run
 
 
+_replication = None  # the fn of _map_replications, bound in each worker
+
+
+def _bind_replication(fn):
+    global _replication
+    _replication = fn
+
+
+def _run_replication(r):
+    return _replication(r)
+
+
 def _map_replications(fn, config):
-    """fn(replication_index) evaluated for 0..config.replications - 1;
-    results folded in index order regardless of scheduling."""
+    """[fn(r) for r in range(config.replications)], on up to config.threads
+    worker processes.
+
+    With more than one worker, the parent runs replication 0 itself, which
+    builds the population's cumulative table and the lru caches once, and
+    then forks a pool that inherits them, and fn with them: only indices
+    and results cross a pipe.  The workers run replications 1..R-1, one per
+    task, and pool.map returns their results in index order, so a report
+    does not depend on the worker count.  A worker whose parent has died
+    exits on the broken pipe after its current replication."""
     count = config.replications
-    if config.threads <= 1:
+    workers = min(config.threads, count - 1, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(fn, range(count)))
+    import multiprocessing
+
+    first = fn(0)
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_bind_replication, initargs=(fn,)) as pool:
+        return [first] + pool.map(_run_replication, range(1, count),
+                                  chunksize=1)
 
 
 def _iid_replications(config, pop, n, fn, fresh_singleton=False):

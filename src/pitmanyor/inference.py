@@ -99,7 +99,7 @@ class PosteriorGrid:
     cell_mass: np.ndarray  # trapezoid masses, one per cell, sum 1
     degenerate: bool = False
     M_nodes: np.ndarray | None = None
-    phi_moments: tuple | None = None  # (E phi, E phi^2) when requested
+    phi_moments: tuple | None = None  # (E phi, Var phi) when requested
 
     def quantile(self, q):
         cum = np.concatenate(([0.0], np.cumsum(self.cell_mass)))
@@ -124,7 +124,7 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
     """Log posterior over sigma_nodes, marginalized over the M prior.
 
     Returns (log unnormalized density, optional per-node conditional
-    (E[phi|sigma], E[phi^2|sigma]) for phi = (1 - sigma)/(n + M))."""
+    (E[phi|sigma], Var[phi|sigma]) for phi = (1 - sigma)/(n + M))."""
     m_nodes, w = prior.M_quadrature()
     cols = log_eppf_grid(stats, sigma_nodes, m_nodes)
     shift = np.max(cols, axis=1, keepdims=True)
@@ -135,8 +135,9 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
         return lp, None
     phi_m = (1.0 - sigma_nodes)[:, None] / (stats.n + m_nodes)[None, :]
     e1 = (dens * phi_m) @ w / norm
-    e2 = (dens * phi_m ** 2) @ w / norm
-    return lp, (e1, e2)
+    # centred, so that no digits cancel
+    within = (dens * (phi_m - e1[:, None]) ** 2) @ w / norm
+    return lp, (e1, within)
 
 
 def posterior_sigma(stats, prior=None, collect_phi=False):
@@ -180,8 +181,11 @@ def posterior_sigma(stats, prior=None, collect_phi=False):
     degenerate = bool(cell_mass[0] + cell_mass[-1] > 0.99)
     phi_moments = None
     if collect_phi:
-        e1, e2 = phi
-        phi_moments = (float(np.sum(dens * e1)), float(np.sum(dens * e2)))
+        # Var phi = E[Var(phi|sigma)] + Var E[phi|sigma], both centred
+        e1, within = phi
+        phi_mean = float(np.sum(dens * e1))
+        phi_var = float(np.sum(dens * (within + (e1 - phi_mean) ** 2)))
+        phi_moments = (phi_mean, phi_var)
     return PosteriorGrid(
         sigma_nodes=nodes, log_density=log_density,
         log_normalizer=float(log_norm), mean=mean, sd=math.sqrt(max(var, 0.0)),
@@ -241,8 +245,7 @@ def forensic_lr(stats_with_crime, prior=None):
         raise ValueError("the crime-scene profile must be a new singleton")
     prior = prior or PriorSpec()
     post = posterior_sigma(stats_with_crime, prior, collect_phi=True)
-    phi_mean, phi_sq = post.phi_moments
-    phi_var = max(phi_sq - phi_mean ** 2, 0.0)
+    phi_mean, phi_var = post.phi_moments
     return ForensicLR(lr=1.0 / phi_mean, phi_mean=phi_mean,
                       phi_sd=math.sqrt(phi_var), posterior=post)
 

@@ -43,6 +43,9 @@ class IntegrationError(RuntimeError):
         self.estimate = estimate
         self.error_bound = error_bound
 
+    def __reduce__(self):  # a pool worker's error must unpickle in the parent
+        return type(self), (self.args[0], self.estimate, self.error_bound)
+
 
 H = 16  # arguments below H are shifted up by recurrence before a series
 _J0 = np.arange(float(H))  # 0..H-1

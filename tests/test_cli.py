@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +307,23 @@ def test_unknown_flag_is_hard_error(tmp_path):
     assert info.value.code == 2
 
 
+def _package_env():
+    """The environment of a child Python that imports this package."""
+    src = str(Path(pitmanyor.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_pool():
+    code = ("import sys, pitmanyor.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing.pool') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_package_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _BLOCKED_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -343,12 +362,9 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     ] + [["experiment", "--config", str(tmp_path / f"{check}.json"),
           "--out", str(tmp_path / f"{check}.report.json")]
          for check in configs]
-    src = str(Path(pitmanyor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _BLOCKED_SCIPY, json.dumps(commands)],
-        capture_output=True, text=True, env=env, cwd=tmp_path)
+        capture_output=True, text=True, env=_package_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     # an experiment exits 1 when its check fails, but writes its report
@@ -377,3 +393,97 @@ def test_integration_failure_is_an_error_line(tmp_path, capsys,
         "error: quadrature did not converge: estimate 1.0, "
         "error bound 0.5\n")
     assert not out.exists()
+
+
+# the replication body raises IntegrationError in every pool worker; two
+# workers run on any machine
+_FAILING_WORKER = """
+import multiprocessing, sys
+from pitmanyor import cli, experiments
+from pitmanyor.numerics import IntegrationError
+
+mle_sigma = experiments.estimators.mle_sigma
+
+
+def mle_sigma_failing_in_workers(*args, **kwargs):
+    if multiprocessing.parent_process() is not None:
+        raise IntegrationError("quadrature did not converge: estimate 1.0, "
+                               "error bound 0.5", 1.0, 0.5)
+    return mle_sigma(*args, **kwargs)
+
+
+experiments.estimators.mle_sigma = mle_sigma_failing_in_workers
+experiments.os.cpu_count = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_worker_integration_error_is_an_error_line(tmp_path):
+    # the error crosses the pipe from the worker; the run must not hang
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "check": "normality", "population": {"kind": "power_law",
+                                             "alpha": 2.0},
+        "n_grid": [300], "replications": 6, "seed": 1}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_WORKER, "experiment", "--config",
+         str(cfg), "--out", str(out), "--threads", "2"],
+        capture_output=True, text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: quadrature did not converge: estimate "
+                           "1.0, error bound 0.5\n")
+    assert not out.exists()
+
+
+def _live_members(pgid):
+    """Pids of the processes of group pgid that have not exited (zombies
+    excluded), from /proc/<pid>/stat."""
+    live = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text()
+        except (OSError, ValueError):  # not a pid, or the process is gone
+            continue
+        state, _, group = stat.rpartition(")")[2].split()[:3]
+        if int(group) == pgid and state != "Z":
+            live.append(int(entry.name))
+    return live
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process groups from /proc")
+def test_workers_exit_when_the_cli_is_killed(tmp_path):
+    # a request killed mid-run leaves no worker behind: each exits on the
+    # broken pipe after its current replication
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "check": "normality", "population": {"kind": "power_law",
+                                             "alpha": 2.0},
+        "n_grid": [10 ** 5], "replications": 4000, "seed": 1}))
+    code = ("import sys; from pitmanyor import cli, experiments; "
+            "experiments.os.cpu_count = lambda: 2; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "experiment", "--config", str(cfg),
+         "--out", str(tmp_path / "r.json"), "--threads", "2"],
+        env=_package_env(), start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_members(proc.pid)) < 3:  # the CLI and two workers
+            assert proc.poll() is None, "the run ended before its workers"
+            assert time.monotonic() < deadline, "no workers started"
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while _live_members(proc.pid):
+            assert time.monotonic() < deadline, \
+                f"workers left running: {_live_members(proc.pid)}"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

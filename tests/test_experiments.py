@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,9 +152,84 @@ def test_determinism_across_threads():
         == b.to_json(include_wall_clock=False)
 
 
+# small configurations of the replicated checks other than normality
+_REPLICATED = {
+    "bvm": dict(n_grid=(200, 500)),
+    "forensic": dict(n_grid=(500,), prior=PriorSpec(M_value=0.0)),
+    "tau1_mc": dict(n_grid=(1000,), tolerance=0.10),
+    "precision_profile": dict(
+        population={"kind": "synthetic", "gamma": 0.5, "r": 1.0},
+        n_grid=(1000,), M_values=(0.0, 1.0), M_max=5.0),
+}
+
+
+@pytest.mark.parametrize("replications", [2, 5])
+@pytest.mark.parametrize("check", sorted(_REPLICATED))
+def test_determinism_across_workers(check, replications):
+    # two replications run serially under any worker count; five run
+    # replication 0 in this process and the rest in forked workers (given
+    # two cores)
+    run = getattr(ex, f"run_{check}")
+    a, b = (run(_config(replications=replications, threads=threads,
+                        **_REPLICATED[check])) for threads in (1, 3))
+    assert a.to_json(include_wall_clock=False) \
+        == b.to_json(include_wall_clock=False)
+
+
+class _RecordingPool:
+    """Stands in for the fork context's Pool: records the worker count and
+    maps in this process."""
+
+    sizes = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=None):
+        return [fn(x) for x in iterable]
+
+
+@pytest.mark.parametrize("threads,replications,cpus,workers", [
+    (3, 1, 2, None), (3, 2, 2, None), (3, 5, 2, 2), (64, 5, 8, 4),
+    (64, 100, 8, 8), (2, 100, 1, None), (1, 100, 8, None),
+])
+def test_worker_count_is_capped(monkeypatch, threads, replications, cpus,
+                                workers):
+    # min(threads, replications - 1, cpu count) workers; no pool at one
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
+    config = SimpleNamespace(threads=threads, replications=replications)
+    assert ex._map_replications(lambda r: r * r, config) \
+        == [r * r for r in range(replications)]
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+
+
+def test_workers_end_with_their_run(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    config = SimpleNamespace(threads=2, replications=7)
+    parent = os.getpid()
+    pids = ex._map_replications(lambda r: os.getpid(), config)
+    assert pids[0] == parent and parent not in pids[1:]
+    assert multiprocessing.active_children() == []
+
+
 def test_threads_build_the_table_once(monkeypatch):
-    # replication threads share one cumulative table: every atom of it is
-    # computed once, in _BLOCK-atom ranges, whatever the thread count
+    # the parent's warm-up replication builds the cumulative table, and
+    # forked workers inherit it: every atom of the parent's table is
+    # computed once, in _BLOCK-atom ranges, whatever the worker count
     calls = []
     atom_probs_range = SyntheticPopulation.atom_probs_range
 

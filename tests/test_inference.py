@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from pitmanyor.estimators import mle_sigma
+from pitmanyor.likelihood import log_eppf_grid
 from pitmanyor.inference import (PosteriorGrid, PriorSpec, bvm_gap,
                                  forensic_lr, forensic_report,
                                  posterior_mean_and_interval, posterior_sigma)
@@ -168,6 +169,33 @@ def test_forensic_lr_bound_and_identity():
     mid = 0.5 * (post.sigma_nodes[:-1] + post.sigma_nodes[1:])
     one_minus_sigma = float(np.sum(w * (1.0 - mid)))
     assert lr * one_minus_sigma == pytest.approx(n + 1 + M, rel=1e-5)
+
+
+@pytest.mark.parametrize("prior", [PriorSpec(M_value=1.0),
+                                   PriorSpec(M_kind="uniform", M_max=10.0)],
+                         ids=["fixed_M", "uniform_M"])
+def test_forensic_phi_sd_matches_centred_sum(prior):
+    # phi = (1 - sigma)/(n + 1 + M) over the joint grid posterior of
+    # (sigma, M), centred about its mean in extended precision
+    stats = from_sizes(np.concatenate((_stats(n=3000).N, [1])))
+    res = forensic_lr(stats, prior)
+    sigma = res.posterior.sigma_nodes
+    m_nodes, w_m = prior.M_quadrature()
+    w_sigma = np.full(sigma.size, sigma[1] - sigma[0])
+    w_sigma[0] *= 0.5
+    w_sigma[-1] *= 0.5
+    log_joint = np.longdouble(log_eppf_grid(stats, sigma, m_nodes)
+                              + prior.log_density_sigma(sigma)[:, None])
+    joint = np.exp(log_joint - log_joint.max()) \
+        * w_sigma.astype(np.longdouble)[:, None] \
+        * w_m.astype(np.longdouble)[None, :]
+    joint /= joint.sum()
+    phi = (1 - sigma.astype(np.longdouble))[:, None] \
+        / (stats.n + m_nodes.astype(np.longdouble))[None, :]
+    mean = np.sum(joint * phi)
+    sd = np.sqrt(np.sum(joint * (phi - mean) ** 2))
+    assert res.phi_mean == pytest.approx(float(mean), rel=1e-12)
+    assert res.phi_sd == pytest.approx(float(sd), rel=1e-12)
 
 
 def test_forensic_lr_requires_singleton():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -172,6 +173,13 @@ def test_adaptive_integrate_failure_carries_estimate():
                            rel_tol=1e-14, max_panels=8)
     assert math.isfinite(info.value.estimate)
     assert info.value.error_bound > 0.0
+
+
+def test_integration_error_pickles():
+    # a pool worker's exception crosses to the parent by pickle
+    err = pickle.loads(pickle.dumps(IntegrationError("m", 1.0, 2.0)))
+    assert (type(err), str(err), err.estimate, err.error_bound) \
+        == (IntegrationError, "m", 1.0, 2.0)
 
 
 def test_adaptive_integrate_domain():
