@@ -16,8 +16,7 @@ from .partition import (PartitionStats, from_observations, from_occupancy,
 from .population import (Population, RegularVariation, make_explicit,
                          make_power_law, make_synthetic, population_from_json)
 from .sampler import (OccupancyCounts, RngStream, sample_iid,
-                      sample_poissonized, sample_py_partition,
-                      stick_breaking_weights)
+                      sample_poissonized, sample_py_partition)
 
 __version__ = "0.1.0"
 
@@ -31,6 +30,6 @@ __all__ = [
     "Population", "RegularVariation", "make_explicit", "make_power_law",
     "make_synthetic", "population_from_json",
     "OccupancyCounts", "RngStream", "sample_iid", "sample_poissonized",
-    "sample_py_partition", "stick_breaking_weights",
+    "sample_py_partition",
     "__version__",
 ]

@@ -13,9 +13,10 @@ pair (K0, M0).  The occupancy quantities come from three places:
   `poisson_g_moments` call; past its last node each row's tail is
   integrated in closed form.  tau1_sq is built on it.
 - `poisson_g_moments`: per-atom Poisson expectations of g_sigma and its
-  powers and sigma-derivative, summed over `Population.intensities` by E0n
-  and by the occupancy-lemma left-hand sides.  The atoms folded into power
-  sums enter through `tail_pmf`, their third-order count probabilities.
+  powers and sigma-derivative.  `OccupancySums` sums them over every atom
+  at a finite n, for E0n and for the occupancy-lemma left-hand sides: the
+  alpha0(n) head atoms one by one, the atoms past them by a midpoint
+  Euler-Maclaurin band on the family's atom law.
 
 The roots sigma0n and M0 both come from `numerics.newton_root`.
 """
@@ -86,13 +87,19 @@ _KARLIN_PANELS = 40  # Gauss-Legendre panels of 16 nodes
 _KARLIN_ROWS = ("iii", "iv", "v", "vi", "vii", "viii", "var")
 
 
-@cache
-def _karlin_rule():
-    """(log lam, weight) of the composite Gauss-Legendre rule."""
+def _gl_panels(lo, hi, panels):
+    """(node, weight) of the composite 16-point Gauss-Legendre rule on
+    `panels` equal panels of [lo, hi]."""
     x, w = GL16_NODES, GL16_WEIGHTS
-    edges = np.linspace(*_KARLIN_LOG_LAM, _KARLIN_PANELS + 1)
+    edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges)[:, None] / 2.0
     return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+@cache
+def _karlin_rule():
+    """(log lam, weight) of the Karlin quadrature."""
+    return _gl_panels(*_KARLIN_LOG_LAM, _KARLIN_PANELS)
 
 
 def karlin_integrals(gamma, sigma):
@@ -229,23 +236,61 @@ def poisson_g_moments(lam, sigma):
     return out
 
 
-def tail_pmf(tails):
-    """sum_j P(X_j = m), m = 1, 2, 3, for X_j ~ Poisson(lam_j) over atoms
-    known only through their power sums (t1, t2, t3), to third order in lam:
-    P(X = 1) = lam - lam^2 + lam^3/2, P(X = 2) = lam^2/2 - lam^3/2,
-    P(X = 3) = lam^3/6."""
-    t1, t2, t3 = tails
-    return np.array([t1 - t2 + t3 / 2.0, t2 / 2.0 - t3 / 2.0, t3 / 6.0])
-
-
-def tail_g_moments(tails, sigma):
-    """The four rows of `poisson_g_moments` summed over the atoms of
-    `tail_pmf`."""
-    return _g_rows(np.arange(1, 4), sigma) @ tail_pmf(tails)
-
-
 # ---------------------------------------------------------------------------
-# finite-n centering function E0n and its root
+# occupancy row sums over every atom, and the finite-n centering function
+
+OCCUPANCY_ROWS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
+_HEAD_FLOOR = 1024  # fewest explicit atoms; the band's error falls like J^-4
+_BAND_SPAN = 40.0  # the band's range in log x past J + 1/2
+_BAND_PANELS = 40
+_EM_STEP = 1e-3  # relative step of the central difference for f'(J + 1/2)
+
+
+class OccupancySums:
+    """sum_j h(n p_j) over every atom of a population, for the eight rows h
+    of the occupancy lemma at X ~ Poisson(lam), g = g_sigma: P(X > 0) ("i"),
+    e^-lam P(X > 0) ("ii"), E g ("iii"), E gdot ("iv"), E g^2 ("v"),
+    (E g)^2 ("vi"), e^-lam E g ("vii") and E g^3 ("viii").
+
+    A finite population is summed atom by atom.  An infinite one adds three
+    parts, all through one `poisson_g_moments` call per sigma:
+    - the head, the J = max(alpha0(n), _HEAD_FLOOR) largest atoms;
+    - the exact linear part past it, n tail_power_sum(J, 1), in rows i and
+      ii (every other row is O(lam^2));
+    - the O(lam^2) rest f(x) of every row at lam = n p(x), by the midpoint
+      Euler-Maclaurin band int_{J+1/2}^inf f(x) dx + f'(J+1/2)/24: the
+      integral on Gauss-Legendre panels in log x (lam falls by more than
+      e^-40 across them), f' by a central difference.
+    """
+
+    def __init__(self, pop, n):
+        finite = pop.n_atoms()
+        self.head = finite or max(pop.alpha0(n), _HEAD_FLOOR)
+        self.linear = n * pop.tail_power_sum(self.head, 1)
+        x = w = np.empty(0)
+        if finite is None:
+            a = self.head + 0.5
+            t, w = _gl_panels(math.log(a), math.log(a) + _BAND_SPAN,
+                              _BAND_PANELS)
+            step = a * _EM_STEP
+            x = np.concatenate((np.exp(t), [a + step, a - step]))
+            w = np.concatenate((w * x[:-2], [1.0, -1.0]))
+            w[-2:] /= 48.0 * step
+            x = pop.atom_law(x)
+        self.lam = n * np.concatenate((pop.atom_probs(self.head), x))
+        self.weight = np.concatenate((np.ones(self.head), w))
+
+    def __call__(self, sigma):
+        """{row: sum} at this sigma."""
+        lam = self.lam
+        eg, eg2, eg3, egdot = poisson_g_moments(lam, sigma)
+        decay, occupied = np.exp(-lam), -np.expm1(-lam)
+        rows = np.stack([occupied, decay * occupied, eg, egdot, eg2, eg * eg,
+                         decay * eg, eg3])
+        rows[:2, self.head:] -= lam[self.head:]
+        sums = rows @ self.weight
+        sums[:2] += self.linear
+        return dict(zip(OCCUPANCY_ROWS, sums.tolist()))
 
 
 class E0nEvaluator:
@@ -254,24 +299,22 @@ class E0nEvaluator:
     This is the exact atom-by-atom form of the integral
     int_0^n alpha0(n/s) e^{-s} (1/sigma - sum_m s^m/(m!(m-sigma))) ds:
     integrating the counting-function step heights term by term reproduces
-    the sum above.  The evaluator holds the atom intensities, so one root
-    search computes them once.
+    the sum above, whose parts are rows i and iii of `OccupancySums`.  The
+    evaluator holds those sums' intensities, so one root search computes
+    them once.
     """
 
     def __init__(self, pop, n):
-        self.n = int(n)
-        self.lam, self.tails = pop.intensities(self.n)
-        self.occupied = float(np.sum(-np.expm1(-self.lam))) \
-            + float(np.sum(tail_pmf(self.tails)))
+        self.sums = OccupancySums(pop, int(n))
 
     def _sweep(self, sigma):
-        """(E0n, dE0n/dsigma) from one pass of the Poisson kernel."""
+        """(E0n, dE0n/dsigma) from one sweep; the derivative's sum is row iv."""
         if not 0.0 < sigma < 1.0:
             raise ValueError("sigma must lie in (0, 1)")
-        eg, _, _, egdot = poisson_g_moments(self.lam, sigma).sum(axis=1) \
-            + tail_g_moments(self.tails, sigma)
-        return (self.occupied / sigma - float(eg),
-                -self.occupied / sigma ** 2 - float(egdot))
+        rows = self.sums(sigma)
+        occupied = rows["i"]
+        return (occupied / sigma - rows["iii"],
+                -occupied / sigma ** 2 - rows["iv"])
 
     def value(self, sigma):
         return self._sweep(sigma)[0]

@@ -9,9 +9,9 @@ wall-clock field).  With config.threads > 1 the replications run on forked
 worker processes, after the parent has run replication 0 and so built the
 tables and caches they inherit (_map_replications).  The deterministic
 occupancy checks own no numerics of their own: their left-hand sides come
-from asymptotics.poisson_g_moments over Population.intensities, their
-right-hand sides from the closed forms asymptotics.stirling_series and the
-quadrature asymptotics.karlin_integrals.
+from asymptotics.OccupancySums, their right-hand sides from the closed
+forms asymptotics.stirling_series and the quadrature
+asymptotics.karlin_integrals.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -137,12 +137,16 @@ def _jsonable(x):
 
 def _check(body):
     """run_<check>(config) -> ExperimentReport from body(config, population)
-    -> (results, passed); the one place a check is timed and reported."""
+    -> (results, passed); the one place a check is timed and reported.  A
+    config field left None takes the check's default from CHECKS, as in
+    from_dict, so a config built directly runs too."""
     name = body.__name__.removeprefix("run_")
 
     @functools.wraps(body)
     def run(config):
         t0 = time.time()
+        config = replace(config, **{k: v for k, v in CHECKS[name].items()
+                                    if getattr(config, k) is None})
         results, passed = body(config, config.make_population())
         return ExperimentReport(name, config.to_dict(), results, passed,
                                 time.time() - t0)
@@ -310,42 +314,19 @@ def lemma_limit_ratios(pop, n, sigma=None):
     """LHS/(alpha0(n) * RHS) for the eight Poissonized occupancy limits.
 
     LHS are exact sums of Poisson expectations over the atoms (no sampling),
-    from asymptotics.poisson_g_moments plus the third-order tails; RHS are
-    their limits, in closed form for i to iv and from
-    asymptotics.karlin_integrals for v to viii.  sigma defaults to the
-    population's sigma0.
+    the rows of asymptotics.OccupancySums; RHS are their limits, in closed
+    form for i to iv and from asymptotics.karlin_integrals for v to viii.
+    sigma defaults to the population's sigma0.
     """
     gamma = pop.rv.sigma0
     sigma = gamma if sigma is None else sigma
-    lam, tails = pop.intensities(n)
-    a0 = pop.alpha0(n)
-    per_atom = asymptotics.poisson_g_moments(lam, sigma)
-    eg = per_atom[0]
-    sum_eg, sum_eg2, sum_eg3, sum_egdot = per_atom.sum(axis=1) \
-        + asymptotics.tail_g_moments(tails, sigma)
-    exp_lam = np.exp(-lam)
+    lhs = asymptotics.OccupancySums(pop, n)(sigma)
     gfac = math.exp(math.lgamma(1.0 - gamma))
-    # tails weighted by e^-lam: e^-lam P(X = m) = 2^-m P(Poisson(2 lam) = m)
-    scale = np.array([2.0, 4.0, 8.0])
-    weighted = asymptotics.tail_pmf(scale * tails) / scale
-
-    lhs = {
-        "i": float(np.sum(-np.expm1(-lam)))
-        + float(np.sum(asymptotics.tail_pmf(tails))),
-        "ii": float(np.sum(exp_lam * (1.0 - exp_lam)))
-        + float(np.sum(weighted)),
-        "iii": sum_eg,
-        "iv": sum_egdot,
-        "v": sum_eg2,
-        "vi": float(np.sum(eg ** 2)),
-        "vii": float(np.sum(exp_lam * eg))
-        + float(g_sigma_values(np.arange(1, 4), sigma) @ weighted),
-        "viii": sum_eg3,
-    }
     rhs = asymptotics.karlin_integrals(gamma, sigma)
     rhs["i"] = gfac
     rhs["ii"] = (2.0 ** gamma - 1.0) * gfac
     rhs["iii"], rhs["iv"] = asymptotics.stirling_series(gamma, sigma)
+    a0 = pop.alpha0(n)
     return {k: float(lhs[k] / (a0 * rhs[k])) for k in lhs}
 
 

@@ -2,7 +2,10 @@
 
 A Population wraps a discrete distribution (p_j), sorted descending, together
 with the counting function alpha0(u) = #{j : p_j >= 1/u} and the regular
-variation descriptors (sigma0, L0, beta0) that drive all asymptotics.
+variation descriptors (sigma0, L0, beta0) that drive all asymptotics.  An
+infinite family also has an atom law p(x) at a real index x, whose values at
+the integers are its atom probabilities; the occupancy sums integrate it past
+their head atoms.
 Populations are immutable after construction, apart from the cumulative
 table that sampling by inversion searches.  The table grows on demand under
 one lock: only the atoms not yet in it are computed, _BLOCK at a time into a
@@ -23,7 +26,6 @@ import numpy as np
 
 from .numerics import adaptive_integrate, hurwitz_zeta
 
-INTENSITY_CUT = 1e-4  # atoms with n p_j below this are folded into power sums
 _INDEX_CAP = 1 << 62  # exact power-law tail indices stay below this
 _TIE = 2e-15  # above any |cdf on the array zeta - cdf on the scalar zeta|
 _BLOCK = 1 << 14  # atoms per block of the cumulative table
@@ -58,7 +60,12 @@ class Population:
         return self.atom_probs_range(0, count)
 
     def atom_probs_range(self, start, stop):
-        """Probabilities of the atoms start..stop - 1 (0-based)."""
+        """Probabilities of the atoms start..stop - 1 (0-based): the atom
+        law at the 1-based indices start + 1..stop."""
+        return self.atom_law(np.arange(start + 1, stop + 1, dtype=float))
+
+    def atom_law(self, x):
+        """p(x), the family's atom probability at a real 1-based index x."""
         raise NotImplementedError
 
     def alpha0(self, u):
@@ -72,17 +79,6 @@ class Population:
     def n_atoms(self):
         """Number of atoms, or None if infinite."""
         return None
-
-    def intensities(self, n):
-        """(lam, (t1, t2, t3)) for Poisson intensities n p_j.
-
-        lam holds the alpha0(n / INTENSITY_CUT) atoms with
-        n p_j >= INTENSITY_CUT, descending; t_k is the sum of (n p_j)^k over
-        all later atoms, so index lam.size is the first one in the tails.
-        """
-        head = self.alpha0(n / INTENSITY_CUT)
-        tails = tuple(n ** k * self.tail_power_sum(head, k) for k in (1, 2, 3))
-        return n * self.atom_probs(head), tails
 
     # ---- sampling support -------------------------------------------------
     _CACHE_START = 1 << 16
@@ -182,9 +178,8 @@ class PowerLawPopulation(Population):
         self.rv = RegularVariation(sigma0=sigma0, L0_const=self.c ** sigma0,
                                    log_power_r=0.0, beta0=0.0, C=1.0)
 
-    def atom_probs_range(self, start, stop):
-        j = np.arange(start + 1, stop + 1, dtype=float)
-        return self.c * j ** (-self.alpha)
+    def atom_law(self, x):
+        return self.c * np.asarray(x, dtype=float) ** (-self.alpha)
 
     def alpha0(self, u):
         if u <= 1.0:
@@ -284,7 +279,7 @@ class SyntheticPopulation(Population):
             step = g / (self.gamma + self.r / (self.shift + x))
             x = x - step
             x = np.maximum(x, 0.0)
-            if np.max(np.abs(step)) < 1e-14:
+            if np.max(np.abs(step), initial=0.0) < 1e-14:
                 break
         return np.exp(x)
 
@@ -300,8 +295,8 @@ class SyntheticPopulation(Population):
         return adaptive_integrate(integrand, 0.0, upper, rel_tol=1e-11)
 
     # Population API ---------------------------------------------------------
-    def atom_probs_range(self, start, stop):
-        return 1.0 / self._u_of(np.arange(start + 1, stop + 1)) / self.norm
+    def atom_law(self, x):
+        return 1.0 / self._u_of(x) / self.norm
 
     def alpha0(self, u):
         if u <= 0:
@@ -313,8 +308,15 @@ class SyntheticPopulation(Population):
         return int(math.floor(float(self._f(v)) + 1e-12))
 
     def tail_power_sum(self, after, k):
-        # midpoint Euler-Maclaurin: sum_{j>J} h(j) ~ integral_{J+1/2} h
-        return self._raw_tail_integral(after + 0.5, k) / self.norm ** k
+        # midpoint Euler-Maclaurin with its first correction:
+        # sum_{j>J} h(j) ~ int_{J+1/2}^inf h + h'(J+1/2)/24 for h = u^-k.
+        # At x = f(u), u'(x) = 1/f'(u) and f'(u) = x (gamma + r/log(e^c u))/u,
+        # so h'(x) = -k u^-k / (x (gamma + r/log(e^c u))).
+        x = after + 0.5
+        u = float(self._u_of(np.array([x]))[0])
+        slope = -k * u ** -k / (x * (self.gamma
+                                     + self.r / (self.shift + math.log(u))))
+        return (self._raw_tail_integral(x, k) + slope / 24.0) / self.norm ** k
 
     def spec_dict(self):
         return {"kind": self.kind, "gamma": self.gamma, "r": self.r}

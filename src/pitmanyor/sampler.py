@@ -1,5 +1,5 @@
-"""Random generation: Pitman-Yor partitions, stick-breaking weights,
-i.i.d. and Poissonized species samples.
+"""Random generation: Pitman-Yor partitions, i.i.d. and Poissonized species
+samples.
 
 All randomness flows through RngStream, a (seed, stream_id) pair backing a
 counter-based Philox generator, so replications can be parallelized with
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import partition
-from .asymptotics import tail_pmf
 
 
 @dataclass(frozen=True)
@@ -95,29 +94,6 @@ def sample_py_partition(sigma, M, n, rng):
     return partition.from_sizes(sizes)
 
 
-def stick_breaking_weights(sigma, M, k_trunc, rng):
-    """First k_trunc stick-breaking weights and the residual mass.
-
-    W_i = V_i prod_{j<i} (1 - V_j) with independent V_i ~ Beta(1-sigma,
-    M + i sigma); Beta draws are built from two gamma variates for accuracy
-    at extreme shapes.
-    """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError("sigma must lie in [0, 1)")
-    if M <= -sigma:
-        raise ValueError("need M > -sigma")
-    if k_trunc < 1:
-        raise ValueError("k_trunc must be positive")
-    gen = rng.generator()
-    i = np.arange(1, k_trunc + 1, dtype=float)
-    x = gen.standard_gamma(np.full(k_trunc, 1.0 - sigma))
-    y = gen.standard_gamma(M + i * sigma)
-    v = x / (x + y)
-    stick = np.cumprod(1.0 - v)
-    w = v * np.concatenate(([1.0], stick[:-1]))
-    return w, float(stick[-1])
-
-
 def sample_iid(pop, n, rng):
     """Multinomial occupancy counts of n i.i.d. draws from the population:
     the draws of `sample_iid_labels`, counted by `Population.occupancy` from
@@ -132,30 +108,28 @@ def sample_iid(pop, n, rng):
 
 
 def sample_poissonized(pop, n, rng):
-    """Independent Poisson(n p_j) occupancy counts.
-
-    The head atoms of `Population.intensities` (n p_j >= 1e-4) are drawn one
-    by one and keep their indices.  The tail is drawn in aggregate: the
-    numbers of tail species seen once, twice and three times are Poisson with
-    the means `asymptotics.tail_pmf` gives from the tail power sums; four or
-    more occupancies, of fourth order in the intensities, are dropped.  Tail
-    species receive fresh indices from the head size on.
+    """Independent Poisson(n p_j) occupancy counts over every atom, by
+    Poisson splitting (Kingman 1993, Poisson Processes, section 2.2): the
+    h = alpha0(n) head atoms, those with n p_j >= 1, draw their counts one
+    by one, and the atoms past them draw m ~ Poisson(n T) observations,
+    T = tail_power_sum(h, 1), each from the tail's conditional law, the
+    inverse CDF of a uniform on (1 - T, 1) (its index clamped to >= h
+    against the table's rounding).  Tail species carry their atom index,
+    as `inverse_cdf` labels it; head species come first, then tail ones,
+    each ascending.  The generator draws the head counts, m, the uniforms.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = {}
-    if n == 0:
-        return OccupancyCounts(counts=counts, regime="poissonized", n=0)
     gen = rng.generator()
-    lam, tails = pop.intensities(n)
-    drawn = gen.poisson(lam)
-    occupied = np.nonzero(drawn)[0]
-    counts.update(zip(occupied.tolist(), drawn[occupied].tolist()))
-    fresh = lam.size
-    species = gen.poisson(np.maximum(tail_pmf(tails), 0.0)).tolist()
-    for size, number in enumerate(species, 1):
-        counts.update(dict.fromkeys(range(fresh, fresh + number), size))
-        fresh += number
+    head = pop.alpha0(n)
+    drawn = gen.poisson(n * pop.atom_probs(head))
+    occupied = np.flatnonzero(drawn)
+    counts = dict(zip(occupied.tolist(), drawn[occupied].tolist()))
+    tail = pop.tail_power_sum(head, 1)
+    u = np.sort(gen.random(gen.poisson(n * tail))) * tail + (1.0 - tail)
+    species, seen = np.unique(np.maximum(pop.inverse_cdf(u), head),
+                              return_counts=True)
+    counts.update(zip(species.tolist(), seen.tolist()))
     return OccupancyCounts(counts=counts, regime="poissonized", n=int(n))
 
 

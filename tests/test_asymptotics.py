@@ -10,12 +10,12 @@ from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor import asymptotics
-from pitmanyor.asymptotics import (E0_series, E0nEvaluator,
-                                   compute_constants, karlin_integrals,
-                                   poisson_g_moments, precision_limit,
-                                   sigma0n_root, stirling_series,
-                                   tail_g_moments, tail_pmf, tau1_sq,
-                                   tau2_sq)
+from pitmanyor.asymptotics import (OCCUPANCY_ROWS, E0_series, E0nEvaluator,
+                                   OccupancySums, compute_constants,
+                                   karlin_integrals, poisson_g_moments,
+                                   precision_limit, sigma0n_root,
+                                   stirling_series, tau1_sq, tau2_sq)
+from pitmanyor.numerics import g_sigma_values, gdot_sigma_values
 from pitmanyor.population import RegularVariation, make_explicit, \
     make_power_law, make_synthetic
 
@@ -212,24 +212,58 @@ def test_poisson_g_moments_tier_edges_and_order():
     assert poisson_g_moments(np.array([]), 0.3).shape == (4, 0)
 
 
-def test_tail_g_moments_matches_kernel_for_small_intensities():
-    # third order in lam: the relative gap is O(lam^2)
-    lam = np.full(1000, 1e-4)
-    tails = tuple(float(np.sum(lam ** k)) for k in (1, 2, 3))
-    for sigma in (0.1, 0.5, 0.9):
-        np.testing.assert_allclose(
-            tail_g_moments(tails, sigma),
-            poisson_g_moments(lam, sigma).sum(axis=1), rtol=1e-7)
+def _reference_rows(pop, n, sigma, lam_min):
+    """The eight OccupancySums rows atom by atom down to n p_j >= lam_min,
+    plus the atoms past them to third order in lam, through the tail power
+    sums t_k = n^k sum p_j^k: with X ~ Poisson(lam), P(X = 2) =
+    lam^2/2 - lam^3/2 + O(lam^4) and P(X = 3) = lam^3/6 + O(lam^4)."""
+    rows = np.zeros(8)
+    head = pop.alpha0(n / lam_min)
+    for start in range(0, head, 1 << 20):
+        lam = n * pop.atom_probs_range(start, min(head, start + (1 << 20)))
+        eg, eg2, eg3, egdot = poisson_g_moments(lam, sigma)
+        decay, occupied = np.exp(-lam), -np.expm1(-lam)
+        rows += np.stack([occupied, decay * occupied, eg, egdot, eg2,
+                          eg * eg, decay * eg, eg3]).sum(axis=1)
+    g2, g3 = g_sigma_values(np.array([2, 3]), sigma)
+    d2, d3 = gdot_sigma_values(np.array([2, 3]), sigma)
+    coef = np.array([  # of t1, t2, t3 in each row
+        [1.0, -1.0 / 2, 1.0 / 6], [1.0, -3.0 / 2, 7.0 / 6],
+        [0.0, g2 / 2, (g3 - 3.0 * g2) / 6], [0.0, d2 / 2, (d3 - 3.0 * d2) / 6],
+        [0.0, g2 ** 2 / 2, (g3 ** 2 - 3.0 * g2 ** 2) / 6], [0.0, 0.0, 0.0],
+        [0.0, g2 / 2, (g3 - 6.0 * g2) / 6],
+        [0.0, g2 ** 3 / 2, (g3 ** 3 - 3.0 * g2 ** 3) / 6]])
+    return rows + coef @ [n ** k * pop.tail_power_sum(head, k)
+                          for k in (1, 2, 3)]
 
 
-def test_tail_pmf_matches_poisson_pmf_for_small_intensities():
-    # third order in lam: each gap is at most sum lam^4 / 4 to leading order
-    lam = np.geomspace(1e-7, 1e-4, 500)
-    tails = tuple(float(np.sum(lam ** k)) for k in (1, 2, 3))
-    exact = [float(np.sum(np.exp(-lam) * lam ** m)) / math.factorial(m)
-             for m in (1, 2, 3)]
-    gap = np.abs(tail_pmf(tails) - exact)
-    assert np.all(gap <= float(np.sum(lam ** 4)) / 2.0)
+@pytest.mark.parametrize("pop,n_grid,lam_min", [
+    (make_power_law(1.5), (10 ** 3, 10 ** 6), 1e-4),
+    (make_power_law(2.0), (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6), 1e-4),
+    (make_power_law(3.0), (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6), 1e-4),
+    (make_synthetic(0.5, 1.0), (10 ** 2, 10 ** 4), 1e-7),
+    (make_synthetic(0.5, -1.0), (10 ** 2, 10 ** 3, 10 ** 4), 1e-7),
+])
+def test_occupancy_band_matches_atom_sums(pop, n_grid, lam_min):
+    # the head, the linear tail and the Euler-Maclaurin band against every
+    # atom down to lam_min plus a third-order tail, whose own error is
+    # O(lam_min^(4 - sigma0)) relative
+    for n, sigma in zip(n_grid, (0.2, 0.5, 0.8, 0.95)):
+        sums = OccupancySums(pop, n)(sigma)
+        want = _reference_rows(pop, n, sigma, lam_min)
+        got = np.array([sums[k] for k in OCCUPANCY_ROWS])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_occupancy_sums_of_an_explicit_population_are_atom_sums():
+    pop = make_explicit([0.5, 0.3, 0.15, 0.05])
+    sums = OccupancySums(pop, 40)(0.4)
+    lam = 40.0 * pop.probs
+    eg = poisson_g_moments(lam, 0.4)[0]
+    assert sums["i"] == pytest.approx(float(np.sum(-np.expm1(-lam))),
+                                      rel=1e-15)
+    assert sums["vii"] == pytest.approx(float(np.sum(np.exp(-lam) * eg)),
+                                        rel=1e-15)
 
 
 def test_tau1_positive():

@@ -63,6 +63,16 @@ def test_config_from_dict_check_defaults():
         "M_max": 5.0, "tolerance": 0.05}
 
 
+def test_directly_built_configs_take_the_check_defaults():
+    # tolerance left None: the run uses and reports CHECKS' value
+    rep = ex.run_tau1_mc(_config(n_grid=(10 ** 3,), replications=4))
+    assert rep.config["tolerance"] == ex.CHECKS["tau1_mc"]["tolerance"]
+    assert rep.passed == (abs(rep.results["ratio"] - 1.0) <= 0.10)
+    rep = ex.run_lemma_limits(_config(n_grid=(10 ** 3,)))
+    assert rep.config["tolerance"] == rep.results["tolerance"] == 0.05
+    assert "sigma" not in rep.config  # no default: sigma0 is used
+
+
 def test_run_normality_smoke_reports_ses():
     rep = ex.run_normality(_config(n_grid=(300,), replications=4))
     row = rep.results["300"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor.numerics import hurwitz_zeta
-from pitmanyor.population import (_BLOCK, _INDEX_CAP, _TIE, INTENSITY_CUT,
+from pitmanyor.population import (_BLOCK, _INDEX_CAP, _TIE,
                                   PowerLawPopulation, make_explicit,
                                   make_power_law, make_synthetic,
                                   population_from_json)
@@ -319,32 +319,31 @@ def test_power_law_heavy_tail_draws(alpha):
     assert occ.values().sum() == 20000
 
 
-def test_intensities_explicit_population_has_no_tails():
-    pop = make_explicit([0.5, 0.3, 0.2])
-    lam, tails = pop.intensities(1000)
-    np.testing.assert_allclose(lam, [500.0, 300.0, 200.0], rtol=1e-15)
-    assert tails == (0.0, 0.0, 0.0)
-
-
 @pytest.mark.parametrize("pop", [make_power_law(1.5), make_power_law(3.0),
                                  make_synthetic(0.5, 1.0),
                                  make_synthetic(0.5, -1.0)])
-def test_intensities_head_is_the_atoms_above_the_cut(pop):
-    for n in (10 ** 3, 10 ** 6):
-        lam, _ = pop.intensities(n)
-        assert lam[-1] >= INTENSITY_CUT > n * pop.atom_probs(lam.size + 1)[-1]
+def test_atom_probs_are_the_atom_law_at_integers(pop):
+    # bit for bit, in and across the blocks of the cumulative table
+    for start, stop in ((0, 50), (_BLOCK - 3, _BLOCK + 5), (10 ** 6, 10 ** 6 + 7)):
+        j = np.arange(start + 1, stop + 1, dtype=float)
+        assert np.array_equal(pop.atom_probs_range(start, stop), pop.atom_law(j))
+    x = np.array([1.5, 10.25, 1e3 + 0.5, 1e9])
+    p = pop.atom_law(x)
+    assert np.all(np.diff(p) < 0) and np.all(p > 0)
 
 
-def test_intensities_split_at_cut():
-    pop = make_power_law(2.0)
-    n = 10 ** 5
-    lam, (t1, t2, t3) = pop.intensities(n)
-    assert lam[-1] >= INTENSITY_CUT > n * pop.atom_probs(lam.size + 1)[-1]
-    # every atom is either explicit or in the power sums
-    assert float(np.sum(lam)) + t1 == pytest.approx(n, rel=1e-12)
-    rest = n * pop.atom_probs(10 ** 7)[lam.size:]
-    assert t2 == pytest.approx(float(np.sum(rest ** 2)), rel=1e-6)
-    assert t3 == pytest.approx(float(np.sum(rest ** 3)), rel=1e-6)
+@pytest.mark.parametrize("gamma,r", [(0.5, -1.0), (0.5, 1.0), (0.3, 2.0)])
+def test_synthetic_tail_power_sum_against_explicit_sum(gamma, r):
+    # the midpoint Euler-Maclaurin band with its first correction h'/24:
+    # without it the relative error was 1.1e-5 at J = 100 for (0.5, -1)
+    pop = make_synthetic(gamma, r)
+    last = 1 << 22
+    p = pop.atom_probs(last)
+    for k in (1, 2):
+        far = pop.tail_power_sum(last, k)
+        for after, tol in ((100, 1e-8), (1000, 1e-11), (10000, 1e-11)):
+            want = float(np.sum(p[after:] ** k)) + far
+            assert abs(pop.tail_power_sum(after, k) / want - 1.0) <= tol
 
 
 def test_json_round_trip():

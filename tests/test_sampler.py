@@ -15,8 +15,7 @@ from pitmanyor.population import make_explicit, make_power_law, \
 from pitmanyor.sampler import (OccupancyCounts, RngStream,
                                exact_partition_law, sample_iid,
                                sample_iid_labels, sample_poissonized,
-                               sample_py_partition, stick_breaking_weights,
-                               write_sample_csv)
+                               sample_py_partition, write_sample_csv)
 
 
 def test_rng_stream_reproducible():
@@ -123,23 +122,6 @@ def test_sample_py_partition_linear_cost():
     assert peak <= 40 * 2 ** 20
 
 
-def test_stick_breaking_weights():
-    w, residual = stick_breaking_weights(0.5, 1.0, 2000, RngStream(11))
-    assert np.all(w >= 0)
-    assert float(w.sum()) + residual == pytest.approx(1.0, abs=1e-12)
-    assert residual < 0.05
-
-
-def test_stick_breaking_mean_first_weight():
-    # E W_1 = (1 - sigma)/(1 + M)
-    sigma, M, reps = 0.5, 1.0, 3000
-    vals = [stick_breaking_weights(sigma, M, 1, RngStream(29, r))[0][0]
-            for r in range(reps)]
-    mean = float(np.mean(vals))
-    expected = (1.0 - sigma) / (1.0 + M)
-    assert abs(mean - expected) <= 4.0 * float(np.std(vals)) / math.sqrt(reps)
-
-
 def test_sample_iid_single_atom():
     pop = make_explicit([1.0])
     occ = sample_iid(pop, 50, RngStream(0))
@@ -182,16 +164,67 @@ def test_sample_poissonized_occupied_scaling():
     assert abs(ratio / math.gamma(0.5) - 1.0) <= 0.05
 
 
+def _exact_occupancy_means(pop, n, lam_min=1e-6):
+    """(E K, E #{j : X_j = m} for m = 1..4), X_j ~ Poisson(n p_j): the atoms
+    with n p_j >= lam_min one by one; past them only the seen-once mean,
+    which is n times the tail mass to first order, is not negligible."""
+    lam = n * pop.atom_probs(pop.n_atoms() or pop.alpha0(n / lam_min))
+    pmf = np.exp(-lam)
+    means = [float(np.sum(-np.expm1(-lam)))]
+    for m in range(1, 5):
+        pmf = pmf * lam / m
+        means.append(float(np.sum(pmf)))
+    tail = n * pop.tail_power_sum(lam.size, 1)
+    means[0] += tail
+    means[1] += tail
+    return np.array(means)
+
+
+@pytest.mark.parametrize("pop,n", [
+    (make_power_law(1.5), 10 ** 4), (make_power_law(2.0), 10 ** 5),
+    (make_synthetic(0.5, 1.0), 10 ** 4), (make_synthetic(0.5, -1.0), 10 ** 4),
+])
+def test_sample_poissonized_occupancy_law(pop, n):
+    # Poisson splitting keeps the law of independent Poisson(n p_j) counts:
+    # K and the numbers of species seen 1..4 times have the exact means
+    reps = 300
+    seen = np.empty((reps, 5))
+    for r in range(reps):
+        counts = sample_poissonized(pop, n, RngStream(23, r)).values()
+        seen[r] = [counts.size] + [np.count_nonzero(counts == m)
+                                   for m in range(1, 5)]
+    se = seen.std(axis=0, ddof=1) / math.sqrt(reps)
+    gap = np.abs(seen.mean(axis=0) - _exact_occupancy_means(pop, n))
+    assert np.all(gap <= 4.0 * se), (gap / se).tolist()
+
+
+def test_sample_poissonized_tail_species_keep_their_atom_index():
+    # a population whose head is empty at this n: every species is drawn
+    # through the tail and labelled by its atom, as inverse_cdf labels it
+    pop = make_explicit([0.4, 0.3, 0.2, 0.1])
+    assert pop.alpha0(1.5) == 0
+    occ = sample_poissonized(pop, 1.5, RngStream(3))
+    assert set(occ.counts) <= {0, 1, 2, 3}
+    synthetic = make_synthetic(0.5, 1.0)  # an empty head of an atom law
+    assert synthetic.alpha0(2) == 0 and synthetic.atom_probs(0).size == 0
+    occ = sample_poissonized(synthetic, 2, RngStream(3))
+    assert occ.n == 2 and all(j >= 0 for j in occ.counts)
+    big = sample_poissonized(make_power_law(2.0), 50, RngStream(4))
+    head = make_power_law(2.0).alpha0(50)
+    assert list(big.counts) == sorted(big.counts)
+    assert any(j >= head for j in big.counts)
+
+
 @pytest.mark.parametrize("pop,n,digest", [
     (make_power_law(2.0), 10 ** 5,
-     "8c52705b22363919a08185bdbfa95c18962e6dd06cac0b4634fe3db0b2cc9710"),
+     "f491fbb89045bcfdfa75669f2d324fef4298accea634d3dad905484e353885a1"),
     (make_synthetic(0.5, -1.0), 10 ** 4,
-     "054f6dcaec033db21ae448666010adcb86388805e77d2ebd63e9a1b578cd222c"),
+     "d3b456a6b62f61d0cf075052bd9376048a0e92a0016ab9356bb07a186b4c3059"),
     (make_explicit([0.5, 0.3, 0.2]), 50,
      "eec7cd001767437b3aae48209e19cb570ced2406688f31857edd7ab3c002c7ab"),
 ])
 def test_sample_poissonized_frozen_draws(pop, n, digest):
-    # seeded draws, fresh tail labels and their order are frozen
+    # seeded draws, the tail's atom indices and their order are frozen
     occ = sample_poissonized(pop, n, RngStream(7, 3))
     text = json.dumps(list(occ.counts.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest

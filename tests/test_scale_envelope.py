@@ -1,0 +1,75 @@
+"""Scale envelope of the occupancy engine: wall time and peak memory of the
+finite-n sums and of the Poissonized sampler on heavy-tailed populations.
+
+Each case runs in a fresh `python -c` child, which times the one call and
+then prints its VmHWM (peak resident set) from /proc/self/status.  A fresh
+interpreter is needed because a forked child's ru_maxrss starts at its
+parent's RSS, so it would measure the test process instead of the call.
+Budgets hold at least four times the time and twice the memory measured on a
+2-core x86-64 host (Python 3.11, numpy 2.4); an interpreter with numpy
+imported takes about 35 MiB of them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pitmanyor
+
+_CHILD = """
+import json, time
+{setup}
+t0 = time.perf_counter()
+{call}
+seconds = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh
+               if line.startswith("VmHWM:"))
+print(json.dumps({{"seconds": seconds, "mib": kib / 1024}}))
+"""
+
+# name -> (setup, call, seconds, MiB); measured: 0.8 s and 99 MiB, 0.08 s
+# and 63 MiB, 1.4 s and 128 MiB
+CASES = {
+    "sigma0n_root": (
+        "from pitmanyor.asymptotics import sigma0n_root\n"
+        "from pitmanyor.population import make_power_law\n"
+        "pop = make_power_law(1.1)",
+        "root = sigma0n_root(pop, 10 ** 6)\n"
+        "assert 0.85 < root < 0.95, root", 4.0, 200.0),
+    "lemma_limit_ratios": (
+        "from pitmanyor.experiments import lemma_limit_ratios\n"
+        "from pitmanyor.population import make_power_law\n"
+        "pop = make_power_law(1.5)",
+        "ratios = lemma_limit_ratios(pop, 10 ** 6)\n"
+        "assert all(abs(v - 1.0) < 0.05 for v in ratios.values()), ratios",
+        1.0, 128.0),
+    "sample_poissonized": (
+        "from pitmanyor.population import make_power_law\n"
+        "from pitmanyor.sampler import RngStream, sample_poissonized\n"
+        "pop = make_power_law(1.1)",
+        "occ = sample_poissonized(pop, 10 ** 6, RngStream(0))\n"
+        "assert 3e5 < len(occ.counts) < 4e5, len(occ.counts)", 6.0, 256.0),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from Linux /proc")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_scale_envelope(name):
+    setup, call, seconds, mib = CASES[name]
+    src = str(Path(pitmanyor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(setup=setup, call=call)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    used = json.loads(done.stdout.splitlines()[-1])
+    assert used["seconds"] <= seconds, used
+    assert used["mib"] <= mib, used
