@@ -30,6 +30,21 @@ class CliError(Exception):
         self.code = code
 
 
+class _Pair(str):
+    """An A,B flag value (an argparse `type`): the text as given, which the
+    provenance records, and its two numbers in `values`."""
+
+    def __new__(cls, text):
+        try:
+            a, b = map(float, text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected two comma-separated numbers, got {text!r}") from None
+        self = super().__new__(cls, text)
+        self.values = (a, b)
+        return self
+
+
 def _digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -76,7 +91,7 @@ def _load_stats(args):
 def _parse_prior(args):
     kwargs = {}
     if args.prior == "beta":
-        a, b = (float(x) for x in args.beta.split(","))
+        a, b = args.beta.values
         kwargs.update(sigma_kind="beta", beta_a=a, beta_b=b)
     if getattr(args, "m", None) is not None:
         kwargs.update(M_kind="fixed", M_value=args.m)
@@ -93,7 +108,7 @@ def cmd_simulate(args):
         raise CliError("--n must be a positive integer", 2)
     rng = RngStream(args.seed)
     if args.py is not None:
-        sigma, M = (float(x) for x in args.py.split(","))
+        sigma, M = args.py.values
         stats = sample_py_partition(sigma, M, args.n, rng)
         labels = stats.expand()
     else:
@@ -208,7 +223,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="draw a sample and write CSV + stats")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--py", metavar="SIGMA,M",
+    src.add_argument("--py", metavar="SIGMA,M", type=_Pair,
                      help="sample a Pitman-Yor partition directly")
     src.add_argument("--population", metavar="JSON_PATH",
                      help="i.i.d. sample from a population spec")
@@ -236,7 +251,7 @@ def build_parser():
     p.add_argument("--stats")
     p.add_argument("--sample")
     p.add_argument("--prior", choices=("uniform", "beta"), default="uniform")
-    p.add_argument("--beta", metavar="A,B", default="1,1")
+    p.add_argument("--beta", metavar="A,B", type=_Pair, default="1,1")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--m", type=float, help="fixed M (default 1)")
     g.add_argument("--m-uniform-max", type=float,
@@ -252,7 +267,7 @@ def build_parser():
     p.add_argument("--crime-profile", required=True,
                    help="label of the new profile")
     p.add_argument("--prior", choices=("uniform", "beta"), default="uniform")
-    p.add_argument("--beta", metavar="A,B", default="1,1")
+    p.add_argument("--beta", metavar="A,B", type=_Pair, default="1,1")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--m", type=float)
     g.add_argument("--m-uniform-max", type=float)

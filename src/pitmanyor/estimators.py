@@ -69,8 +69,8 @@ def mle_sigma(stats, M, se=False):
     """
     if stats.n < 2:
         raise ValueError("need n >= 2 observations")
-    if M < 0.0:
-        raise ValueError("M must be nonnegative")
+    if not 0.0 <= M < math.inf:
+        raise ValueError(f"M must be finite and nonnegative, got {M}")
     lo, hi = SIGMA_EPS, 1.0 - SIGMA_EPS
     diagnostics = {}
     score = score_sigma(stats, lo, M)
@@ -99,8 +99,8 @@ def profile_mle(stats, M_max=50.0, se=False):
     l(M) = Lambda_n(sigma_hat(M), M) maximized over [0, M_max] at the root
     of its slope l'(M) = dLambda/dM at (sigma_hat(M), M), bracketed by a
     coarse log-spaced grid, or at a grid end whose slope points outward."""
-    if M_max <= 0.0:
-        raise ValueError("M_max must be positive")
+    if not 0.0 < M_max < math.inf:
+        raise ValueError(f"M_max must be finite and positive, got {M_max}")
 
     def slope(M):  # (l'(M), l''(M)); l'' drops the sigma term at a boundary
         fit = mle_sigma(stats, M)

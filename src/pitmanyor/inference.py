@@ -40,14 +40,15 @@ class PriorSpec:
     def __post_init__(self):
         if self.sigma_kind not in ("uniform", "beta"):
             raise ValueError("sigma prior must be uniform or beta")
-        if self.sigma_kind == "beta" and (self.beta_a <= 0 or self.beta_b <= 0):
-            raise ValueError("beta prior needs positive shape parameters")
+        if self.sigma_kind == "beta" and not (0.0 < self.beta_a < math.inf
+                                              and 0.0 < self.beta_b < math.inf):
+            raise ValueError("beta shapes must be finite and positive")
         if self.M_kind not in ("fixed", "uniform"):
             raise ValueError("M prior must be fixed or uniform")
-        if self.M_kind == "fixed" and self.M_value < 0:
-            raise ValueError("fixed M must be nonnegative")
-        if self.M_kind == "uniform" and self.M_max <= 0:
-            raise ValueError("M_max must be positive")
+        if self.M_kind == "fixed" and not 0.0 <= self.M_value < math.inf:
+            raise ValueError("fixed M must be finite and nonnegative")
+        if self.M_kind == "uniform" and not 0.0 < self.M_max < math.inf:
+            raise ValueError("M_max must be finite and positive")
 
     def log_density_sigma(self, sigma):
         sigma = np.asarray(sigma, dtype=float)

@@ -2,17 +2,17 @@
 g_sigma, quadrature, and `newton_root`, the one scalar root finder (score
 root, M_hat, sigma0n, M0).
 
-Special functions.  A scalar takes `math` where it has the function
-(lgamma, gamma, erf, erfc, comb).  The rest shift the argument by recurrence
+Special functions.  `rgamma` and `normal_cdf` rest on `math` (gamma, erf,
+erfc).  The rest shift the argument by recurrence
 to x >= H and then sum an asymptotic series in 1/x (Abramowitz & Stegun
 6.1.41 for ln Gamma, 6.3.18 for psi, 6.4.12 for psi') or Euler-Maclaurin for
 the Hurwitz zeta function (the scheme of Cephes `zeta.c`):
 
-- `log_gamma`: ln Gamma of a scalar or an array;
+- `log_gamma`: ln Gamma, elementwise;
 - `log_ascending_factorial`: ln a^[n], one Stirling difference after a is
   shifted to a >= H;
 - `digamma`, `trigamma`, `rgamma`: psi, psi' and 1/Gamma of a scalar;
-- `hurwitz_zeta`: zeta(s, q), over arrays, or bit for bit Cephes for scalars;
+- `hurwitz_zeta`: zeta(s, q), elementwise;
 - `normal_cdf`: the standard normal distribution function, elementwise;
 - `g_sigma_values`, `gdot_sigma_values`: g_sigma(m) = sum_{l<m} 1/(l - sigma)
   and its sigma-derivative over integer arrays: a running sum up to H, the
@@ -130,21 +130,22 @@ def rgamma(x):
 
 
 def log_gamma(x):
-    """ln Gamma(x) for x > 0: math.lgamma of a scalar; over an array the
+    """ln Gamma(x) for x > 0, elementwise (a scalar gives a float): the
     Stirling series, after an x below H is shifted to x + H by
-    ln Gamma(x) = ln Gamma(x + H) - ln x(x+1)...(x+H-1)."""
-    x = np.asarray(x, dtype=float)
+    ln Gamma(x) = ln Gamma(x + H) - ln x(x+1)...(x+H-1); exactly 0 at 1
+    and 2."""
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0):
         raise ValueError("log_gamma requires x > 0")
-    if x.ndim == 0:
-        return math.lgamma(float(x))
     low = x < H
     b = np.where(low, x + H, x)
     out = (b - 0.5) * np.log(b) - b + _HALF_LOG_2PI + _stirling_tail(b)
     if np.any(low):
         xl = x[low]
         out[low] -= np.log(xl) + np.log(np.prod(xl[:, None] + _J, axis=1))
-    return out
+    out[(x == 1.0) | (x == 2.0)] = 0.0
+    return float(out[0]) if scalar else out
 
 
 def log_ascending_factorial(a, n):
@@ -282,25 +283,21 @@ _EM_DENOMS = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
               -4.5979787224074726105e15, 1.8152105401943546773e17,
               -7.1661652561756670113e18)
 _MACHEP = 2.0 ** -53
-_SCALARS = (int, float, np.integer, np.floating)
 
 
 def hurwitz_zeta(s, q):
-    """zeta(s, q) = sum_{i>=0} (q + i)^-s for s > 1 and q > 0.
+    """zeta(s, q) = sum_{i>=0} (q + i)^-s for s > 1 and q > 0; s and q
+    broadcast, and a scalar pair gives a float.
 
-    Arrays (s and q broadcast): q below H is shifted to w = q + H by its
-    first H terms, then Euler-Maclaurin with the Bernoulli terms of Cephes
-    `zeta.c`.  Its remainder is below the first term left out, so the sum
-    stops before the first term under 2^-53 of the leading one at the
-    largest s and smallest w; that is all twelve terms only for s near 17 at
-    w near H, where the error reaches a few ulp.  A scalar pair follows
-    `zeta.c` operation for operation with the C library's pow, so it returns
-    the bits of the Cephes routine: the power-law population's constant and
-    its tail draws rest on them.
+    q below H is shifted to w = q + H by its first H terms, then
+    Euler-Maclaurin with the Bernoulli terms of Cephes `zeta.c`.  Its
+    remainder is below the first term left out, so the sum stops before the
+    first term under 2^-53 of the leading one at the largest s and smallest
+    w; that is all twelve terms only for s near 17 at w near H, where the
+    error reaches a few ulp.
     """
-    if isinstance(s, _SCALARS) and isinstance(q, _SCALARS):
-        return _zeta_cephes(float(s), float(q))
-    s, q = np.asarray(s, dtype=float), np.asarray(q, dtype=float)
+    scalar = np.ndim(s) == np.ndim(q) == 0
+    s, q = np.atleast_1d(np.asarray(s, dtype=float), np.asarray(q, dtype=float))
     if np.any(s <= 1.0) or np.any(q <= 0.0):
         raise ValueError("hurwitz_zeta requires s > 1 and q > 0")
     low = q < H
@@ -328,40 +325,7 @@ def hurwitz_zeta(s, q):
         r2 = np.repeat((1.0 / (w * w))[..., None], terms, axis=-1)
         coef = rising / np.array(_EM_DENOMS[:terms])
         out += lead * np.sum(coef * np.cumprod(r2, axis=-1), axis=-1)
-    return out
-
-
-def _zeta_cephes(x, q):
-    """Cephes zeta(x, q), operation for operation."""
-    if not (x > 1.0 and q > 0.0):
-        raise ValueError("hurwitz_zeta requires s > 1 and q > 0")
-    if q > 1e8:  # DLMF 25.11.43
-        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * math.pow(q, 1.0 - x)
-    s = math.pow(q, -x)
-    a, i, b = q, 0, 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = math.pow(a, -x)
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a, k = 1.0, 0.0
-    for denom in _EM_DENOMS:
-        a *= x + k
-        b /= w
-        t = a * b / denom
-        s = s + t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s
+    return float(out[0]) if scalar else out
 
 
 _SQRT_HALF = math.sqrt(0.5)

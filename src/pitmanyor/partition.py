@@ -86,10 +86,12 @@ class PartitionStats:
         """Inverse of to_json; rejects a record whose N or Z breaks the
         invariants listed in docs/formats.md."""
         d = json.loads(text)
+        if missing := [key for key in ("n", "K", "N", "Z") if key not in d]:
+            raise ValueError(f"stats JSON has no key {missing[0]!r}")
         N = _json_integers(d, "N")
+        n, K = (_json_key_integer(d, key) for key in ("n", "K"))
         stats = cls(*np.unique(N, return_counts=True))  # raises unless N > 0
-        if (stats.n, stats.K) != (d["n"], d["K"]) \
-                or not np.array_equal(N, stats.N):
+        if (stats.n, stats.K) != (n, K) or not np.array_equal(N, stats.N):
             raise ValueError("N must list K block sizes in nonincreasing "
                              "order that sum to n")
         Z = _json_integers(d, "Z")
@@ -112,6 +114,14 @@ def json_integer(value, integral_float=False):
     if not -2 ** 63 <= value < 2 ** 63:
         raise ValueError(f"{value} is beyond int64")
     return int(value)
+
+
+def _json_key_integer(d, key):
+    """d[key] by json_integer, with the key named in its error."""
+    try:
+        return json_integer(d[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _json_integers(d, key):

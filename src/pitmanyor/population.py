@@ -27,7 +27,6 @@ import numpy as np
 from .numerics import adaptive_integrate, hurwitz_zeta
 
 _INDEX_CAP = 1 << 62  # exact power-law tail indices stay below this
-_TIE = 2e-15  # above any |cdf on the array zeta - cdf on the scalar zeta|
 _BLOCK = 1 << 14  # atoms per block of the cumulative table
 _GROWTH = threading.Lock()  # held while any cumulative table grows
 
@@ -200,21 +199,15 @@ class PowerLawPopulation(Population):
         # once: hi doubles from 2^40 until cdf(hi) >= u, then bisection on
         # (cached, hi] finds the first such hi, and the index is hi - 1.  A
         # draw with cdf(_INDEX_CAP) < u (alpha near 1) gets a fresh label at
-        # or above the cap, which no exact index reaches.
+        # or above the cap, which no exact index reaches.  cdf is exact up to
+        # the zeta's rounding, so a u that close to an atom boundary (in
+        # practice at indices beyond 1e10) may take the neighbouring atom.
         lo = np.full(u.size, cached, dtype=np.int64)
         hi = np.full(u.size, max(2 * cached, 1 << 40), dtype=np.int64)
 
-        def below(i, j):
-            # cdf(j) < u[i], on the array zeta; within _TIE, where it may
-            # round apart from the scalar zeta, on the scalar zeta, whose
-            # bits define the draw
+        def below(i, j):  # cdf(j) = 1 - c zeta(alpha, j + 1) < u[i]
             q = (j + 1).astype(float)
-            gap = 1.0 - self.c * hurwitz_zeta(self.alpha, q) - u[i]
-            near = np.flatnonzero(np.abs(gap) <= _TIE)
-            gap[near] = [1.0 - self.c * hurwitz_zeta(self.alpha, qk) - uk
-                         for qk, uk in zip(q[near].tolist(),
-                                           u[i[near]].tolist())]
-            return gap < 0.0
+            return 1.0 - self.c * hurwitz_zeta(self.alpha, q) < u[i]
 
         i = np.arange(u.size)
         while i.size:

@@ -69,8 +69,8 @@ def sample_py_partition(sigma, M, n, rng):
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
-    if M < 0.0 or M + sigma <= 0.0:
-        raise ValueError("need M >= 0 and M + sigma > 0")
+    if not 0.0 <= M < np.inf:
+        raise ValueError("M must be finite and nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
     gen = rng.generator()

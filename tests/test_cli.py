@@ -301,6 +301,43 @@ def test_experiment_unknown_check(tmp_path):
                "--out", str(tmp_path / "r.json")) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_parameters_are_error_lines(sample, tmp_path, capsys,
+                                                value):
+    out = str(tmp_path / "py.csv")
+    # --flag=value, as argparse takes a separate "-inf" for an option
+    for argv in (("fit", "--sample", str(sample), f"--m={value}"),
+                 ("fit", "--sample", str(sample), "--profile",
+                  f"--m-max={value}"),
+                 ("posterior", "--sample", str(sample), "--prior", "beta",
+                  f"--beta={value},1"),
+                 ("posterior", "--sample", str(sample),
+                  f"--m-uniform-max={value}"),
+                 ("lr", "--db", str(sample), "--crime-profile", "new",
+                  f"--m={value}"),
+                 ("simulate", f"--py=0.5,{value}", "--n", "1000",
+                  "--out", out)):
+        assert run(*argv) == 1, argv
+        assert "finite" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--py", "0.5"), ("--py", "0.5,1,2"), ("--py", "a,1"),
+    ("--beta", "1"), ("--beta", ""), ("--beta", "1;1")])
+def test_malformed_pair_is_a_usage_error(sample, tmp_path, capsys, flag,
+                                         value):
+    argv = (["simulate", "--py", value, "--n", "10",
+             "--out", str(tmp_path / "x.csv")] if flag == "--py" else
+            ["posterior", "--sample", str(sample), "--prior", "beta",
+             "--beta", value])
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == 2
+    assert f"argument {flag}: expected two comma-separated numbers" \
+        in capsys.readouterr().err
+
+
 def test_unknown_flag_is_hard_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run("fit", "--no-such-flag")

@@ -62,6 +62,15 @@ def test_mle_requires_two_observations():
         mle_sigma(from_sizes([2, 1]), -0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_M_is_rejected(value):
+    st = from_sizes([3, 2, 1, 1])
+    with pytest.raises(ValueError, match="finite"):
+        mle_sigma(st, value)
+    with pytest.raises(ValueError, match="finite"):
+        profile_mle(st, M_max=value)
+
+
 def test_recovery_simulated_py():
     # sigma recovered within 0.05 in most replications at n = 10^4
     sigma, M, n, reps = 0.5, 1.0, 10 ** 4, 60

@@ -32,6 +32,16 @@ def _gaussian_grid(center, sd, nodes=8193, span=10.0):
                          mean=center, sd=sd, cell_mass=cell)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_prior_spec_rejects_non_finite_values(value):
+    for kwargs in ({"M_kind": "fixed", "M_value": value},
+                   {"M_kind": "uniform", "M_max": value},
+                   {"sigma_kind": "beta", "beta_a": value},
+                   {"sigma_kind": "beta", "beta_b": value}):
+        with pytest.raises(ValueError, match="finite"):
+            PriorSpec(**kwargs)
+
+
 def test_prior_spec_validation():
     with pytest.raises(ValueError):
         PriorSpec(sigma_kind="cauchy")

@@ -251,8 +251,32 @@ def test_log_ascending_factorial_matches_scipy(a, n):
 def test_hurwitz_zeta_matches_scipy(s, q):
     ref = special.zeta(s, q)
     assert np.all(np.abs(hurwitz_zeta(s, np.array(q)) / ref - 1.0) <= _RTOL)
-    # a scalar pair follows the Cephes scheme bit for bit
-    assert [hurwitz_zeta(s, qi) for qi in q] == ref.tolist()
+    assert all(abs(hurwitz_zeta(s, qi) / r - 1.0) <= _RTOL
+               for qi, r in zip(q, ref.tolist()))
+
+
+@pytest.mark.parametrize("s,q", [(1.1, 1.0), (2.0, 1.0), (1.05, 0.5),
+                                 (17.0, H - 1e-9), (3.5, 2.0 ** 22),
+                                 (1.1, 2.0 ** 40)])
+def test_hurwitz_zeta_scalars_take_the_array_path(s, q):
+    # a float pair, 0-d arrays and n-d arrays give the bits of the
+    # one-element array call; a scalar comes back as a float
+    one = float(hurwitz_zeta(np.array([s]), np.array([q]))[0])
+    pair = hurwitz_zeta(s, q)
+    assert type(pair) is float and pair == one
+    assert hurwitz_zeta(np.array(s), np.array(q)) == one
+    assert hurwitz_zeta(np.float64(s), np.array(q)) == one
+    grid = hurwitz_zeta(np.full((2, 3), s), np.full((2, 3), q))
+    assert np.array_equal(grid, np.full((2, 3), one))
+
+
+@pytest.mark.parametrize("x", [1e-9, 0.5, 1.0, 2.0, 3.0, H - 1e-9, float(H),
+                               1e3, 1e12])
+def test_log_gamma_scalars_take_the_array_path(x):
+    one = float(log_gamma(np.array([x]))[0])
+    assert type(log_gamma(x)) is float and log_gamma(x) == one
+    assert log_gamma(np.array(x)) == one
+    assert np.array_equal(log_gamma(np.full((2, 3), x)), np.full((2, 3), one))
 
 
 @_KERNEL

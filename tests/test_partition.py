@@ -91,6 +91,14 @@ def test_invariant_validation():
             PartitionStats.from_json(record)
     with pytest.raises(ValueError, match="Z inconsistent with N"):
         PartitionStats.from_json(_record(2 ** 40, 1, [2 ** 40], [1]))
+    # n and K follow the same integer rule, and a missing key is named
+    for record, message in ((_record(3.0, 2, [2, 1], [2, 1]), "n: must be"),
+                            (_record(3, 2.0, [2, 1], [2, 1]), "K: must be"),
+                            (_record(True, True, [1], [1]), "n: must be"),
+                            (json.dumps({"n": 1, "K": 1, "N": [1]}), "'Z'"),
+                            (json.dumps({"n": 1, "N": [1], "Z": [1]}), "'K'")):
+        with pytest.raises(ValueError, match=message):
+            PartitionStats.from_json(record)
 
 
 def test_histogram_validation():

@@ -9,10 +9,9 @@ from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor.numerics import hurwitz_zeta
-from pitmanyor.population import (_BLOCK, _INDEX_CAP, _TIE,
-                                  PowerLawPopulation, make_explicit,
-                                  make_power_law, make_synthetic,
-                                  population_from_json)
+from pitmanyor.population import (_BLOCK, _INDEX_CAP, PowerLawPopulation,
+                                  make_explicit, make_power_law,
+                                  make_synthetic, population_from_json)
 from pitmanyor.sampler import RngStream, sample_iid
 
 
@@ -298,18 +297,6 @@ def test_tail_indices_match_the_scalar_search(alpha):
             idx, fresh = fresh, fresh + 1
         want.append(idx)
     assert pop._tail_indices(u, cached, 1.0 - tail).tolist() == want
-
-
-@pytest.mark.parametrize("alpha", [1.01, 1.1, 2.0])
-def test_array_and_scalar_zeta_cdfs_agree_within_the_tie_band(alpha):
-    pop = make_power_law(alpha)
-    j = np.unique(np.exp(np.random.default_rng(1).uniform(
-        math.log(2.0 ** 22), math.log(2.0 ** 62), 2000)).astype(np.int64))
-    q = (j + 1).astype(float)
-    array = 1.0 - pop.c * hurwitz_zeta(alpha, q)
-    scalar = np.array([1.0 - pop.c * hurwitz_zeta(alpha, v)
-                       for v in q.tolist()])
-    assert np.max(np.abs(array - scalar)) <= _TIE / 2
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.2])

@@ -1,5 +1,6 @@
-"""Scale envelope of the occupancy engine: wall time and peak memory of the
-finite-n sums and of the Poissonized sampler on heavy-tailed populations.
+"""Scale envelope: wall time and peak memory of the finite-n sums and of the
+Poissonized sampler on heavy-tailed populations, and of the profile MLE on
+a sample with K ~ n.
 
 Each case runs in a fresh `python -c` child, which times the one call and
 then prints its VmHWM (peak resident set) from /proc/self/status.  A fresh
@@ -33,7 +34,7 @@ print(json.dumps({{"seconds": seconds, "mib": kib / 1024}}))
 """
 
 # name -> (setup, call, seconds, MiB); measured: 0.8 s and 99 MiB, 0.08 s
-# and 63 MiB, 1.4 s and 128 MiB
+# and 63 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB
 CASES = {
     "sigma0n_root": (
         "from pitmanyor.asymptotics import sigma0n_root\n"
@@ -54,6 +55,13 @@ CASES = {
         "pop = make_power_law(1.1)",
         "occ = sample_poissonized(pop, 10 ** 6, RngStream(0))\n"
         "assert 3e5 < len(occ.counts) < 4e5, len(occ.counts)", 6.0, 256.0),
+    # K ~ n: a million distinct species
+    "profile_mle_all_distinct": (
+        "from pitmanyor.estimators import UPPER_SIGMA, profile_mle\n"
+        "from pitmanyor.partition import from_sizes\n"
+        "stats = from_sizes([1] * 10 ** 6)",
+        "fit = profile_mle(stats, M_max=50.0)\n"
+        "assert fit.boundary == UPPER_SIGMA, fit.boundary", 8.0, 128.0),
 }
 
 
