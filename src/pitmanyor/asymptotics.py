@@ -29,9 +29,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .numerics import (GL16_NODES, GL16_WEIGHTS, digamma, g_sigma_values,
-                       gdot_sigma_values, log_gamma, newton_root, rgamma,
-                       trigamma)
+from .numerics import (digamma, g_sigma_values, gdot_sigma_values, gl_panels,
+                       log_gamma, newton_root, rgamma, trigamma)
 
 # ---------------------------------------------------------------------------
 # closed forms: E0, tau2 and the Stirling-ratio series
@@ -87,19 +86,10 @@ _KARLIN_PANELS = 40  # Gauss-Legendre panels of 16 nodes
 _KARLIN_ROWS = ("iii", "iv", "v", "vi", "vii", "viii", "var")
 
 
-def _gl_panels(lo, hi, panels):
-    """(node, weight) of the composite 16-point Gauss-Legendre rule on
-    `panels` equal panels of [lo, hi]."""
-    x, w = GL16_NODES, GL16_WEIGHTS
-    edges = np.linspace(lo, hi, panels + 1)
-    half = np.diff(edges)[:, None] / 2.0
-    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
-
-
 @cache
 def _karlin_rule():
     """(log lam, weight) of the Karlin quadrature."""
-    return _gl_panels(*_KARLIN_LOG_LAM, _KARLIN_PANELS)
+    return gl_panels(*_KARLIN_LOG_LAM, _KARLIN_PANELS)
 
 
 def karlin_integrals(gamma, sigma):
@@ -270,8 +260,8 @@ class OccupancySums:
         x = w = np.empty(0)
         if finite is None:
             a = self.head + 0.5
-            t, w = _gl_panels(math.log(a), math.log(a) + _BAND_SPAN,
-                              _BAND_PANELS)
+            t, w = gl_panels(math.log(a), math.log(a) + _BAND_SPAN,
+                             _BAND_PANELS)
             step = a * _EM_STEP
             x = np.concatenate((np.exp(t), [a + step, a - step]))
             w = np.concatenate((w * x[:-2], [1.0, -1.0]))

@@ -79,7 +79,7 @@ def _provenance(args, inputs=()):
 def _load_stats(args):
     if args.stats is not None:
         text = Path(args.stats).read_text()
-        payload = json.loads(text)
+        payload = partition.json_object(json.loads(text), "stats JSON")
         if "stats" in payload:  # wrapped output of `simulate`
             text = json.dumps(payload["stats"])
         return partition.PartitionStats.from_json(text), [args.stats]
@@ -194,7 +194,8 @@ def cmd_verify(args):
 
 
 def cmd_experiment(args):
-    spec = json.loads(Path(args.config).read_text())
+    spec = partition.json_object(json.loads(Path(args.config).read_text()),
+                                 "experiment config")
     check = spec.get("check")
     if check not in experiments.CHECKS:
         raise CliError(f"unknown check {check!r}; choose from "

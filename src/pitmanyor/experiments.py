@@ -46,10 +46,13 @@ CHECKS = {
 
 
 _OPTIONAL_KEYS = {"replications": partition.json_integer,
-                  "M_values": tuple, "prior": inference.PriorSpec.from_dict,
-                  "seed": partition.json_integer, "M_max": float,
-                  "threads": partition.json_integer, "tolerance": float,
-                  "sigma": float}  # key -> reader of its JSON value
+                  "M_values": partition.json_numbers,
+                  "prior": inference.PriorSpec.from_dict,
+                  "seed": partition.json_integer,
+                  "M_max": partition.json_number,
+                  "threads": partition.json_integer,
+                  "tolerance": partition.json_number,
+                  "sigma": partition.json_number}  # key -> reader of its value
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,7 @@ class ExperimentConfig:
         format.  A key that is absent or null takes the check's default
         from CHECKS, else the field default; other keys (such as `check`)
         are ignored."""
+        d = partition.json_object(d, "experiment config")
         spec = {**CHECKS[check], **{k: v for k, v in d.items()
                                     if v is not None}}
         optional = {}

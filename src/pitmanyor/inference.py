@@ -17,6 +17,7 @@ import numpy as np
 
 from .likelihood import log_eppf_grid
 from .numerics import log_sum_exp, normal_cdf
+from .partition import json_key, json_number, json_numbers, json_object
 
 _GRID_EPS = 1e-6
 _COARSE_NODES = 512
@@ -82,12 +83,15 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Inverse of to_dict; a missing entry takes its default."""
-        a, b = d.get("beta", [1.0, 1.0])
-        M = d.get("M", {})
+        """Inverse of to_dict; a missing entry takes its default, and a
+        number that is not a JSON number is an error naming its key."""
+        d = json_object(d, "prior")
+        a, b = json_key(d, "beta", lambda v: json_numbers(v, 2), (1.0, 1.0))
+        M = json_object(d.get("M", {}), "M")
         return cls(sigma_kind=d.get("sigma", "uniform"), beta_a=a, beta_b=b,
                    M_kind=M.get("kind", "fixed"),
-                   M_value=M.get("value", 1.0), M_max=M.get("max", 50.0))
+                   M_value=json_key(M, "value", json_number, 1.0),
+                   M_max=json_key(M, "max", json_number, 50.0))
 
 
 @dataclass(frozen=True)

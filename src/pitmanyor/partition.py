@@ -85,11 +85,11 @@ class PartitionStats:
     def from_json(cls, text):
         """Inverse of to_json; rejects a record whose N or Z breaks the
         invariants listed in docs/formats.md."""
-        d = json.loads(text)
+        d = json_object(json.loads(text), "stats JSON")
         if missing := [key for key in ("n", "K", "N", "Z") if key not in d]:
             raise ValueError(f"stats JSON has no key {missing[0]!r}")
         N = _json_integers(d, "N")
-        n, K = (_json_key_integer(d, key) for key in ("n", "K"))
+        n, K = (json_key(d, key) for key in ("n", "K"))
         stats = cls(*np.unique(N, return_counts=True))  # raises unless N > 0
         if (stats.n, stats.K) != (n, K) or not np.array_equal(N, stats.N):
             raise ValueError("N must list K block sizes in nonincreasing "
@@ -116,10 +116,43 @@ def json_integer(value, integral_float=False):
     return int(value)
 
 
-def _json_key_integer(d, key):
-    """d[key] by json_integer, with the key named in its error."""
+def json_number(value):
+    """value as a float if it is a JSON number, integer or float: the
+    counterpart of json_integer for the real-valued keys; ValueError for a
+    string, boolean or any other value."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) \
+            or isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
     try:
-        return json_integer(d[key])
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is beyond the float range") from None
+
+
+def json_numbers(values, length=None):
+    """A JSON list of numbers (of `length` entries if given) as a tuple of
+    floats by json_number."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise ValueError("must be a list of "
+                         + (f"{length} numbers" if length else "numbers"))
+    return tuple(json_number(v) for v in values)
+
+
+def json_object(value, what):
+    """value if it is a JSON object; ValueError naming `what` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not "
+                         f"{type(value).__name__}")
+    return value
+
+
+def json_key(d, key, read=json_integer, default=None):
+    """read(d[key]), with the key named in its error; an absent key gives
+    `default` if one is set, else KeyError."""
+    if default is not None and key not in d:
+        return default
+    try:
+        return read(d[key])
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
 

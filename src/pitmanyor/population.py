@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import adaptive_integrate, hurwitz_zeta
+from .partition import json_key, json_number, json_object
 
 _INDEX_CAP = 1 << 62  # exact power-law tail indices stay below this
 _BLOCK = 1 << 14  # atoms per block of the cumulative table
@@ -237,7 +238,8 @@ class SyntheticPopulation(Population):
     j, then renormalized to sum to one.  The shift constant c keeps f strictly
     increasing on u >= 1 when r < 0; it changes L0 only by lower-order terms.
     Renormalization rescales u by S = sum p~_j, so the effective constant in
-    L0 is S^{-gamma}, which is recorded in `rv`.
+    L0 is S^{-gamma}, which is recorded in `rv`.  The atoms are computed in
+    y = log u, where f = e^(gamma y) (c + y)^r and p~ = e^-y.
     """
 
     kind = "synthetic"
@@ -251,9 +253,12 @@ class SyntheticPopulation(Population):
         self.gamma = float(gamma)
         self.r = float(r)
         self.shift = 1.0 if r >= 0 else 1.0 - r / gamma
-        head = 1.0 / self._u_of(np.arange(1, self._TAIL_ANCHOR + 1))
+        head = np.exp(-self._log_u(np.arange(1, self._TAIL_ANCHOR + 1)))
         self.norm = float(np.sum(head)) + self._raw_tail_integral(
             self._TAIL_ANCHOR + 0.5, 1)
+        if not 0.0 < self.norm < math.inf:
+            raise ValueError(f"synthetic population with gamma={gamma}, "
+                             f"r={r}: its atom weights underflow")
         self.rv = RegularVariation(sigma0=self.gamma,
                                    L0_const=self.norm ** (-self.gamma),
                                    log_power_r=self.r, beta0=0.0, C=1.0)
@@ -262,53 +267,60 @@ class SyntheticPopulation(Population):
     def _f(self, u):
         return u ** self.gamma * (self.shift + np.log(u)) ** self.r
 
-    def _u_of(self, j):
-        """Inverse of f at j (vectorized Newton in x = log u)."""
-        j = np.asarray(j, dtype=float)
-        target = np.log(j)
-        x = np.maximum(target / self.gamma, 0.0)
+    def _log_u(self, j):
+        """log u at j, the inverse of f: vectorized Newton in y = log u >= 0,
+        until no step moves y by more than 1e-14 of max(y, 1)."""
+        target = np.log(np.asarray(j, dtype=float))
+        y = np.maximum(target / self.gamma, 0.0)
         for _ in range(100):
-            g = self.gamma * x + self.r * np.log(self.shift + x) - target
-            step = g / (self.gamma + self.r / (self.shift + x))
-            x = x - step
-            x = np.maximum(x, 0.0)
-            if np.max(np.abs(step), initial=0.0) < 1e-14:
-                break
-        return np.exp(x)
+            g = self.gamma * y + self.r * np.log(self.shift + y) - target
+            new = np.maximum(
+                y - g / (self.gamma + self.r / (self.shift + y)), 0.0)
+            done = np.all(np.abs(new - y) <= 1e-14 * np.maximum(y, 1.0))
+            y = new
+            if done:
+                return y
+        raise ValueError(f"synthetic population with gamma={self.gamma}, "
+                         f"r={self.r}: the inverse of f did not converge")
 
     def _raw_tail_integral(self, after, k):
-        """integral_{after}^inf (1/u(j))^k dj by substitution t = 1/u."""
-        upper = 1.0 / float(self._u_of(np.array([after]))[0])
-        gamma, r, c = self.gamma, self.r, self.shift
+        """integral_{after}^inf u(j)^-k dj.  With j = f(u), x = c + log u and
+        b = k - gamma it is e^(-b y0) int_{x0}^inf e^(-b (x - x0)) x^(r-1)
+        (gamma x + r) dx, y0 = log u(after) and x0 = c + y0; x = e^w makes
+        the integrand smooth, and it ends where e^(-b (x - x0)) = e^-100."""
+        y0 = float(self._log_u(after))
+        x0 = self.shift + y0
+        gamma, r, b = self.gamma, self.r, k - self.gamma
 
-        def integrand(t):
-            ll = c - math.log(t)
-            return t ** (k - 1 - gamma) * ll ** (r - 1.0) * (gamma * ll + r)
+        def integrand(w):
+            x = np.exp(w)
+            return np.exp(r * w - b * (x - x0)) * (gamma * x + r)
 
-        return adaptive_integrate(integrand, 0.0, upper, rel_tol=1e-11)
+        return math.exp(-b * y0) * adaptive_integrate(
+            integrand, math.log(x0), math.log(x0 + 100.0 / b), rel_tol=1e-12)
 
     # Population API ---------------------------------------------------------
     def atom_law(self, x):
-        return 1.0 / self._u_of(x) / self.norm
+        return np.exp(-self._log_u(x)) / self.norm
 
     def alpha0(self, u):
         if u <= 0:
             return 0
         v = u / self.norm
-        u1 = float(self._u_of(np.array([1.0]))[0])
-        if v < u1:
+        if math.log(v) < self._log_u(1.0):
             return 0
         return int(math.floor(float(self._f(v)) + 1e-12))
 
     def tail_power_sum(self, after, k):
         # midpoint Euler-Maclaurin with its first correction:
         # sum_{j>J} h(j) ~ int_{J+1/2}^inf h + h'(J+1/2)/24 for h = u^-k.
-        # At x = f(u), u'(x) = 1/f'(u) and f'(u) = x (gamma + r/log(e^c u))/u,
-        # so h'(x) = -k u^-k / (x (gamma + r/log(e^c u))).
+        # At x = f(u), with y = log u, u'(x) = 1/f'(u) and
+        # f'(u) = x (gamma + r/(c + y))/u, so h'(x) = -k e^(-k y)
+        # / (x (gamma + r/(c + y))).
         x = after + 0.5
-        u = float(self._u_of(np.array([x]))[0])
-        slope = -k * u ** -k / (x * (self.gamma
-                                     + self.r / (self.shift + math.log(u))))
+        y = float(self._log_u(x))
+        slope = -k * math.exp(-k * y) / (x * (self.gamma
+                                              + self.r / (self.shift + y)))
         return (self._raw_tail_integral(x, k) + slope / 24.0) / self.norm ** k
 
     def spec_dict(self):
@@ -376,12 +388,14 @@ def make_explicit(probs):
 
 
 def population_from_json(text):
-    spec = json.loads(text) if isinstance(text, str) else text
+    spec = json_object(json.loads(text) if isinstance(text, str) else text,
+                       "population spec")
     kind = spec.get("kind")
     if kind == "power_law":
-        return make_power_law(spec["alpha"])
+        return make_power_law(json_key(spec, "alpha", json_number))
     if kind == "synthetic":
-        return make_synthetic(spec["gamma"], spec["r"])
+        return make_synthetic(json_key(spec, "gamma", json_number),
+                              json_key(spec, "r", json_number))
     if kind == "explicit":
         return make_explicit(spec["probs"])
     raise ValueError(f"unknown population kind: {kind!r}")

@@ -79,6 +79,21 @@ def test_simulate_population_with_huge_labels(tmp_path):
                                 .tolist(), reverse=True)
 
 
+def test_simulate_and_fit_synthetic_near_one(tmp_path, capsys):
+    # synthetic(0.99, 0): its norm and atom probabilities must be finite,
+    # so the sample is not n distinct species, and the fit is interior
+    spec = tmp_path / "pop.json"
+    spec.write_text('{"kind": "synthetic", "gamma": 0.99, "r": 0}')
+    out = tmp_path / "syn.csv"
+    assert run("simulate", "--population", str(spec), "--n", "100000",
+               "--seed", "1", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("fit", "--stats", str(tmp_path / "syn.json")) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert fit["K"] < fit["n"] and fit["boundary"] == "Interior"
+    assert abs(fit["sigma_hat"] - 0.99) <= 0.02
+
+
 def test_fit_from_sample(sample, tmp_path, capsys):
     assert run("fit", "--sample", str(sample), "--m", "1") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -281,6 +296,42 @@ def test_experiment_rejects_malformed_keys(tmp_path, capsys, key, value,
     cfg.write_text(json.dumps(dict(spec, **{key: value})))
     assert run("experiment", "--config", str(cfg), "--out", str(out)) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NORMALITY = {"check": "normality",
+              "population": {"kind": "power_law", "alpha": 2.0},
+              "n_grid": [300], "replications": 2}
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("fit", "3", "stats JSON must be a JSON object"),
+    ("simulate", "3", "population spec must be a JSON object"),
+    ("simulate", "[1]", "population spec must be a JSON object"),
+    ("simulate", '{"kind": "power_law", "alpha": "2"}',
+     "alpha: must be a number, got '2'"),
+    ("experiment", "[1]", "experiment config must be a JSON object"),
+    ("experiment", json.dumps(dict(_NORMALITY, population=[1])),
+     "population spec must be a JSON object"),
+    ("experiment", json.dumps(dict(_NORMALITY, prior=3)),
+     "prior: prior must be a JSON object"),
+    ("experiment", json.dumps(dict(_NORMALITY, prior={"M": 3})),
+     "prior: M must be a JSON object"),
+    ("experiment", json.dumps(dict(_NORMALITY, M_values=["a"])),
+     "M_values: must be a number, got 'a'"),
+])
+def test_malformed_json_input_is_one_error_line(tmp_path, capsys, command,
+                                                text, message):
+    path, out = tmp_path / "input.json", tmp_path / "out.csv"
+    path.write_text(text)
+    argv = {"fit": ["fit", "--stats", str(path)],
+            "simulate": ["simulate", "--population", str(path), "--n", "10",
+                         "--out", str(out)],
+            "experiment": ["experiment", "--config", str(path),
+                           "--out", str(out)]}[command]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -68,7 +69,8 @@ def test_power_law_domain():
 
 
 def test_synthetic_normalizes():
-    for gamma, r in ((0.5, 1.0), (0.5, -1.0), (0.3, 0.0), (0.7, 2.0)):
+    for gamma, r in ((0.5, 1.0), (0.5, -1.0), (0.3, 0.0), (0.7, 2.0),
+                     (0.97, 1.0), (0.99, 0.0), (0.999, -2.0)):
         pop = make_synthetic(gamma, r)
         head = float(np.sum(pop.atom_probs(100000)))
         total = head + pop.tail_power_sum(100000, 1)
@@ -108,6 +110,49 @@ def test_synthetic_domain():
         make_synthetic(0.0, 1.0)
     with pytest.raises(ValueError):
         make_synthetic(0.5, 3.0)
+
+
+def _tail_closed_form(pop, after, k):
+    """int_{after}^inf u(j)^-k dj by upper incomplete gamma functions:
+    exp((gamma - k) y0 + b x0) [gamma b^(-r-1) Gamma(r + 1, b x0)
+    + r b^-r Gamma(r, b x0)], b = k - gamma, y0 = log u(after) and
+    x0 = c + y0."""
+    with mpmath.workdps(40):
+        y0 = mpmath.mpf(float(pop._log_u(after)))
+        x0 = pop.shift + y0
+        gamma, r = mpmath.mpf(pop.gamma), mpmath.mpf(pop.r)
+        b = k - gamma
+        return float(mpmath.exp((gamma - k) * y0 + b * x0)
+                     * (gamma * b ** (-r - 1) * mpmath.gammainc(r + 1, b * x0)
+                        + r * b ** -r * mpmath.gammainc(r, b * x0)))
+
+
+@pytest.mark.parametrize("gamma", [0.03, 0.1, 0.5, 0.9, 0.97, 0.99, 0.999])
+@pytest.mark.parametrize("r", [-2.0, -1.0, -0.3, 0.0, 0.7, 1.0, 2.0])
+def test_synthetic_tail_integral_closed_form(gamma, r):
+    # the smooth log-u integrand on Gauss-Legendre panels, at both ends of
+    # gamma, wherever the value is a normal float
+    pop = make_synthetic(gamma, r)
+    for k in (1, 2, 3):
+        for after in (0.5, 1024.5, 1e5 + 0.5):
+            want = _tail_closed_form(pop, after, k)
+            if want >= sys.float_info.min:
+                got = pop._raw_tail_integral(after, k)
+                assert abs(got / want - 1.0) <= 1e-12, (k, after)
+
+
+def test_synthetic_underflow_names_its_parameters():
+    # every atom weight e^-y underflows: y(1) is about 1,500
+    with pytest.raises(ValueError, match=r"gamma=0\.01, r=-2"):
+        make_synthetic(0.01, -2.0)
+
+
+def test_synthetic_inverse_says_when_it_does_not_converge():
+    # a NaN exponent gives NaN Newton steps, which never meet the stop rule
+    pop = make_synthetic(0.5, 1.0)
+    pop.r = math.nan
+    with pytest.raises(ValueError, match="did not converge"):
+        pop._log_u(10.0)
 
 
 def test_explicit_population():
