@@ -54,9 +54,31 @@ def _guard_output(path, force):
         raise CliError(f"refusing to overwrite {path} (use --force)", 1)
 
 
-def _write_json(path, payload, force):
+def _write_json(path, payload, force, splice=None):
+    """payload as JSON with sorted keys and indent 2, and a final newline.
+    `splice` maps placeholder strings of payload, in the order they appear,
+    to pieces of JSON text written in their place."""
     _guard_output(path, force)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with open(path, "w") as fh:
+        for placeholder, pieces in (splice or {}).items():
+            head, text = text.split(json.dumps(placeholder), 1)
+            fh.writelines((head, *pieces))
+        fh.write(text)
+
+
+def _write_stats(path, stats, provenance, force):
+    """simulate's stats JSON: {"provenance": ..., "stats": the record of
+    stats.to_json()}.  N and Z are rendered from the histogram's runs and
+    spliced in, as the pure-Python indent encoder would take seconds over a
+    Z of length max N; the placeholders hold a NUL, which no flag or path
+    holds."""
+    # list items at depth 3 (payload, "stats", list) of an indent of 2
+    N, Z = stats._json_lists(",\n" + " " * 6)
+    record = {"K": stats.K, "N": "\0N", "Z": "\0Z", "n": stats.n}
+    _write_json(path, {"provenance": provenance, "stats": record}, force,
+                {"\0N": ("[\n      ", N, "\n    ]"),
+                 "\0Z": ("[\n      ", Z, "\n    ]")})
 
 
 def _emit(args, payload):
@@ -78,11 +100,11 @@ def _provenance(args, inputs=()):
 
 def _load_stats(args):
     if args.stats is not None:
-        text = Path(args.stats).read_text()
-        payload = partition.json_object(json.loads(text), "stats JSON")
+        payload = partition.json_object(
+            json.loads(Path(args.stats).read_text()), "stats JSON")
         if "stats" in payload:  # wrapped output of `simulate`
-            text = json.dumps(payload["stats"])
-        return partition.PartitionStats.from_json(text), [args.stats]
+            payload = payload["stats"]
+        return partition.PartitionStats.from_dict(payload), [args.stats]
     if args.sample is not None:
         return partition.read_sample_csv(args.sample), [args.sample]
     raise CliError("provide --stats or --sample", 2)
@@ -120,9 +142,7 @@ def cmd_simulate(args):
     _guard_output(args.out, args.force)
     write_sample_csv(args.out, labels)
     stats_path = args.stats_out or str(Path(args.out).with_suffix(".json"))
-    payload = {"stats": json.loads(stats.to_json()),
-               "provenance": _provenance(args)}
-    _write_json(stats_path, payload, args.force)
+    _write_stats(stats_path, stats, _provenance(args), args.force)
     top = ", ".join(str(x) for x in stats.N[:5])
     print(f"n={stats.n} K={stats.K} largest blocks: {top}")
     return 0

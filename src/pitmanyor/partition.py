@@ -11,8 +11,10 @@ be discretized upstream.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
+import locale
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -70,22 +72,39 @@ class PartitionStats:
         """Label sequence with N_j copies of label j (canonical order)."""
         return np.repeat(np.arange(self.K), self.N)
 
-    def _occupancy_counts(self):
-        """Z_l = #{j : N_j >= l} for l = 1..max N, the JSON form's Z: constant
-        on each interval (sizes[i-1], sizes[i]] between distinct sizes."""
+    def _z_runs(self):
+        """Z_l = #{j : N_j >= l} for l = 1..max N, the JSON form's Z, as
+        runs: at_least[i] repeated on each interval (sizes[i-1], sizes[i]]
+        between distinct sizes."""
         at_least = np.cumsum(self.counts[::-1])[::-1]
-        return np.repeat(at_least, np.diff(self.sizes, prepend=0))
+        return at_least, np.diff(self.sizes, prepend=0)
+
+    def _occupancy_counts(self):
+        """Z as an array, which from_json checks a record's Z against."""
+        return np.repeat(*self._z_runs())
+
+    def _json_lists(self, sep):
+        """The items of N and of Z in JSON, separated by `sep`, written from
+        the histogram's runs without either list."""
+        return (_json_runs(self.sizes[::-1], self.counts[::-1], sep),
+                _json_runs(*self._z_runs(), sep))
 
     def to_json(self):
-        return json.dumps({"n": self.n, "K": self.K, "N": self.N.tolist(),
-                           "Z": self._occupancy_counts().tolist()},
-                          sort_keys=True)
+        """The record json.dumps(..., sort_keys=True) writes for n, K, N and
+        Z."""
+        N, Z = self._json_lists(", ")
+        return f'{{"K": {self.K}, "N": [{N}], "Z": [{Z}], "n": {self.n}}}'
 
     @classmethod
     def from_json(cls, text):
         """Inverse of to_json; rejects a record whose N or Z breaks the
         invariants listed in docs/formats.md."""
-        d = json_object(json.loads(text), "stats JSON")
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, d):
+        """from_json for the record already parsed from JSON."""
+        d = json_object(d, "stats JSON")
         if missing := [key for key in ("n", "K", "N", "Z") if key not in d]:
             raise ValueError(f"stats JSON has no key {missing[0]!r}")
         N = _json_integers(d, "N")
@@ -100,6 +119,15 @@ class PartitionStats:
                 or not np.array_equal(Z, stats._occupancy_counts()):
             raise ValueError("Z inconsistent with N")
         return stats
+
+
+def _json_runs(values, runs, sep):
+    """The items of the JSON integer list that holds each values[i] runs[i]
+    times, in order, joined by `sep` as json.dumps joins them; built by
+    string repetition, not from the list."""
+    text = "".join(f"{v}{sep}" * r
+                   for v, r in zip(values.tolist(), runs.tolist()))
+    return text[:len(text) - len(sep)]
 
 
 def json_integer(value, integral_float=False):
@@ -209,19 +237,57 @@ def from_occupancy(counts):
 
 def read_sample_counts(path):
     """Counter of the labels in the required `species` column of a sample
-    CSV.  Blank lines are skipped; a row too short to hold the column
-    raises ValueError."""
+    CSV.  Blank lines are skipped; a row too short to hold the column, or a
+    row the csv module cannot read, raises ValueError."""
+    counts = _species_counts_bytes(path)
+    return _species_counts_csv(path) if counts is None else counts
+
+
+# bytes per read of the byte-split path
+_BLOCK = 1 << 20
+
+
+def _species_counts_bytes(path):
+    """read_sample_counts for the common file, split on its bytes: a header
+    that is exactly `species`, rows that end in LF or CRLF and hold no quote
+    or comma, and UTF-8 as the encoding text-mode open uses.  Each block of
+    whole lines is decoded and split on LF.  None for any other file, which
+    the csv module reads."""
+    if codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
+        return None
+    counts = Counter()
+    with open(path, "rb") as fh:
+        # a first line longer than any accepted header is cut at 16 bytes
+        if fh.readline(16) not in (b"species\n", b"species\r\n", b"species"):
+            return None
+        while block := fh.read(_BLOCK):
+            if not block.endswith(b"\n"):
+                block += fh.readline()  # the rest of the block's last line
+            block = block.replace(b"\r\n", b"\n")
+            if b'"' in block or b"," in block or b"\r" in block:
+                return None  # a quoted or multi-column row, or a lone CR
+            counts.update(block.decode().split("\n"))
+    del counts[""]  # blank lines and the split after the last LF
+    return counts
+
+
+def _species_counts_csv(path):
+    """read_sample_counts by the csv module, for every file."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, [])
-        if "species" not in header:
-            raise ValueError("sample CSV must have a `species` header column")
         try:
+            header = next(rows, [])
+            if "species" not in header:
+                raise ValueError(
+                    "sample CSV must have a `species` header column")
             return Counter(map(itemgetter(header.index("species")),
                                filter(None, rows)))
         except IndexError:
             raise ValueError(
                 "sample CSV row has no `species` field") from None
+        except csv.Error as exc:
+            raise ValueError(
+                f"sample CSV line {rows.line_num}: {exc}") from None
 
 
 def read_sample_csv(path):
@@ -236,19 +302,26 @@ def read_occupancy_csv(path):
     ValueError naming its line.  Blank lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        need = {"species", "count"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError("occupancy CSV must have `species,count` columns")
-        counts = {}
-        for row in reader:
-            species, count = row["species"], row["count"]
-            where = f"occupancy CSV line {reader.line_num}"
-            if species is None or count is None:
-                raise ValueError(f"{where}: row has no `species` or `count`")
-            if re.fullmatch(r"\s*[0-9]+\s*", count) is None:
-                raise ValueError(f"{where}: count {count!r} is not a "
-                                 "nonnegative integer")
-            if species in counts:
-                raise ValueError(f"{where}: species {species!r} repeated")
-            counts[species] = int(count)
+        try:
+            need = {"species", "count"}
+            if reader.fieldnames is None \
+                    or not need.issubset(reader.fieldnames):
+                raise ValueError(
+                    "occupancy CSV must have `species,count` columns")
+            counts = {}
+            for row in reader:
+                species, count = row["species"], row["count"]
+                where = f"occupancy CSV line {reader.line_num}"
+                if species is None or count is None:
+                    raise ValueError(
+                        f"{where}: row has no `species` or `count`")
+                if re.fullmatch(r"\s*[0-9]+\s*", count) is None:
+                    raise ValueError(f"{where}: count {count!r} is not a "
+                                     "nonnegative integer")
+                if species in counts:
+                    raise ValueError(f"{where}: species {species!r} repeated")
+                counts[species] = int(count)
+        except csv.Error as exc:  # reader.line_num lags a row that failed
+            line = reader.reader.line_num
+            raise ValueError(f"occupancy CSV line {line}: {exc}") from None
     return from_occupancy(counts)

@@ -208,6 +208,19 @@ def test_lr_rejects_db_without_species_header(tmp_path):
                "--m", "1") == 1
 
 
+@pytest.mark.parametrize("command", ["fit", "lr"])
+def test_csv_module_error_is_one_error_line(tmp_path, capsys, command):
+    # a label past the csv module's field limit, in a two-column file that
+    # only the csv module reads
+    db = tmp_path / "db.csv"
+    db.write_text("id,species\n1,a\n2," + "x" * 131_073 + "\n")
+    argv = {"fit": ["fit", "--sample", str(db)],
+            "lr": ["lr", "--db", str(db), "--crime-profile", "NEW"]}[command]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == ("error: sample CSV line 3: field "
+                                       "larger than field limit (131072)\n")
+
+
 def test_verify_fast(capsys):
     assert run("verify", "--fast") == 0
     out = capsys.readouterr().out

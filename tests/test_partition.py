@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import locale
 import re
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from pitmanyor import cli, partition
 from pitmanyor.estimators import mle_sigma
 from pitmanyor.inference import PriorSpec, forensic_lr, posterior_sigma
 from pitmanyor.partition import (PartitionStats, from_observations,
@@ -211,6 +214,85 @@ def test_read_sample_counts_matches_dictreader(rows, other_column, line_end):
             assert read_sample_counts(path) == Counter(want)
 
 
+# labels of characters of one to four UTF-8 bytes, NUL and a space among
+# them; no byte of a multi-byte character is a comma, quote, CR or LF
+_BYTE_LABELS = hst.text(alphabet="ab \x00\xe9\u4e2d\U0001f600", max_size=3)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rows=hst.lists(hst.one_of(hst.none(), _BYTE_LABELS), max_size=12),
+       line_end=hst.sampled_from(["\n", "\r\n"]),
+       final_newline=hst.booleans(),
+       block=hst.sampled_from([1, 2, 3, 5, 1 << 20]))
+@example(rows=[], line_end="\n", final_newline=False, block=1)  # "species"
+@example(rows=["a", None, None], line_end="\r\n", final_newline=True,
+         block=2)  # trailing blank lines, a CRLF across a read
+@example(rows=["\U0001f600"], line_end="\n", final_newline=False,
+         block=1)  # a 4-byte label across reads, no final newline
+def test_read_sample_counts_byte_split(rows, line_end, final_newline, block):
+    # a one-column file of unquoted labels takes the byte split, whatever
+    # the block size: the counts equal the labels written and the csv
+    # module's reading of the same file
+    text = line_end.join(["species"] + [label or "" for label in rows])
+    want = Counter(label for label in rows if label)
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_BLOCK", block)
+        path = Path(tmp) / "s.csv"
+        path.write_bytes((text + line_end * final_newline).encode())
+        assert partition._species_counts_bytes(path) == want
+        assert read_sample_counts(path) == want
+        if "\x00" not in text or sys.version_info >= (3, 11):
+            # the csv module reads NUL from Python 3.11 on
+            assert partition._species_counts_csv(path) == want
+
+
+@pytest.mark.parametrize("text", [
+    "id,species\n1,a\n", "species,id\na,1\n", "species\n\"a\"\n",
+    "species\na\rb\n", "species\na\r", "species\ra\n", "Species\na\n",
+    "\ufeffspecies\na\n", "",
+], ids=["two_columns", "species_first", "quoted", "lone_cr", "final_cr",
+        "cr_header", "other_header", "bom", "empty"])
+def test_byte_split_declines_other_files(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    assert partition._species_counts_bytes(path) is None
+
+
+def test_byte_split_declines_a_locale_other_than_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_text("species\na\n")
+    monkeypatch.setattr(locale, "getpreferredencoding",
+                        lambda do_setlocale=True: "ISO-8859-1")
+    assert partition._species_counts_bytes(path) is None
+
+
+@pytest.mark.parametrize("data", [
+    b"species\na\n\xff\n", b"species\na\n\xc3", b"species\n\xed\xa0\x80\n",
+    b"id,species\n1,a\n2,\xff\n",
+], ids=["invalid_byte", "truncated", "surrogate", "two_columns"])
+def test_read_sample_counts_invalid_utf8(tmp_path, data):
+    # the byte split (one column) and the csv module (two) raise alike
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        read_sample_counts(path)
+
+
+def test_csv_module_errors_name_the_line(tmp_path):
+    # a field past the csv module's limit; the byte split reads such a label
+    path = tmp_path / "s.csv"
+    label = "x" * 131_073
+    path.write_text(f"species\na\n{label}\n")
+    assert read_sample_counts(path) == Counter(["a", label])
+    path.write_text(f"id,species\n1,a\n2,{label}\n")
+    with pytest.raises(ValueError, match="sample CSV line 3: field larger"):
+        read_sample_counts(path)
+    path.write_text(f"species,count\na,1\n{label},2\n")
+    with pytest.raises(ValueError, match="occupancy CSV line 3: field"):
+        read_occupancy_csv(path)
+
+
 def test_read_sample_counts_rejects_short_row(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("id,species\n1,a\n2\n")
@@ -249,23 +331,34 @@ def test_read_occupancy_csv_missing_columns(tmp_path):
 # ---------------------------------------------------------------------------
 # The histogram against the N and Z forms of the JSON record
 
-def _reference_json(sizes):
+def _reference_record(sizes):
     """The JSON record from descending N and Z_l = #{j : N_j >= l}."""
     sizes = np.asarray(sizes, dtype=np.int64)
     N = np.sort(sizes)[::-1]
     Z = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
-    return json.dumps({"n": int(N.sum()), "K": int(N.size),
-                       "N": N.tolist(), "Z": Z.tolist()}, sort_keys=True)
+    return {"n": int(N.sum()), "K": int(N.size), "N": N.tolist(),
+            "Z": Z.tolist()}
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(sizes=hst.lists(hst.integers(1, 2000), min_size=1, max_size=300))
 @example(sizes=[7])  # K = 1
 @example(sizes=[1] * 300)  # all singletons
+@example(sizes=[1])  # max N = 1 and K = 1
 @example(sizes=[10 ** 6])  # one block of 1e6
 def test_json_matches_n_and_z_reference(sizes):
+    # the compact record and simulate's indented stats file, both rendered
+    # from the histogram's runs, against json.dumps of the lists
     st = from_sizes(sizes)
-    assert st.to_json() == _reference_json(sizes)
+    record = _reference_record(sizes)
+    assert st.to_json() == json.dumps(record, sort_keys=True)
+    provenance = {"config": {"n": st.n, "out": "s.csv"}, "version": "0"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        cli._write_stats(path, st, provenance, force=False)
+        assert path.read_text() == json.dumps(
+            {"provenance": provenance, "stats": record}, sort_keys=True,
+            indent=2) + "\n"
     assert PartitionStats.from_json(st.to_json()) == st
     assert np.array_equal(
         st.expand(), np.repeat(np.arange(len(sizes)), sorted(sizes)[::-1]))

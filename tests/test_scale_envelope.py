@@ -1,6 +1,6 @@
 """Scale envelope: wall time and peak memory of the finite-n sums and of the
-Poissonized sampler on heavy-tailed populations, and of the profile MLE on
-a sample with K ~ n.
+Poissonized sampler on heavy-tailed populations, of the profile MLE on a
+sample with K ~ n, and of simulate and fit --stats on a single block of n.
 
 Each case runs in a fresh `python -c` child, which times the one call and
 then prints its VmHWM (peak resident set) from /proc/self/status.  A fresh
@@ -34,7 +34,7 @@ print(json.dumps({{"seconds": seconds, "mib": kib / 1024}}))
 """
 
 # name -> (setup, call, seconds, MiB); measured: 0.8 s and 99 MiB, 0.08 s
-# and 63 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB
+# and 63 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB, 5.2 s and 284 MiB
 CASES = {
     "sigma0n_root": (
         "from pitmanyor.asymptotics import sigma0n_root\n"
@@ -62,6 +62,20 @@ CASES = {
         "stats = from_sizes([1] * 10 ** 6)",
         "fit = profile_mle(stats, M_max=50.0)\n"
         "assert fit.boundary == UPPER_SIGMA, fit.boundary", 8.0, 128.0),
+    # a single block of n = 1e7: simulate writes a stats record whose Z has
+    # 1e7 entries, one line each, and fit --stats reads it back
+    "simulate_fit_one_block": (
+        "import tempfile\n"
+        "from pathlib import Path\n"
+        "from pitmanyor.cli import main\n"
+        "tmp = tempfile.TemporaryDirectory()\n"
+        "pop, out = Path(tmp.name) / 'pop.json', Path(tmp.name) / 's.csv'\n"
+        "pop.write_text('{\"kind\": \"explicit\", \"probs\": [1.0]}')",
+        "assert main(['simulate', '--population', str(pop),\n"
+        "             '--n', str(10 ** 7), '--out', str(out)]) == 0\n"
+        "assert main(['fit', '--stats', str(out.with_suffix('.json')),\n"
+        "             '--out', str(out.with_suffix('.fit'))]) == 0\n"
+        "tmp.cleanup()", 24.0, 576.0),
 }
 
 
