@@ -128,6 +128,12 @@ def _parse_prior(args):
 def cmd_simulate(args):
     if args.n < 1:
         raise CliError("--n must be a positive integer", 2)
+    stats_path = args.stats_out or str(Path(args.out).with_suffix(".json"))
+    if Path(stats_path).resolve() == Path(args.out).resolve():
+        raise CliError(f"the stats JSON would overwrite the sample CSV "
+                       f"{args.out} (give --stats-out another path)", 2)
+    _guard_output(args.out, args.force)
+    _guard_output(stats_path, args.force)
     rng = RngStream(args.seed)
     if args.py is not None:
         sigma, M = args.py.values
@@ -139,9 +145,7 @@ def cmd_simulate(args):
         # block sizes by sorting, not np.bincount: a power-law label is an
         # atom index that can reach 2^62, so memory must not follow its size
         stats = partition.from_sizes(np.unique(labels, return_counts=True)[1])
-    _guard_output(args.out, args.force)
     write_sample_csv(args.out, labels)
-    stats_path = args.stats_out or str(Path(args.out).with_suffix(".json"))
     _write_stats(stats_path, stats, _provenance(args), args.force)
     top = ", ".join(str(x) for x in stats.N[:5])
     print(f"n={stats.n} K={stats.K} largest blocks: {top}")

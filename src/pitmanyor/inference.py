@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import log_eppf_grid
-from .numerics import log_sum_exp, normal_cdf
+from .numerics import gl_panels, log_sum_exp, normal_cdf
 from .partition import json_key, json_number, json_numbers, json_object
 
 _GRID_EPS = 1e-6
 _COARSE_NODES = 512
 _DENSE_NODES = 2049
-_M_NODES = 65
+_M_PANELS = 4
 _SPAN_SDS = 10.0
 
 
@@ -61,14 +61,10 @@ class PriorSpec:
 
     def M_quadrature(self):
         """Nodes and weights integrating over the M prior: a fixed M is one
-        node of weight 1, a uniform M the trapezoid rule on _M_NODES nodes."""
+        node of weight 1, a uniform M `gl_panels` on [0, M_max]."""
         if self.M_kind == "fixed":
             return np.array([self.M_value]), np.ones(1)
-        nodes = np.linspace(0.0, self.M_max, _M_NODES)
-        w = np.full(nodes.size, nodes[1] - nodes[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return nodes, w
+        return gl_panels(0.0, self.M_max, _M_PANELS)
 
     def to_dict(self):
         out = {"sigma": self.sigma_kind}
@@ -148,10 +144,12 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
 def posterior_sigma(stats, prior=None, collect_phi=False):
     """Two-pass adaptive grid posterior for sigma.
 
-    Pass 1 scans (eps, 1-eps) coarsely to find the mode and a curvature-based
-    sd; pass 2 re-evaluates on a dense grid spanning mode +- 10 sd.  Cell
-    masses are trapezoidal; a degenerate flag is raised when the outermost
-    cells carry almost all mass.
+    Pass 1 scans (eps, 1-eps) coarsely for the argmax and an sd: from the
+    curvature, or at an end or where flat from the coarse nodes within 50
+    nats; pass 2 re-evaluates on a dense grid spanning the argmax +- 10 sd
+    and at least its coarse neighbours, which bracket the mode of a concave
+    log posterior.  Cell masses are trapezoidal; a degenerate flag is
+    raised when the outermost cells carry almost all mass.
     """
     if stats.n < 2:
         raise ValueError("need n >= 2 observations")
@@ -162,14 +160,16 @@ def posterior_sigma(stats, prior=None, collect_phi=False):
     lp = lp + prior.log_density_sigma(coarse)
     i = int(np.argmax(lp))
     step = coarse[1] - coarse[0]
-    if 0 < i < coarse.size - 1:
-        curv = (lp[i + 1] - 2.0 * lp[i] + lp[i - 1]) / step ** 2
-        sd0 = 1.0 / math.sqrt(-curv) if curv < 0 else step
-    else:
-        sd0 = step
-    a = max(lo, coarse[i] - _SPAN_SDS * sd0)
-    b = min(hi, coarse[i] + _SPAN_SDS * sd0)
-    nodes = np.linspace(a, b, _DENSE_NODES)
+    curv = (lp[i + 1] - 2.0 * lp[i] + lp[i - 1]) / step ** 2 \
+        if 0 < i < coarse.size - 1 else 0.0
+    if curv < 0:
+        sd0 = 1.0 / math.sqrt(-curv)
+    else:  # 50 nats: the drop of a Gaussian at 10 sd
+        near = coarse[lp >= lp[i] - 0.5 * _SPAN_SDS ** 2]
+        sd0 = (near[-1] - near[0] + step) / _SPAN_SDS
+    a = min(coarse[i] - _SPAN_SDS * sd0, coarse[max(i - 1, 0)])
+    b = max(coarse[i] + _SPAN_SDS * sd0, coarse[min(i + 1, coarse.size - 1)])
+    nodes = np.linspace(max(lo, a), min(hi, b), _DENSE_NODES)
     lp, phi = _log_post_on(stats, prior, nodes, collect_phi=collect_phi)
     lp = lp + prior.log_density_sigma(nodes)
     # trapezoid normalization in the log domain

@@ -288,16 +288,28 @@ _EM_DENOMS = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
 _MACHEP = 2.0 ** -53
 
 
+def _em_terms(s, w, count):
+    """The first `count` Euler-Maclaurin terms of zeta(s, w) over w^{1-s},
+    term j being (s)_{2j+1} w^{-2j-2}/denom_j, each element's set to 0 from
+    its first term under 2^-53 of its leading term w^{1-s}/(s - 1) on."""
+    rising = np.cumprod(s[..., None] + np.arange(2.0 * count - 1.0),
+                        axis=-1)[..., ::2]  # (s)_1, (s)_3, ...
+    r2 = np.repeat((1.0 / (w * w))[..., None], count, axis=-1)
+    term = rising / np.array(_EM_DENOMS[:count]) * np.cumprod(r2, axis=-1)
+    return term * np.logical_and.accumulate(
+        (s[..., None] - 1.0) * np.abs(term) >= _MACHEP, axis=-1)
+
+
 def hurwitz_zeta(s, q):
     """zeta(s, q) = sum_{i>=0} (q + i)^-s for s > 1 and q > 0; s and q
     broadcast, and a scalar pair gives a float.
 
     q below H is shifted to w = q + H by its first H terms, then
     Euler-Maclaurin with the Bernoulli terms of Cephes `zeta.c`.  Its
-    remainder is below the first term left out, so the sum stops before the
-    first term under 2^-53 of the leading one at the largest s and smallest
-    w; that is all twelve terms only for s near 17 at w near H, where the
-    error reaches a few ulp.
+    remainder is below the first term left out, so each element's sum stops
+    before its first term under 2^-53 of its leading one; that is all twelve
+    terms only for s near 17 at w near H, where the error reaches a few ulp.
+    An element's bits do not depend on the other elements of the call.
     """
     scalar = np.ndim(s) == np.ndim(q) == 0
     s, q = np.atleast_1d(np.asarray(s, dtype=float), np.asarray(q, dtype=float))
@@ -305,7 +317,10 @@ def hurwitz_zeta(s, q):
         raise ValueError("hurwitz_zeta requires s > 1 and q > 0")
     low = q < H
     w = np.where(low, q + H, q)
-    lead = w ** (1.0 - s)  # w^{1-s}, then w^{-s}: a subnormal w^{-s} loses digits
+    # w^{1-s}, then w^{-s}: a subnormal w^{-s} loses digits.  numpy takes
+    # 1/w for a power -1 broadcast along w and pow otherwise, so s = 2 takes
+    # 1/w in every layout
+    lead = np.where(s == 2.0, 1.0 / w, w ** (1.0 - s))
     out = lead / (s - 1.0) + 0.5 * (lead / w)
     if out.size == 0:
         return out
@@ -313,21 +328,14 @@ def hurwitz_zeta(s, q):
         sb, qb = np.broadcast_arrays(s, q)
         low = np.broadcast_to(low, out.shape)
         out[low] += ((qb[low][:, None] + _J0) ** -sb[low][:, None]).sum(axis=1)
-    # the terms kept: up to the first below 2^-53 of the leading term at the
-    # largest s and smallest w, term j being (s)_{2j+1} w^{-s-2j-1}/denom_j
-    s_max, w_min = float(s.max()), float(w.min())
-    terms, rising = 0, s_max
-    for j, denom in enumerate(_EM_DENOMS):
-        if (s_max - 1.0) * rising < _MACHEP * abs(denom) * w_min ** (2 * j + 2):
-            break
-        terms += 1
-        rising *= (s_max + (2 * j + 1)) * (s_max + (2 * j + 2))
+    # the columns: the terms kept at the largest s and smallest w, which no
+    # element exceeds
+    terms = np.count_nonzero(_em_terms(s.max(keepdims=True),
+                                       w.min(keepdims=True), len(_EM_DENOMS)))
     if terms:
-        rising = np.cumprod(s[..., None] + np.arange(2.0 * terms - 1.0),
-                            axis=-1)[..., ::2]  # (s)_1, (s)_3, ...
-        r2 = np.repeat((1.0 / (w * w))[..., None], terms, axis=-1)
-        coef = rising / np.array(_EM_DENOMS[:terms])
-        out += lead * np.sum(coef * np.cumprod(r2, axis=-1), axis=-1)
+        # summed in column order, so that the zeros past an element's own
+        # terms leave its bits alone
+        out += lead * np.cumsum(_em_terms(s, w, terms), axis=-1)[..., -1]
     return float(out[0]) if scalar else out
 
 

@@ -2,7 +2,7 @@
 
 A Population wraps a discrete distribution (p_j), sorted descending, together
 with the counting function alpha0(u) = #{j : p_j >= 1/u} and the regular
-variation descriptors (sigma0, L0, beta0) that drive all asymptotics.  An
+variation descriptors (sigma0, L0) that drive all asymptotics.  An
 infinite family also has an atom law p(x) at a real index x, whose values at
 the integers are its atom probabilities; the occupancy sums integrate it past
 their head atoms.
@@ -39,14 +39,10 @@ class RegularVariation:
     sigma0: float
     L0_const: float
     log_power_r: float = 0.0
-    beta0: float = 0.0
-    C: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.sigma0 < 1.0:
             raise ValueError("sigma0 must lie in (0, 1)")
-        if self.beta0 >= self.sigma0:
-            raise ValueError("beta0 must be < sigma0")
 
 
 class Population:
@@ -175,8 +171,7 @@ class PowerLawPopulation(Population):
         self.alpha = float(alpha)
         self.c = 1.0 / hurwitz_zeta(self.alpha, 1.0)
         sigma0 = 1.0 / self.alpha
-        self.rv = RegularVariation(sigma0=sigma0, L0_const=self.c ** sigma0,
-                                   log_power_r=0.0, beta0=0.0, C=1.0)
+        self.rv = RegularVariation(sigma0=sigma0, L0_const=self.c ** sigma0)
 
     def atom_law(self, x):
         return self.c * np.asarray(x, dtype=float) ** (-self.alpha)
@@ -261,7 +256,7 @@ class SyntheticPopulation(Population):
                              f"r={r}: its atom weights underflow")
         self.rv = RegularVariation(sigma0=self.gamma,
                                    L0_const=self.norm ** (-self.gamma),
-                                   log_power_r=self.r, beta0=0.0, C=1.0)
+                                   log_power_r=self.r)
 
     # f and its inverse ------------------------------------------------------
     def _f(self, u):

@@ -55,6 +55,27 @@ def test_simulate_refuses_overwrite(sample):
                "--out", str(sample)) == 1
 
 
+@pytest.mark.parametrize("extra", [(), ("--force",),
+                                   ("--stats-out", "s.json"),
+                                   ("--stats-out", "./s.json", "--force")])
+def test_simulate_refuses_stats_path_equal_to_out(tmp_path, monkeypatch,
+                                                  capsys, extra):
+    # --out s.json makes the default stats path s.json too
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--py", "0.5,1", "--n", "100",
+               "--out", "s.json", *extra) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_checks_the_stats_path_before_writing(tmp_path):
+    (tmp_path / "b.json").write_text("kept\n")
+    assert run("simulate", "--py", "0.5,1", "--n", "100",
+               "--out", str(tmp_path / "b.csv")) == 1
+    assert not (tmp_path / "b.csv").exists()
+    assert (tmp_path / "b.json").read_text() == "kept\n"
+
+
 def test_simulate_population_spec(tmp_path):
     spec = tmp_path / "pop.json"
     spec.write_text('{"kind": "power_law", "alpha": 2.0}')

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import gammaln, logsumexp
 
 from pitmanyor.estimators import mle_sigma
 from pitmanyor.likelihood import log_eppf_grid
@@ -228,6 +230,101 @@ def test_uniform_m_prior_runs():
     post = posterior_sigma(st, PriorSpec(M_kind="uniform", M_max=10.0))
     assert float(post.cell_mass.sum()) == pytest.approx(1.0, abs=1e-12)
     assert post.M_nodes is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _accuracy_sample(shape):
+    if shape == "py":
+        return _stats(n=2000, sigma=0.5, M=2.0)
+    if shape == "py_small":
+        return _stats(n=500, sigma=0.3, M=0.5)
+    # the benchmark's sample shapes: 1e6 Zipf(2) rows and 2e4 Zipf(1.1) rows
+    a, rows = {"cli_tall": (2.0, 10 ** 6), "cli_wide": (1.1, 20_000)}[shape]
+    labels = np.random.default_rng(0).zipf(a, rows)
+    return from_sizes(np.unique(labels, return_counts=True)[1])
+
+
+def _brute_force_moments(stats, m, w, lo, hi):
+    """Posterior mean and sd of sigma under a uniform sigma prior, with M
+    integrated by the nodes m and weights w, from scipy's gammaln and the
+    trapezoid on 20,001 sigma nodes on [lo, hi].  Also the density at the
+    two ends relative to the peak."""
+    log_w = np.log(w) + gammaln(m + 1.0) - gammaln(m + stats.n)
+    sigma = np.linspace(lo, hi, 20_001)
+    s, c = stats.sizes.astype(float), stats.counts.astype(float)
+    a = m / sigma[:, None]
+    lp = ((stats.K - 1) * np.log(sigma) + gammaln(s - sigma[:, None]) @ c
+          - stats.K * gammaln(1.0 - sigma)
+          + logsumexp(gammaln(a + stats.K) - gammaln(a + 1.0) + log_w, axis=1))
+    dens = np.exp(lp - lp.max())
+    ends = (dens[0], dens[-1])
+    dens[0] *= 0.5
+    dens[-1] *= 0.5
+    dens /= dens.sum()
+    mean = float(dens @ sigma)
+    return mean, math.sqrt(float(dens @ (sigma - mean) ** 2)), ends
+
+
+def _uniform_m_errors(shape, M_max):
+    """(mean error, sd error) of the uniform-M posterior against the brute
+    force, in units of the brute-force sd."""
+    stats = _accuracy_sample(shape)
+    post = posterior_sigma(stats, PriorSpec(M_kind="uniform", M_max=M_max))
+    # post.mean +- 12 post.sd, within the grid's range (1e-6, 1 - 1e-6)
+    lo = max(1e-6, post.mean - 12.0 * post.sd)
+    hi = min(1.0 - 1e-6, post.mean + 12.0 * post.sd)
+    # 32-point Gauss-Legendre on 32 panels of [0, M_max]: 1,024 M nodes
+    x, w = np.polynomial.legendre.leggauss(32)
+    half = M_max / 64.0
+    m = (np.linspace(0.0, M_max, 33)[:-1, None] + half * (1.0 + x)).ravel()
+    mean, sd, ends = _brute_force_moments(stats, m, np.tile(half * w, 32),
+                                          lo, hi)
+    # the window holds the mass wherever it ends inside the range
+    assert lo == 1e-6 or ends[0] < 1e-12
+    assert hi == 1.0 - 1e-6 or ends[1] < 1e-12
+    return abs(post.mean - mean) / sd, abs(post.sd - sd) / sd
+
+
+@pytest.mark.parametrize("M_max", [10.0, 50.0])
+@pytest.mark.parametrize("shape", ["cli_tall", "cli_wide", "py"])
+def test_uniform_m_posterior_matches_brute_force(shape, M_max):
+    # the conditional M posterior is narrower than a 65-node trapezoid's
+    # step on [0, 50], which put the sd 1.7e-3 off on the cli_tall shape
+    mean_err, sd_err = _uniform_m_errors(shape, M_max)
+    assert mean_err < 1e-6 and sd_err < 1e-6
+
+
+def test_uniform_m_posterior_beats_the_trapezoid_on_a_small_sample():
+    # PY(0.3, 0.5) at n = 500, M ~ U[0, 50]: the 65-node trapezoid that the
+    # Gauss-Legendre panels replaced put the mean 5.4e-3 sd and the sd
+    # 2.0e-3 sd off the brute force
+    mean_err, sd_err = _uniform_m_errors("py_small", 50.0)
+    assert mean_err < 5.4e-4 and sd_err < 2.0e-4
+
+
+@pytest.mark.parametrize("M", [1.0, 5.0])
+def test_posterior_piled_at_sigma_zero_keeps_its_tail(M):
+    # the coarse argmax is the first node, and a fallback sd0 of one coarse
+    # step cut the dense grid at 0.0196 and put the mean 1.1 sd low
+    stats = from_sizes([20, 10, 5, 1])
+    post = posterior_sigma(stats, PriorSpec(M_value=M))
+    mean, sd, _ = _brute_force_moments(stats, np.array([M]), np.ones(1),
+                                       1e-6, 1.0 - 1e-6)
+    assert post.sigma_nodes[0] == 1e-6 and mean < 0.2
+    assert abs(post.mean - mean) < 1e-5 * sd and abs(post.sd - sd) < 1e-5 * sd
+
+
+def test_dense_span_brackets_a_posterior_narrower_than_the_coarse_step():
+    # PY(0.97, 1) at n = 3e6: the posterior sd (1.1e-4) is below a tenth of
+    # the coarse step (2e-3), and argmax +- 10 sd0 alone left the mean 2.3 sd
+    # from the dense grid's left edge, whose cell held 3.4e-4 of the mass
+    stats = _stats(n=3_000_000, sigma=0.97, M=1.0, seed=3)
+    step = (1.0 - 2e-6) / 511
+    for prior in (PriorSpec(), PriorSpec(M_kind="uniform", M_max=10.0)):
+        post = posterior_sigma(stats, prior)
+        assert post.sd < 0.1 * step
+        assert post.cell_mass[0] < 1e-12 and post.cell_mass[-1] < 1e-12
+        assert not post.degenerate
 
 
 def test_posterior_csv_export(tmp_path):

@@ -258,6 +258,21 @@ def test_hurwitz_zeta_scalars_take_the_array_path(s, q):
     assert np.array_equal(grid, np.full((2, 3), one))
 
 
+@_KERNEL
+@given(s=hst.sampled_from([1.1, 2.0, 3.0]) | hst.floats(1.01, 17.0),
+       q=hst.lists(hst.floats(1e-3, 2.0 ** 40), min_size=1, max_size=20))
+@example(s=1.1, q=[1e7, 2.0 ** 22, 1e12])
+@example(s=17.0, q=[H, 1e3])
+def test_hurwitz_zeta_element_bits_do_not_depend_on_the_call(s, q):
+    # each element of an array call has the bits of its own scalar call,
+    # whatever the other elements; s = 2 is numpy's 1/w power
+    assert hurwitz_zeta(s, np.array(q)).tolist() \
+        == [hurwitz_zeta(s, qi) for qi in q]
+    s_mixed = np.linspace(1.01, s, len(q))
+    assert hurwitz_zeta(s_mixed, np.array(q)).tolist() \
+        == [hurwitz_zeta(si, qi) for si, qi in zip(s_mixed.tolist(), q)]
+
+
 @pytest.mark.parametrize("x", [1e-9, 0.5, 1.0, 2.0, 3.0, H - 1e-9, float(H),
                                1e3, 1e12])
 def test_log_gamma_scalars_take_the_array_path(x):
