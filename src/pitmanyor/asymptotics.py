@@ -207,7 +207,7 @@ def poisson_g_moments(lam, sigma):
     lo = np.maximum(np.floor(big) - half, 0.0).astype(np.int64)
     lens = (np.floor(big) + half).astype(np.int64) - lo + 1
     batch = np.cumsum(lens) // _BATCH
-    for b in np.unique(batch):
+    for b in batch[np.diff(batch, prepend=-1) > 0]:  # batch is nondecreasing
         sel = batch == b
         l, n_m, first = big[sel], lens[sel], _g_rows(lo[sel], sigma)
         starts = np.cumsum(n_m) - n_m

@@ -1,9 +1,10 @@
 """Empirical Bayes point estimation.
 
-Maximum marginal likelihood for sigma at fixed M (the score root) and the
-profile maximizer over (sigma, M) (the root of the profile's closed-form
-slope in M, bracketed by a grid), both by the shared `numerics.newton_root`,
-and plug-in standard errors (sandwich primary, curvature secondary).
+Maximum marginal likelihood for sigma at fixed M (the score root, at an
+array of M values in one `score_roots` call) and the profile maximizer over
+(sigma, M) (the root of the profile's closed-form slope in M, bracketed by a
+grid), both by the shared `numerics.newton_root`, and plug-in standard
+errors (sandwich primary, curvature secondary).
 """
 
 from __future__ import annotations
@@ -58,33 +59,53 @@ class EstimateResult:
         return json.dumps(out, sort_keys=True)
 
 
-def mle_sigma(stats, M, se=False):
-    """Maximizer of sigma -> log_eppf(stats, sigma, M) on [eps, 1 - eps].
+def score_roots(stats, M):
+    """The maximizer of sigma -> log_eppf(stats, sigma, M) on [eps, 1 - eps]
+    at each entry of M (a float or an array), all by one `newton_root`.
 
     The log likelihood is strictly concave, so the score has at most one sign
-    change; when it has none the maximum sits at a boundary, which is
-    reported via a flag instead of an exception (all-distinct samples push
-    sigma to the upper boundary).  For an interior root, `diagnostics` holds
-    the `iterations` and `converged` of `numerics.newton_root`.
+    change; where it has none the maximum sits at a boundary, which is
+    flagged instead of raised (all-distinct samples push sigma to the upper
+    boundary).  Returns (sigma_hat, boundary, score, iterations, converged),
+    each of M's shape: the root, its flag, the score there, and the
+    `iterations` and `converged` of `newton_root` (0 and False at a
+    boundary)."""
+    M = np.asarray(M, dtype=float)
+    lo, hi = SIGMA_EPS, 1.0 - SIGMA_EPS
+    score_lo, score_hi = (np.asarray(score_sigma(stats, s, M))
+                          for s in (lo, hi))
+    lower = score_lo <= 0.0
+    inner = ~lower & (score_hi < 0.0)
+    sigma = np.where(lower, lo, hi)
+    score = np.where(lower, score_lo, score_hi)
+    boundary = np.where(lower, LOWER_SIGMA,
+                        np.where(inner, INTERIOR, UPPER_SIGMA))
+    iterations = np.zeros(M.shape, dtype=int)
+    converged = np.zeros(M.shape, dtype=bool)
+    if inner.any():
+        M_in = M[inner] if M.ndim else M
+        root, its, conv = newton_root(
+            lambda s: (score_sigma(stats, s, M_in),
+                       hess_sigma(stats, s, M_in)),
+            np.full(M_in.shape, lo), hi, _ROOT_TOL, _ROOT_MAX_ITER)
+        sigma[inner], iterations[inner], converged[inner] = root, its, conv
+        score[inner] = score_sigma(stats, root, M_in)
+    return sigma, boundary, score, iterations, converged
+
+
+def mle_sigma(stats, M, se=False):
+    """Maximizer of sigma -> log_eppf(stats, sigma, M) on [eps, 1 - eps]: the
+    one-element case of `score_roots`.  For an interior root, `diagnostics`
+    holds the `iterations` and `converged` of `numerics.newton_root`.
     """
     if stats.n < 2:
         raise ValueError("need n >= 2 observations")
     if not 0.0 <= M < math.inf:
         raise ValueError(f"M must be finite and nonnegative, got {M}")
-    lo, hi = SIGMA_EPS, 1.0 - SIGMA_EPS
-    diagnostics = {}
-    score = score_sigma(stats, lo, M)
-    if score <= 0.0:
-        sig, flag = lo, LOWER_SIGMA
-    elif (score := score_sigma(stats, hi, M)) >= 0.0:
-        sig, flag = hi, UPPER_SIGMA
-    else:
-        sig, iterations, converged = newton_root(
-            lambda s: (score_sigma(stats, s, M), hess_sigma(stats, s, M)),
-            lo, hi, _ROOT_TOL, _ROOT_MAX_ITER)
-        flag = INTERIOR
-        diagnostics = {"iterations": iterations, "converged": converged}
-        score = score_sigma(stats, sig, M)
+    sig, flag, score, iterations, converged = map(
+        np.ndarray.item, score_roots(stats, M))
+    diagnostics = {"iterations": iterations, "converged": converged} \
+        if flag == INTERIOR else {}
     res = EstimateResult(
         sigma_hat=sig, M_hat=None, boundary=flag, score_at_opt=score,
         log_lik=log_eppf(stats, sig, M), diagnostics=diagnostics)
@@ -98,21 +119,24 @@ def profile_mle(stats, M_max=50.0, se=False):
     """Joint maximizer: sigma maximized at each M, then the profile
     l(M) = Lambda_n(sigma_hat(M), M) maximized over [0, M_max] at the root
     of its slope l'(M) = dLambda/dM at (sigma_hat(M), M), bracketed by a
-    coarse log-spaced grid, or at a grid end whose slope points outward."""
+    coarse grid, 0 and 63 log-spaced nodes rising from min(0.01, M_max/100)
+    to M_max, whose score roots are one `score_roots` call, or at a grid end
+    whose slope points outward."""
     if not 0.0 < M_max < math.inf:
         raise ValueError(f"M_max must be finite and positive, got {M_max}")
 
     def slope(M):  # (l'(M), l''(M)); l'' drops the sigma term at a boundary
-        fit = mle_sigma(stats, M)
-        d_M, d_MM, d_sM = m_derivatives(stats, fit.sigma_hat, M)
-        if fit.interior:
-            d_MM -= d_sM ** 2 / hess_sigma(stats, fit.sigma_hat, M)
+        sig, flag = (r.item() for r in score_roots(stats, M)[:2])
+        d_M, d_MM, d_sM = m_derivatives(stats, sig, M)
+        if flag == INTERIOR:
+            d_MM -= d_sM ** 2 / hess_sigma(stats, sig, M)
         return d_M, d_MM
 
-    grid = np.concatenate(([0.0], np.geomspace(0.01, M_max, 63)))
-    fits = [mle_sigma(stats, M) for M in grid]
-    best = int(np.argmax([f.log_lik for f in fits]))  # first (smallest M) tie
-    end_slope = m_derivatives(stats, fits[best].sigma_hat, grid[best])[0]
+    grid = np.concatenate(
+        ([0.0], np.geomspace(min(0.01, M_max / 100.0), M_max, 63)))
+    sig = score_roots(stats, grid)[0]
+    best = int(np.argmax(log_eppf(stats, sig, grid)))  # first (smallest M) tie
+    end_slope = m_derivatives(stats, sig[best], grid[best])[0]
     boundary, M_diagnostics = INTERIOR, {}
     if best == 0 and end_slope <= 0.0:
         M_hat, boundary = 0.0, LOWER_M

@@ -281,6 +281,8 @@ def _jackknife_var_se(z):
 
 @_check
 def run_bvm(config, pop):
+    from statistics import median  # np.median would import numpy.ma
+
     t2 = asymptotics.tau2_sq(pop.rv.sigma0)
     M = config.prior.M_value if config.prior.M_kind == "fixed" else 0.0
     med_gap = []
@@ -297,8 +299,8 @@ def run_bvm(config, pop):
             return gap, drift
 
         rows = _iid_replications(config, pop, n, one)
-        med_gap.append(float(np.median([g for g, _ in rows])))
-        med_drift.append(float(np.median([d for _, d in rows])))
+        med_gap.append(float(median(g for g, _ in rows)))
+        med_drift.append(float(median(d for _, d in rows)))
     decreasing = all(b < a for a, b in zip(med_gap, med_gap[1:]))
     drift_dec = all(b < a for a, b in zip(med_drift, med_drift[1:]))
     results = {
@@ -407,6 +409,8 @@ def run_tau1_mc(config, pop):
 
 @_check
 def run_precision_profile(config, pop):
+    from statistics import median  # np.median would import numpy.ma
+
     K0, M0 = asymptotics.precision_limit(pop.rv.sigma0, pop.rv, config.M_max)
 
     def one(st):
@@ -420,8 +424,7 @@ def run_precision_profile(config, pop):
                            <= _BOUNDARY_LOGLIK_SLACK)
         else:
             at_boundary = False
-        sig_by_M = [estimators.mle_sigma(st, M).sigma_hat
-                    for M in config.M_values]
+        sig_by_M = estimators.score_roots(st, config.M_values)[0]
         return p.M_hat, at_boundary, sig_by_M
 
     per_n = {}
@@ -434,7 +437,7 @@ def run_precision_profile(config, pop):
             if config.M_values else 0.0
         agree = spread <= 3.0 / math.sqrt(pop.alpha0(n))
         per_n[str(n)] = {
-            "M_hat_median": float(np.median([m for m, _, _ in rows])),
+            "M_hat_median": float(median(m for m, _, _ in rows)),
             "boundary_fraction": frac,
             "sigma_spread_max": spread, "sigma_agreement": agree,
         }
@@ -506,7 +509,8 @@ def binomial_identity_residual(n, l, p):
 def stirling_ratio_envelope(gammas=(0.2, 0.5, 0.8), n_lo=10, n_hi=10 ** 6):
     """max over the grid of n * |Gamma(n-gamma) n^gamma / Gamma(n) - 1|
     (finite iff the ratio is 1 + O(1/n))."""
-    n = np.unique(np.geomspace(n_lo, n_hi, 200).astype(np.int64)).astype(float)
+    n = np.geomspace(n_lo, n_hi, 200).astype(np.int64)
+    n = n[np.diff(n, prepend=-1) > 0].astype(float)  # distinct, ascending
     worst = 0.0
     for gamma in gammas:
         ratio = np.exp(log_gamma(n - gamma) + gamma * np.log(n)

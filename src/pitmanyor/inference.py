@@ -94,12 +94,10 @@ class PriorSpec:
 class PosteriorGrid:
     sigma_nodes: np.ndarray
     log_density: np.ndarray  # normalized log density over sigma
-    log_normalizer: float
     mean: float
     sd: float
     cell_mass: np.ndarray  # trapezoid masses, one per cell, sum 1
     degenerate: bool = False
-    M_nodes: np.ndarray | None = None
     phi_moments: tuple | None = None  # (E phi, Var phi) when requested
 
     def quantile(self, q):
@@ -192,12 +190,9 @@ def posterior_sigma(stats, prior=None, collect_phi=False):
         phi_var = float(np.sum(dens * (within + (e1 - phi_mean) ** 2)))
         phi_moments = (phi_mean, phi_var)
     return PosteriorGrid(
-        sigma_nodes=nodes, log_density=log_density,
-        log_normalizer=float(log_norm), mean=mean, sd=math.sqrt(max(var, 0.0)),
-        cell_mass=cell_mass, degenerate=degenerate,
-        M_nodes=prior.M_quadrature()[0] if prior.M_kind == "uniform"
-        else None,
-        phi_moments=phi_moments)
+        sigma_nodes=nodes, log_density=log_density, mean=mean,
+        sd=math.sqrt(max(var, 0.0)), cell_mass=cell_mass,
+        degenerate=degenerate, phi_moments=phi_moments)
 
 
 def bvm_gap(post, sigma_hat, var_bvm):

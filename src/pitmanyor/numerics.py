@@ -1,6 +1,7 @@
 """Shared numerical kernels on numpy and `math`: the special functions,
-g_sigma, quadrature, and `newton_root`, the one scalar root finder (score
-root, M_hat, sigma0n, M0).
+g_sigma, the new-block sums, quadrature, and `newton_root`, the one root
+finder, element by element over arrays of brackets (score roots, M_hat,
+sigma0n, M0).
 
 Special functions.  `rgamma` and `normal_cdf` rest on `math` (gamma, erf,
 erfc).  The rest shift the argument by recurrence
@@ -18,7 +19,9 @@ the Hurwitz zeta function (the scheme of Cephes `zeta.c`):
   and its sigma-derivative over integer arrays: a running sum up to H, the
   psi or psi' series above;
 - `SizeSums`: the likelihood's sums of ln(l - sigma), 1/(l - sigma) and
-  1/(l - sigma)^2 over a block-size histogram.
+  1/(l - sigma)^2 over a block-size histogram;
+- `new_block_sums`: the likelihood's sums of l^p/(a + l)^q over l < K, a
+  running sum up to H, then Euler-Maclaurin with the psi and psi' series.
 
 Quadrature.  The package's one rule is the 16-point Gauss-Legendre rule
 (`GL16_NODES`, `GL16_WEIGHTS`) on equal panels (`gl_panels`);
@@ -279,6 +282,81 @@ class SizeSums:
         return out
 
 
+# phi(v) = v - ln(1 + v), chi(v) = ln(1 + v) - v/(1 + v) and
+# omega(v) = phi(v) - chi(v) as power series for v <= 1/2, where the direct
+# forms cancel: v^2, v^2 and v^3 times sum_j c_j v^j, with c_j in the rows
+# below; at v = 1/2 the last term is below 2^-53 of the first
+_V_SERIES = 0.5
+_J_SERIES = np.arange(56.0)
+_LOG1P_SERIES = np.stack([(-1.0) ** _J_SERIES * c for c in (
+    1.0 / (_J_SERIES + 2.0), (_J_SERIES + 1.0) / (_J_SERIES + 2.0),
+    (_J_SERIES + 1.0) / (_J_SERIES + 3.0))])
+# the Euler-Maclaurin corrections of the psi and psi' series (A&S 6.3.18,
+# 6.4.12) as weights of y^-m - x^-m, m = 2..15: B_2k/(2k) at m = 2k and
+# B_2k at m = 2k + 1
+_EM_POWERS = np.arange(2.0, 2.0 * len(_B2K) + 2.0)
+_EM_WEIGHTS = np.zeros((2, _EM_POWERS.size))
+_EM_WEIGHTS[0, 0::2] = _PSI_SERIES
+_EM_WEIGHTS[1, 1::2] = _B2K
+
+
+def new_block_sums(K, a, *powers):
+    """[sum_{l=1}^{K-1} l^p/(a + l)^q for (p, q) in powers], elementwise over
+    an array a >= 0, for (p, q) among (0, 1), (0, 2), (1, 1), (1, 2), (2, 2).
+
+    The terms with l < H are summed.  The rest, l = H..K-1, follow from
+    Euler-Maclaurin with x = a + H, y = a + K, v = (K - H)/x: the integral
+    of each term in the cancellation-free forms
+
+        (0, 1): ln(1 + v),    (0, 2): v/y,     (1, 1): x phi(v) + H ln(1 + v),
+        (1, 2): chi(v) + H v/y,    (2, 2): x omega(v) + 2H chi(v) + H^2 v/y,
+
+    then the end-point terms of the psi and psi' series, whose differences
+    y^-m - x^-m = x^-m expm1(-m ln(1 + v)) keep their digits.  The plain
+    closed forms, for instance (1, 1) = K - 1 - a [psi(a + K) - psi(a + 1)],
+    lose the digits of a/K where a >> K; these stay within a few ulp
+    whatever a and K.  Each element costs O(H + the series lengths), and
+    its bits do not depend on the other elements of a.
+    """
+    a = np.asarray(a, dtype=float)
+    l = _J[:min(K, H) - 1]
+    inv = 1.0 / (a[..., None] + l)
+    head = {(0, 1): lambda: inv, (0, 2): lambda: inv * inv,
+            (1, 1): lambda: l * inv, (1, 2): lambda: l * inv * inv,
+            (2, 2): lambda: (l * inv) ** 2}
+    out = [head[pq]().sum(-1) for pq in powers]
+    if K <= H:
+        return out
+    x, y = a + H, a + K
+    v = (K - H) / x
+    lg = np.log1p(v)
+    q = v / (1.0 + v)
+    phi, chi, omega = v - lg, lg - q, v - 2.0 * lg + q
+    small = v <= _V_SERIES
+    if small.any():
+        vs = np.where(small, v, 0.0)
+        series = (np.power.outer(vs, _J_SERIES)[..., None, :]
+                  * _LOG1P_SERIES).sum(-1)
+        phi = np.where(small, vs * vs * series[..., 0], phi)
+        chi = np.where(small, vs * vs * series[..., 1], chi)
+        omega = np.where(small, vs * vs * vs * series[..., 2], omega)
+    d = np.power.outer(x, -_EM_POWERS) * np.expm1(np.multiply.outer(
+        lg, -_EM_POWERS))  # y^-m - x^-m
+    e = (d[..., None, :] * _EM_WEIGHTS).sum(-1)
+    e1, e2 = e[..., 0], e[..., 1]
+    r, fy, fx = v / y, K / y, H / x  # 1/x - 1/y; l/(a + l) at l = K, H
+    tail = {
+        (0, 1): lambda: lg + 0.5 * r - e1,
+        (0, 2): lambda: r - 0.5 * d[..., 0] - e2,
+        (1, 1): lambda: x * phi + H * lg - 0.5 * (fy - fx) + a * e1,
+        (1, 2): lambda: (chi + H * r - 0.5 * (fy / y - fx / x) - e1
+                         + a * e2),
+        (2, 2): lambda: (x * omega + 2.0 * H * chi + H * H * r
+                         - 0.5 * (fy * fy - fx * fx) + 2.0 * a * e1
+                         - a * a * e2)}
+    return [s + tail[pq]() for s, pq in zip(out, powers)]
+
+
 # Cephes zeta.c: (2j)!/B_2j, j = 1..12, the Euler-Maclaurin denominators
 _EM_DENOMS = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
               -1.8924375803183791606e9, 7.47242496e10,
@@ -371,27 +449,46 @@ def log_sum_exp(values):
 
 
 def newton_root(f_and_df, lo, hi, tol, max_iter):
-    """Zero of a decreasing f with f(lo) > 0 > f(hi); f_and_df(x) returns
-    (f(x), f'(x)).  Newton steps from the midpoint, each moving lo or hi to x
-    by the sign of f(x) and bisecting when the step leaves (lo, hi), until a
-    step is at most tol or f(x) is exactly 0.  Returns
-    (x, iterations, converged)."""
+    """Zero of a decreasing f with f(lo) > 0 > f(hi), element by element over
+    brackets lo and hi (floats or arrays, broadcast).  f_and_df maps x, of
+    the brackets' shape (a float for float brackets), to (f(x), f'(x))
+    elementwise.  Each element takes Newton steps from its midpoint, each
+    moving lo or hi to x by the sign of f(x) and bisecting when the step
+    leaves (lo, hi), until a step is at most tol or f(x) is exactly 0; it
+    then keeps its x while the others go on, so it takes the steps and the
+    stop it would take alone.  Returns (x, iterations, converged) of the
+    brackets' shape: a float, an int and a bool for float brackets, whose
+    steps run on Python floats."""
+    scalar = np.ndim(lo) == np.ndim(hi) == 0
+    if scalar:
+        where, any_, live, iterations = _select, bool, True, max_iter
+        lo, hi = float(lo), float(hi)
+    else:
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        where, any_ = np.where, np.any
+        live, iterations = np.ones(lo.shape, bool), np.full(lo.shape, max_iter)
     x = 0.5 * (lo + hi)
     for it in range(1, max_iter + 1):
         val, der = f_and_df(x)
-        if val == 0.0:
-            return x, it, True
-        if val > 0.0:
-            lo = x
-        else:
-            hi = x
+        lo, hi = where(val > 0.0, x, lo), where(val > 0.0, hi, x)
         x_new = x - val / der
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol:
-            return x_new, it, True
-        x = x_new
-    return x, max_iter, False
+        x_new = where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        exact = val == 0.0
+        stop = live & (exact | (abs(x_new - x) <= tol))
+        x = where(exact, x, where(live, x_new, x))
+        iterations = where(stop, it, iterations)
+        live = where(stop, False, live)
+        if not any_(live):
+            break
+    converged = where(live, False, True)
+    return (float(x), int(iterations), bool(converged)) if scalar \
+        else (x, iterations, converged)
+
+
+def _select(cond, a, b):
+    """np.where for a scalar condition, on Python scalars."""
+    return a if cond else b
 
 
 # the 16-point Gauss-Legendre rule on [-1, 1]

@@ -446,6 +446,44 @@ def test_cli_import_loads_no_pool():
     assert proc.stdout.strip() == "[]"
 
 
+_IMPORTED_MASKED_ARRAYS = """
+import json, sys
+from pitmanyor.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_requests_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs every request about 30 ms of start-up; numpy imports it
+    # for np.median, np.quantile and np.unique without return_counts
+    sample = tmp_path / "s.csv"
+    configs = {
+        "lemma_limits": {"n_grid": [10 ** 3]},
+        "bvm": {"n_grid": [300, 1000], "replications": 3, "M_values": [0.0]},
+    }
+    for check, spec in configs.items():
+        (tmp_path / f"{check}.json").write_text(json.dumps(dict(
+            spec, check=check, seed=3,
+            population={"kind": "power_law", "alpha": 2.0})))
+    commands = [
+        ["simulate", "--py", "0.5,1.0", "--n", "800", "--seed", "7",
+         "--out", str(sample)],
+        ["fit", "--sample", str(sample), "--m", "1", "--se"],
+    ] + [["experiment", "--config", str(tmp_path / f"{check}.json"),
+          "--out", str(tmp_path / f"{check}.report.json")]
+         for check in configs]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_MASKED_ARRAYS, json.dumps(commands)],
+        capture_output=True, text=True, env=_package_env(), cwd=tmp_path,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"][:2] == [0, 0]
+    assert all(code in (0, 1) for code in result["codes"][2:])
+    assert result["numpy.ma"] is False
+
+
 _BLOCKED_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

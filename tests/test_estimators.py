@@ -7,7 +7,7 @@ import pytest
 
 from pitmanyor.estimators import (INTERIOR, LOWER_M, LOWER_SIGMA, UPPER_M,
                                   UPPER_SIGMA, mle_sigma, plugin_alpha,
-                                  profile_mle, sandwich_se)
+                                  profile_mle, sandwich_se, score_roots)
 from pitmanyor.likelihood import log_eppf, score_sigma
 from pitmanyor.partition import from_observations, from_sizes
 from pitmanyor.sampler import RngStream, sample_py_partition
@@ -155,6 +155,33 @@ def test_profile_mle_boundary_flags():
     assert res.boundary == UPPER_M
     assert res.M_hat == 5.0
     assert "M_iterations" not in res.diagnostics
+
+
+@pytest.mark.parametrize("M_max", [1e-9, 0.005, 0.01, 0.02])
+def test_profile_mle_stays_within_a_small_M_max(M_max):
+    # drawn with M = 100, the profile rises all the way to a small M_max;
+    # the grid must rise to M_max too, not fall to it from 0.01
+    st = sample_py_partition(0.3, 100.0, 2000, RngStream(7))
+    res = profile_mle(st, M_max=M_max)
+    assert res.M_hat <= M_max
+    assert (res.M_hat, res.boundary) == (M_max, UPPER_M)
+
+
+def test_score_roots_agree_with_mle_sigma():
+    # one array root over M against the one-element case, boundaries too;
+    # with few terms both sum directly, so each element keeps its bits
+    st = sample_py_partition(0.5, 1.0, 2000, RngStream(3))
+    grid = np.array([0.0, 0.3, 1.0, 5.0, 50.0])
+    for stats in (st, from_sizes([1] * 40), from_sizes([30, 1, 1])):
+        sigma, boundary, score, iterations, converged = score_roots(
+            stats, grid)
+        for i, M in enumerate(grid):
+            fit = mle_sigma(stats, M)
+            assert (sigma[i], boundary[i], score[i]) \
+                == (fit.sigma_hat, fit.boundary, fit.score_at_opt)
+            if fit.interior:
+                assert (iterations[i], converged[i]) == (
+                    fit.diagnostics["iterations"], True)
 
 
 def test_profile_mle_validation():

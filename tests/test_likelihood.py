@@ -10,6 +10,7 @@ from scipy import special
 from pitmanyor.likelihood import (SIGMA_EPS, eppf_total_mass, h_precision,
                                   hess_sigma, log_eppf, log_eppf_grid,
                                   m_derivatives, score_sigma)
+from pitmanyor.numerics import new_block_sums
 from pitmanyor.partition import from_observations, from_sizes
 from pitmanyor.sampler import RngStream, sample_py_partition
 
@@ -274,11 +275,66 @@ def test_grid_matches_direct_sums(sizes, sigmas, Ms):
     [7],         # K = 1
     [1] * 2000,  # all singletons
     [10 ** 6],   # a single block of size 1e6
+    [2, 1] * 10 ** 4,  # K = 2e4: a float pair takes the closed forms
 ])
 @pytest.mark.parametrize("sigma", [SIGMA_EPS, 0.5, 1.0 - SIGMA_EPS])
 @pytest.mark.parametrize("M", [0.0, 1.0, 50.0])
 def test_kernel_edge_cases(sizes, sigma, M):
     _assert_kernel_matches(from_sizes(sizes), sigma, M)
+
+
+# ---------------------------------------------------------------------------
+# The closed forms of the sums over the new-block factors M + l sigma against
+# the direct sums they replace.
+
+def _new_block_direct(K, sigma, M):
+    """sum_{l<K} l^p/(M + l sigma)^q as direct sums, keyed by (p, q)."""
+    l = np.arange(1.0, K)
+    inv = 1.0 / (M + l * sigma)
+    return {(0, 1): inv.sum(), (0, 2): (inv * inv).sum(),
+            (1, 1): (l * inv).sum(), (1, 2): (l * inv * inv).sum(),
+            (2, 2): ((l * inv) ** 2).sum()}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(K=hst.one_of(hst.integers(2, 100), hst.integers(2, 10 ** 6)),
+       sigma=_SIGMA, M=hst.floats(0.0, 1e3))
+@example(K=10 ** 6, sigma=SIGMA_EPS, M=1.0)
+@example(K=10 ** 6, sigma=SIGMA_EPS, M=1e-6)
+@example(K=1000, sigma=SIGMA_EPS, M=50.0)
+@example(K=17, sigma=SIGMA_EPS, M=1e3)
+@example(K=2, sigma=SIGMA_EPS, M=5.0)
+@example(K=10 ** 6, sigma=1.0 - SIGMA_EPS, M=0.0)
+def test_new_block_closed_forms_match_direct_sums(K, sigma, M):
+    # at sigma = SIGMA_EPS with M > 0, a = M/sigma >> K: there the plain
+    # digamma forms lose the digits of a/K
+    direct = _new_block_direct(K, sigma, M)
+    closed = new_block_sums(K, np.array([M / sigma]), *direct)
+    for ((p, q), want), got in zip(direct.items(), closed):
+        assert abs(got[0] / sigma ** q - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("sizes", [
+    [1] * 2000,              # all singletons
+    [50, 5, 2, 1] * 500,     # ties of four sizes
+    list(range(1, 400)),     # one block of each size
+])
+def test_array_calls_match_float_calls(sizes):
+    # 64 sigma nodes take the closed forms, one float pair the direct sums
+    st = from_sizes(sizes)
+    sigmas = np.linspace(SIGMA_EPS, 1.0 - SIGMA_EPS, 64)
+    for M in (0.0, 1.0, 50.0):
+        scores = score_sigma(st, sigmas, M)
+        hessians = hess_sigma(st, sigmas, M)
+        lams = log_eppf(st, sigmas, M)
+        for i, sigma in enumerate(sigmas):
+            sigma = float(sigma)
+            assert abs(scores[i] - score_sigma(st, sigma, M)) \
+                <= 1e-12 * _derivative_scale(st, sigma, M, 1)
+            assert abs(hessians[i] - hess_sigma(st, sigma, M)) \
+                <= 1e-12 * _derivative_scale(st, sigma, M, 2)
+            assert abs(lams[i] - log_eppf(st, sigma, M)) \
+                <= 1e-12 * _lam_scale(st, M)
 
 
 def test_log_eppf_negative_M_raises():

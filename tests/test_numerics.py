@@ -149,6 +149,31 @@ def test_newton_root_stops_on_an_exact_zero(root, iterations):
     assert newton_root(f, 0.0, 1.0, 1e-12, 100) == (root, iterations, True)
 
 
+def test_newton_root_runs_each_element_as_it_would_alone():
+    # c - x^3 on three brackets, and 0.25 - x, whose second iterate is its
+    # exact zero; the array call stops each element where its float call
+    # stops, and a max_iter of 1 or 3 leaves some unconverged
+    roots = np.array([0.3, 1.0, 2.5, 0.25])
+    lo, hi = np.array([0.0, 0.5, 0.1, 0.0]), np.array([1.0, 3.0, 10.0, 1.0])
+    linear = np.array([False, False, False, True])
+
+    def f(x):
+        return (np.where(linear, roots - x, roots ** 3 - x ** 3),
+                np.where(linear, -1.0, -3.0 * x * x))
+
+    for max_iter in (1, 3, 100):
+        x, iterations, converged = newton_root(f, lo, hi, 1e-12, max_iter)
+        assert x.shape == iterations.shape == converged.shape == (4,)
+        for i in range(4):
+            def f_i(xi, i=i):
+                val, der = f(np.full(4, xi))
+                return float(val[i]), float(der[i])
+
+            assert newton_root(f_i, lo[i], hi[i], 1e-12, max_iter) \
+                == (x[i], iterations[i], converged[i])
+        assert converged.all() == (max_iter == 100)
+
+
 def test_adaptive_integrate_smooth():
     val = adaptive_integrate(np.exp, 0.0, 1.0)
     assert val == pytest.approx(math.e - 1.0, rel=1e-12)

@@ -1,6 +1,7 @@
 """Scale envelope: wall time and peak memory of the finite-n sums and of the
 Poissonized sampler on heavy-tailed populations, of the profile MLE on a
-sample with K ~ n, and of simulate and fit --stats on a single block of n.
+sample with K ~ n, of the MLE and the profile MLE at K = 1e6 with ties, and
+of simulate and fit --stats on a single block of n.
 
 Each case runs in a fresh `python -c` child, which times the one call and
 then prints its VmHWM (peak resident set) from /proc/self/status.  A fresh
@@ -34,7 +35,8 @@ print(json.dumps({{"seconds": seconds, "mib": kib / 1024}}))
 """
 
 # name -> (setup, call, seconds, MiB); measured: 0.8 s and 99 MiB, 0.08 s
-# and 63 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB, 5.2 s and 284 MiB
+# and 63 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB, 0.01 s and 31 MiB, 5.2 s
+# and 284 MiB
 CASES = {
     "sigma0n_root": (
         "from pitmanyor.asymptotics import sigma0n_root\n"
@@ -62,6 +64,20 @@ CASES = {
         "stats = from_sizes([1] * 10 ** 6)",
         "fit = profile_mle(stats, M_max=50.0)\n"
         "assert fit.boundary == UPPER_SIGMA, fit.boundary", 8.0, 128.0),
+    # K = 1e6 with ties: 8e5, 1.5e5, 4e4 and 1e4 blocks of sizes 1, 2, 5
+    # and 50, whose score, Hessian and M-slope sums over l < K are closed
+    # forms, for one fit and for the profile's 64 grid nodes at once
+    "mle_and_profile_with_ties": (
+        "import numpy as np\n"
+        "from pitmanyor.estimators import INTERIOR, mle_sigma, profile_mle\n"
+        "from pitmanyor.partition import PartitionStats\n"
+        "stats = PartitionStats(np.array([1, 2, 5, 50]),\n"
+        "                       np.array([800000, 150000, 40000, 10000]))",
+        "fit = mle_sigma(stats, 1.0)\n"
+        "assert fit.boundary == INTERIOR, fit.boundary\n"
+        "fit = profile_mle(stats, M_max=50.0)\n"
+        "assert 0.8 < fit.sigma_hat < 0.85 and fit.M_hat == 50.0, fit",
+        0.1, 64.0),
     # a single block of n = 1e7: simulate writes a stats record whose Z has
     # 1e7 entries, one line each, and fit --stats reads it back
     "simulate_fit_one_block": (
