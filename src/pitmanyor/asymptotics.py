@@ -13,10 +13,12 @@ pair (K0, M0).  The occupancy quantities come from three places:
   `poisson_g_moments` call; past its last node each row's tail is
   integrated in closed form.  tau1_sq is built on it.
 - `poisson_g_moments`: per-atom Poisson expectations of g_sigma and its
-  powers and sigma-derivative.  `OccupancySums` sums them over every atom
-  at a finite n, for E0n and for the occupancy-lemma left-hand sides: the
-  alpha0(n) head atoms one by one, the atoms past them by a midpoint
-  Euler-Maclaurin band on the family's atom law.
+  powers and sigma-derivative, each the sum over one window of counts
+  around the intensity, whose pmf follows by recursion from the window's
+  first count.  `OccupancySums` sums them over every atom at a finite n,
+  for E0n and for the occupancy-lemma left-hand sides: the alpha0(n) head
+  atoms one by one, the atoms past them by a midpoint Euler-Maclaurin band
+  on the family's atom law.
 
 The roots sigma0n and M0 both come from `numerics.newton_root`.
 """
@@ -30,7 +32,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .numerics import (digamma, g_sigma_values, gdot_sigma_values, gl_panels,
-                       log_gamma, newton_root, rgamma, trigamma)
+                       newton_root, rgamma, trigamma)
 
 # ---------------------------------------------------------------------------
 # closed forms: E0, tau2 and the Stirling-ratio series
@@ -161,68 +163,52 @@ def tau1_sq(sigma0):
 # ---------------------------------------------------------------------------
 # Poisson occupancy kernel
 
-# (largest intensity, last count summed) per tier of the pmf recursion; the
-# Poisson mass past each last count is below 1e-25 for the whole tier
-_TIERS = ((1e-3, 7), (1e-2, 9), (1e-1, 13), (0.5, 19), (2.0, 31), (8.0, 56),
-          (30.0, 112))
 _BATCH = 1 << 20  # (atom, count) cells evaluated per batch
-
-
-def _g_rows(m, sigma):
-    """g, g^2, g^3 and gdot = dg/dsigma = sum_{l<m} (l-sigma)^-2 at m."""
-    g = g_sigma_values(m, sigma)
-    return np.stack([g, g * g, g * g * g, gdot_sigma_values(m, sigma)])
+# window widths a quarter octave apart; each window is padded to the next
+_WIDTHS = np.ceil(2.0 ** (np.arange(256) / 4.0))
 
 
 def poisson_g_moments(lam, sigma):
     """Rows E g(X), E g(X)^2, E g(X)^3 and E gdot(X) for X ~ Poisson(lam),
     one column per intensity (g = g_sigma).
 
-    Intensities up to 30 use the pmf recursion p_m = p_{m-1} lam/m from
-    p_2 = e^-lam lam^2/2, truncated per tier.  Larger ones sum the pmf over the
-    window lam +- (12 sqrt(lam) + 10), normalized over that window, so the
-    rounding of ln p_m (absolute ~1e-16 lam ln lam) cancels in the ratio;
-    g and gdot are advanced across the window by their increments
-    1/(m-1-sigma) and its square from their values at its first count.
+    Each intensity sums the window of counts max(0, floor(lam) - h) ..
+    floor(lam) + h, h = ceil(12 sqrt(lam) + 10) (the Poisson mass outside
+    is below 1e-22), padded to the next of `_WIDTHS`.  Its weights follow
+    w_m = w_{m-1} lam/m from w = 1 at the first count, normalized over the
+    window; g and gdot start from their values there and advance by
+    1/(m-1-sigma) and its square.  The windows of one width form 2-d
+    batches, where those from count 0 share one row of g values.  A
+    column's bits do not depend on the rest of the call.
     """
     lam = np.asarray(lam, dtype=float)
     out = np.empty((4, lam.size))
-    tier = np.searchsorted([b for b, _ in _TIERS], lam)
-    for t, (_, m_max) in enumerate(_TIERS):
-        idx = np.flatnonzero(tier == t)
-        if not idx.size:
-            continue
-        m = np.arange(2, m_max + 1)  # g = gdot = 0 at counts 0 and 1
-        rows = _g_rows(m, sigma)
-        for part in np.array_split(idx, -(-idx.size * m.size // _BATCH)):
-            l = lam[part]
-            pmf = np.empty((m.size, part.size))
-            pmf[0] = np.exp(-l) * l * l / 2.0
-            for i in range(1, m.size):
-                np.multiply(pmf[i - 1], l / m[i], out=pmf[i])
-            out[:, part] = rows @ pmf
-    idx = np.flatnonzero(tier == len(_TIERS))
-    big = lam[idx]
-    half = np.ceil(12.0 * np.sqrt(big) + 10.0)
-    lo = np.maximum(np.floor(big) - half, 0.0).astype(np.int64)
-    lens = (np.floor(big) + half).astype(np.int64) - lo + 1
-    batch = np.cumsum(lens) // _BATCH
-    for b in batch[np.diff(batch, prepend=-1) > 0]:  # batch is nondecreasing
-        sel = batch == b
-        l, n_m, first = big[sel], lens[sel], _g_rows(lo[sel], sigma)
-        starts = np.cumsum(n_m) - n_m
-        atom = np.repeat(np.arange(l.size), n_m)
-        m = np.arange(atom.size) - starts[atom] + lo[sel][atom]
-        logp = m * np.log(l[atom]) - log_gamma(m + 1.0)
-        w = np.exp(logp - np.maximum.reduceat(logp, starts)[atom])
-        inc = np.where(m >= 2, 1.0 / (m - 1.0 - sigma), 0.0)
-        inc[starts] = 0.0
-        c1, c2 = np.cumsum(inc), np.cumsum(inc * inc)
-        g = first[0][atom] + (c1 - c1[starts][atom])
-        gdot = first[3][atom] + (c2 - c2[starts][atom])
-        out[:, idx[sel]] = np.add.reduceat(
-            w * np.stack([g, g * g, g * g * g, gdot]), starts, axis=1) \
-            / np.add.reduceat(w, starts)
+    half = np.ceil(12.0 * np.sqrt(lam) + 10.0)
+    lo = np.maximum(np.floor(lam) - half, 0.0)
+    width = _WIDTHS[np.searchsorted(_WIDTHS, np.floor(lam) + half - lo + 1.0)]
+    key = np.where(lo > 0.0, width, -width)  # negative: from count 0
+    # g and gdot at each first count, then on the row of counts from 0
+    at = np.append(lo, np.arange(-key.min(initial=0.0)))
+    g0, gdot0 = (f(at.astype(np.int64), sigma)
+                 for f in (g_sigma_values, gdot_sigma_values))
+    for k in set(key.tolist()):
+        run, n_m = np.flatnonzero(key == k), int(abs(k))
+        step = max(1, _BATCH // n_m)
+        for part in np.split(run, np.arange(step, run.size, step)):
+            if k < 0:
+                m = np.arange(float(n_m))
+                g, gdot = g0[lam.size:][:n_m], gdot0[lam.size:][:n_m]
+            else:
+                m = lo[part, None] + np.arange(float(n_m))
+                inc = np.zeros_like(m)
+                inc[:, 1:] = 1.0 / (m[:, 1:] - 1.0 - sigma)
+                g = g0[part, None] + inc.cumsum(axis=1)
+                gdot = gdot0[part, None] + (inc * inc).cumsum(axis=1)
+            w = np.ones((part.size, n_m))
+            np.divide(lam[part, None], m[..., 1:], out=w[:, 1:])
+            np.multiply.accumulate(w, axis=1, out=w)
+            out[:, part] = np.stack([(w * h).sum(axis=1) for h in (
+                g, g * g, g * g * g, gdot)]) / w.sum(axis=1)
     return out
 
 

@@ -151,7 +151,11 @@ def _check(body):
         t0 = time.time()
         config = replace(config, **{k: v for k, v in CHECKS[name].items()
                                     if getattr(config, k) is None})
-        results, passed = body(config, config.make_population())
+        pop = config.make_population()
+        if pop.rv is None:
+            raise ValueError(f"{name} needs a power_law or synthetic "
+                             f"population, not {pop.kind}")
+        results, passed = body(config, pop)
         return ExperimentReport(name, config.to_dict(), results, passed,
                                 time.time() - t0)
 

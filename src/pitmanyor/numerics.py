@@ -229,14 +229,15 @@ class SizeSums:
         g(sigma)    = sum_s c_s g_sigma(s)    = sum_s c_s sum_{l<s} 1/(l - sigma),
         gdot(sigma) = sum_s c_s gdot_sigma(s) = sum_s c_s sum_{l<s} 1/(l - sigma)^2.
 
-    The terms with l < H are a running sum: W_l (l - sigma)^-p with
-    W_l = #{blocks of size > l}.  The sizes above H are a slice; their terms
-    are F(s - sigma) - F(H - sigma) for F = ln Gamma, psi and -psi', which
-    are power series in sigma about the integers s >= H (radius s):
+    The sizes above H are a slice; their terms are F(s - sigma) - F(H - sigma)
+    for F = ln Gamma, psi and -psi', which are power series in sigma about
+    the integers s >= H (radius s):
     psi(s - sigma) = psi(s) - sum_{k>=1} zeta(k + 1, s) sigma^k, with
     psi'(s - sigma) and ln Gamma(s - sigma) its derivative and integral.
     Their coefficients, Hurwitz zeta sums over the slice, are computed once,
     so an evaluation costs O(H + _SIZE_TERMS) however many sizes there are.
+    The terms with l < H, W_l (l - sigma)^-p with W_l = #{blocks of size > l},
+    follow that polynomial one by one.
     """
 
     def __init__(self, sizes, counts):
@@ -247,7 +248,6 @@ class SizeSums:
         l = np.arange(1, min(int(sizes[-1]), H))
         self._l = l.astype(float)
         self._w = above[np.searchsorted(sizes, l, side="right")]
-        self._small = list(zip(self._l.tolist(), self._w.tolist()))
         split = int(np.searchsorted(sizes, H, side="right"))
         if split == sizes.size:
             self._lr_poly = self._g_poly = self._gdot_poly = (0.0,)
@@ -265,20 +265,25 @@ class SizeSums:
 
     def log_rising(self, sigmas):
         """log_rising at each entry of a 1-d sigma array."""
-        return self._w @ np.log(self._l[:, None] - sigmas) \
-            + _poly(self._lr_poly, sigmas)
+        return np.broadcast_to(self._sum(self._lr_poly, sigmas, lambda w, d: (
+            np.multiply(w, np.log(d, out=d), out=d))), sigmas.shape)
 
     def g(self, sigma):
-        out = _poly(self._g_poly, sigma)
-        for l, w in self._small:
-            out += w / (l - sigma)
-        return out
+        return self._sum(self._g_poly, sigma,
+                         lambda w, d: np.divide(w, d, out=d))
 
     def gdot(self, sigma):
-        out = _poly(self._gdot_poly, sigma)
-        for l, w in self._small:
-            d = l - sigma
-            out += w / (d * d)
+        return self._sum(self._gdot_poly, sigma, lambda w, d: (
+            np.divide(w, np.multiply(d, d, out=d), out=d)))
+
+    def _sum(self, poly, sigma, term):
+        """poly(sigma) + term(W_l, l - sigma) for l = 1, 2, ... < H in that
+        order, elementwise; term overwrites its (l, sigma) array l - sigma."""
+        col = (-1,) + (1,) * np.ndim(sigma)
+        terms = term(self._w.reshape(col), self._l.reshape(col) - sigma)
+        out = _poly(poly, sigma)
+        for t in terms if np.ndim(sigma) else terms.tolist():  # floats: fast
+            out = out + t
         return out
 
 

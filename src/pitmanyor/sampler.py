@@ -100,8 +100,9 @@ def sample_iid(pop, n, rng):
     the sorted uniforms, species ascending."""
     if n < 1:
         raise ValueError("n must be positive")
-    gen = rng.generator()
-    species, counts = pop.occupancy(np.sort(gen.random(n)))
+    u = rng.generator().random(n)
+    u.sort()
+    species, counts = pop.occupancy(u)
     return OccupancyCounts(
         counts=dict(zip(species.tolist(), counts.tolist())),
         regime="multinomial", n=int(n))

@@ -188,11 +188,13 @@ def _mp_poisson_g_moments(lam, sigma):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(log10_lam=hst.floats(-6.0, 7.0), sigma=hst.floats(0.05, 0.95))
+@given(log10_lam=hst.floats(-13.0, 7.0), sigma=hst.floats(0.05, 0.95))
+@example(log10_lam=-13.0, sigma=0.05)  # the Karlin rule's left end
 @example(log10_lam=7.0, sigma=0.95)
-@example(log10_lam=math.log10(30.0), sigma=0.5)  # last recursion tier
-@example(log10_lam=math.log10(30.5), sigma=0.5)  # first window
-@example(log10_lam=math.log10(201.0), sigma=0.5)
+@example(log10_lam=math.log10(30.0), sigma=0.5)  # last window of 108 counts
+@example(log10_lam=math.log10(31.0), sigma=0.5)  # first of 128
+@example(log10_lam=math.log10(165.0), sigma=0.5)  # last from count 0
+@example(log10_lam=math.log10(166.0), sigma=0.5)  # first past count 0
 def test_poisson_g_moments_against_mpmath(log10_lam, sigma):
     lam = 10.0 ** log10_lam
     got = poisson_g_moments(np.array([lam]), sigma)[:, 0]
@@ -200,15 +202,18 @@ def test_poisson_g_moments_against_mpmath(log10_lam, sigma):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_poisson_g_moments_tier_edges_and_order():
-    # one call over every tier boundary, unsorted, equals one call per atom
-    # (to rounding: windows batched together share one running sum)
-    lam = np.array([30.0, 1e-3, 31.0, 0.01, 8.0, 1e5, 0.5, 2.0, 0.1, 1e-4])
+def test_poisson_g_moments_columns_do_not_depend_on_the_call(monkeypatch):
+    # one unsorted call over several window widths, with windows from count
+    # 0 and past it (lam >= 166) in one width class, and batches of at most
+    # 64 cells, so that atoms of one width are split across batches: every
+    # column equals its one-atom call bit for bit
+    monkeypatch.setattr(asymptotics, "_BATCH", 64)
+    lam = np.random.default_rng(3).permutation(np.concatenate((
+        np.geomspace(1e-13, 1e5, 37), [0.0, 165.0, 166.0, 170.0, 0.5, 0.5])))
     together = poisson_g_moments(lam, 0.3)
     for i, l in enumerate(lam):
-        np.testing.assert_allclose(
-            together[:, i], poisson_g_moments(np.array([l]), 0.3)[:, 0],
-            rtol=1e-13)
+        np.testing.assert_array_equal(
+            together[:, i], poisson_g_moments(np.array([l]), 0.3)[:, 0])
     assert poisson_g_moments(np.array([]), 0.3).shape == (4, 0)
 
 

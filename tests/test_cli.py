@@ -369,6 +369,21 @@ def test_malformed_json_input_is_one_error_line(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", sorted(experiments.CHECKS))
+def test_experiment_rejects_a_finite_population(tmp_path, capsys, check):
+    # every check reads the population's regular variation, which an
+    # explicit population does not have
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "check": check, "n_grid": [100], "replications": 4,
+        "population": {"kind": "explicit", "probs": [0.5, 0.25, 0.25]}}))
+    assert run("experiment", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {check} needs a power_law or synthetic " \
+        "population, not explicit\n"
+    assert not out.exists()
+
+
 def test_fit_stats_rejects_entry_beyond_int64(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": 2 ** 64, "K": 1, "N": [2 ** 64],

@@ -34,8 +34,8 @@ with open("/proc/self/status") as fh:
 print(json.dumps({{"seconds": seconds, "mib": kib / 1024}}))
 """
 
-# name -> (setup, call, seconds, MiB); measured: 0.8 s and 99 MiB, 0.08 s
-# and 63 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB, 0.01 s and 31 MiB, 5.2 s
+# name -> (setup, call, seconds, MiB); measured: 0.44 s and 42 MiB, 0.03 s
+# and 33 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB, 0.01 s and 31 MiB, 5.2 s
 # and 284 MiB
 CASES = {
     "sigma0n_root": (
@@ -43,7 +43,7 @@ CASES = {
         "from pitmanyor.population import make_power_law\n"
         "pop = make_power_law(1.1)",
         "root = sigma0n_root(pop, 10 ** 6)\n"
-        "assert 0.85 < root < 0.95, root", 4.0, 200.0),
+        "assert 0.85 < root < 0.95, root", 1.8, 85.0),
     "lemma_limit_ratios": (
         "from pitmanyor.experiments import lemma_limit_ratios\n"
         "from pitmanyor.population import make_power_law\n"
