@@ -12,11 +12,12 @@ from .inference import (PosteriorGrid, PriorSpec, bvm_gap, forensic_lr,
                         posterior_sigma)
 from .likelihood import h_precision, hess_sigma, log_eppf, score_sigma
 from .partition import (PartitionStats, from_observations, from_occupancy,
-                        from_sizes, read_occupancy_csv, read_sample_csv)
+                        from_sizes, read_occupancy_csv, read_sample_csv,
+                        write_occupancy_csv)
 from .population import (Population, RegularVariation, make_explicit,
                          make_power_law, make_synthetic, population_from_json)
-from .sampler import (OccupancyCounts, RngStream, sample_iid,
-                      sample_poissonized, sample_py_partition)
+from .sampler import (RngStream, sample_iid, sample_poissonized,
+                      sample_py_partition)
 
 __version__ = "0.1.0"
 
@@ -26,10 +27,9 @@ __all__ = [
     "posterior_mean_and_interval", "posterior_sigma",
     "h_precision", "hess_sigma", "log_eppf", "score_sigma",
     "PartitionStats", "from_observations", "from_occupancy", "from_sizes",
-    "read_occupancy_csv", "read_sample_csv",
+    "read_occupancy_csv", "read_sample_csv", "write_occupancy_csv",
     "Population", "RegularVariation", "make_explicit", "make_power_law",
     "make_synthetic", "population_from_json",
-    "OccupancyCounts", "RngStream", "sample_iid", "sample_poissonized",
-    "sample_py_partition",
+    "RngStream", "sample_iid", "sample_poissonized", "sample_py_partition",
     "__version__",
 ]

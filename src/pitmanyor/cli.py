@@ -20,8 +20,7 @@ from . import __version__, experiments, inference, partition
 from .estimators import INTERIOR, mle_sigma, profile_mle
 from .numerics import IntegrationError
 from .population import population_from_json
-from .sampler import RngStream, sample_iid_labels, sample_py_partition, \
-    write_sample_csv
+from .sampler import RngStream, sample_iid_labels, sample_py_partition
 
 
 class CliError(Exception):
@@ -145,7 +144,7 @@ def cmd_simulate(args):
         # block sizes by sorting, not np.bincount: a power-law label is an
         # atom index that can reach 2^62, so memory must not follow its size
         stats = partition.from_sizes(np.unique(labels, return_counts=True)[1])
-    write_sample_csv(args.out, labels)
+    partition.write_sample_csv(args.out, labels)
     _write_stats(stats_path, stats, _provenance(args), args.force)
     top = ", ".join(str(x) for x in stats.N[:5])
     print(f"n={stats.n} K={stats.K} largest blocks: {top}")
@@ -174,13 +173,19 @@ def cmd_fit(args):
 
 
 def cmd_posterior(args):
+    if args.csv_out and args.out \
+            and Path(args.csv_out).resolve() == Path(args.out).resolve():
+        raise CliError(f"the posterior JSON would overwrite the grid CSV "
+                       f"{args.csv_out} (give --out another path)", 2)
+    for path in (args.csv_out, args.out):
+        if path:
+            _guard_output(path, args.force)
     stats, inputs = _load_stats(args)
     prior = _parse_prior(args)
     post = inference.posterior_sigma(stats, prior)
     mean, sd, interval = inference.posterior_mean_and_interval(
         post, level=args.level)
     if args.csv_out:
-        _guard_output(args.csv_out, args.force)
         post.write_csv(args.csv_out)
     payload = {
         "mean": mean, "sd": sd, "interval": list(interval),

@@ -71,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if not isinstance(self.n_grid, (list, tuple)):
             raise ValueError("n_grid must be a list of positive integers")
         try:
@@ -203,7 +205,7 @@ def _iid_replications(config, pop, n, fn, fresh_singleton=False):
     RngStream(config.seed, r), for every replication r; with
     fresh_singleton the stats also hold one new block of size 1."""
     def one(r):
-        sizes = sample_iid(pop, n, RngStream(config.seed, r)).values()
+        _, sizes = sample_iid(pop, n, RngStream(config.seed, r))
         if fresh_singleton:
             sizes = np.append(sizes, 1)
         return fn(partition.from_occupancy(sizes))
@@ -391,8 +393,7 @@ def run_tau1_mc(config, pop):
     a0 = pop.alpha0(n)
 
     def one(r):
-        occ = sample_poissonized(pop, n, RngStream(config.seed, r))
-        counts = occ.values()
+        _, counts = sample_poissonized(pop, n, RngStream(config.seed, r))
         return float(counts.size / sigma
                      - np.sum(g_sigma_values(counts, sigma)))
 

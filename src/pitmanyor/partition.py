@@ -219,10 +219,9 @@ def from_observations(labels):
 
 
 def from_occupancy(counts):
-    """Build from species occupancy counts (mapping, array, or
-    OccupancyCounts); zero counts are dropped, negative ones rejected."""
-    if hasattr(counts, "counts"):
-        counts = counts.counts
+    """Build from species occupancy counts (a mapping of species to count,
+    or an array of counts); zero counts are dropped, negative ones
+    rejected."""
     if isinstance(counts, dict):
         values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
     else:
@@ -233,6 +232,21 @@ def from_occupancy(counts):
     if values.size == 0:
         raise ValueError("no positive occupancy counts")
     return from_sizes(values)
+
+
+# rows per csv writer call of write_sample_csv
+_ROWS = 1 << 16
+
+
+def write_sample_csv(path, labels):
+    """One row per observation, single `species` column, CRLF row ends;
+    the rows go to the csv writer _ROWS at a time."""
+    labels = np.asarray(labels)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["species"])
+        for start in range(0, labels.size, _ROWS):
+            writer.writerows(zip(labels[start:start + _ROWS].tolist()))
 
 
 def read_sample_counts(path):
@@ -293,6 +307,17 @@ def _species_counts_csv(path):
 def read_sample_csv(path):
     """Read a sample CSV with a required `species` header column."""
     return from_occupancy(read_sample_counts(path))
+
+
+def write_occupancy_csv(path, species, counts):
+    """The occupancy CSV that read_occupancy_csv reads: a `species,count`
+    header, then one row per species, species ascending, CRLF row ends."""
+    rows = sorted(zip(np.asarray(species).tolist(),
+                      np.asarray(counts).tolist()))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["species", "count"])
+        writer.writerows(rows)
 
 
 def read_occupancy_csv(path):

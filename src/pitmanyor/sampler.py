@@ -8,8 +8,7 @@ stream_id = replication index and remain bit-reproducible under any schedule.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +31,7 @@ class RngStream:
         return RngStream(seed=self.seed, stream_id=stream_id)
 
 
-@dataclass(frozen=True)
-class OccupancyCounts:
-    counts: dict  # species index -> positive occupancy
-    regime: str  # "multinomial" or "poissonized"
-    n: int  # nominal sample size (Poissonized: the intensity scale)
-
-    def values(self):
-        return np.fromiter(self.counts.values(), dtype=np.int64,
-                           count=len(self.counts))
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["species", "count"])
-            for idx in sorted(self.counts):
-                writer.writerow([idx, self.counts[idx]])
-
-
-# uniforms drawn, and sample-CSV rows written, per numpy batch
+# uniforms drawn per numpy batch
 _CHUNK = 1 << 16
 
 
@@ -95,17 +76,15 @@ def sample_py_partition(sigma, M, n, rng):
 
 
 def sample_iid(pop, n, rng):
-    """Multinomial occupancy counts of n i.i.d. draws from the population:
-    the draws of `sample_iid_labels`, counted by `Population.occupancy` from
-    the sorted uniforms, species ascending."""
+    """Multinomial occupancy counts of n i.i.d. draws from the population,
+    as (species, counts) arrays, species ascending: the draws of
+    `sample_iid_labels`, counted by `Population.occupancy` from the sorted
+    uniforms."""
     if n < 1:
         raise ValueError("n must be positive")
     u = rng.generator().random(n)
     u.sort()
-    species, counts = pop.occupancy(u)
-    return OccupancyCounts(
-        counts=dict(zip(species.tolist(), counts.tolist())),
-        regime="multinomial", n=int(n))
+    return pop.occupancy(u)
 
 
 def sample_poissonized(pop, n, rng):
@@ -116,8 +95,9 @@ def sample_poissonized(pop, n, rng):
     T = tail_power_sum(h, 1), each from the tail's conditional law, the
     inverse CDF of a uniform on (1 - T, 1) (its index clamped to >= h
     against the table's rounding).  Tail species carry their atom index,
-    as `inverse_cdf` labels it; head species come first, then tail ones,
-    each ascending.  The generator draws the head counts, m, the uniforms.
+    as `inverse_cdf` labels it.  Returns (species, counts) int64 arrays of
+    the occupied atoms: head species first, then tail ones, each ascending.
+    The generator draws the head counts, m, the uniforms.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -125,24 +105,12 @@ def sample_poissonized(pop, n, rng):
     head = pop.alpha0(n)
     drawn = gen.poisson(n * pop.atom_probs(head))
     occupied = np.flatnonzero(drawn)
-    counts = dict(zip(occupied.tolist(), drawn[occupied].tolist()))
     tail = pop.tail_power_sum(head, 1)
     u = np.sort(gen.random(gen.poisson(n * tail))) * tail + (1.0 - tail)
     species, seen = np.unique(np.maximum(pop.inverse_cdf(u), head),
                               return_counts=True)
-    counts.update(zip(species.tolist(), seen.tolist()))
-    return OccupancyCounts(counts=counts, regime="poissonized", n=int(n))
-
-
-def write_sample_csv(path, labels):
-    """One row per observation, single `species` column, CRLF row ends;
-    the rows go to the csv writer _CHUNK at a time."""
-    labels = np.asarray(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["species"])
-        for start in range(0, labels.size, _CHUNK):
-            writer.writerows(zip(labels[start:start + _CHUNK].tolist()))
+    return (np.concatenate((occupied, species)),
+            np.concatenate((drawn[occupied], seen)))
 
 
 def sample_iid_labels(pop, n, rng):

@@ -206,6 +206,28 @@ def test_posterior_agrees_with_fit(sample, capsys):
     assert lo < payload["mean"] < hi
 
 
+@pytest.mark.parametrize("extra", [(), ("--force",)])
+def test_posterior_refuses_csv_path_equal_to_out(sample, tmp_path,
+                                                 monkeypatch, capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    assert run("posterior", "--sample", str(sample), "--csv-out", "p",
+               "--out", "./p", *extra) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_posterior_checks_both_outputs_before_writing(sample, tmp_path):
+    csv_out, out = tmp_path / "grid.csv", tmp_path / "post.json"
+    out.write_text("kept\n")
+    assert run("posterior", "--sample", str(sample), "--csv-out",
+               str(csv_out), "--out", str(out)) == 1
+    assert not csv_out.exists() and out.read_text() == "kept\n"
+    assert run("posterior", "--sample", str(sample), "--csv-out",
+               str(csv_out), "--out", str(out), "--force") == 0
+    assert csv_out.read_text().startswith("sigma,log_density,cell_mass")
+    assert json.loads(out.read_text())["level"] == 0.95
+
+
 def test_lr_reports_bound(tmp_path, capsys):
     db = tmp_path / "db.csv"
     labels = ["a"] * 300 + ["b"] * 150 + [f"s{i}" for i in range(80)]
@@ -264,6 +286,19 @@ def test_experiment_report_and_determinism(tmp_path):
         d.pop("wall_clock")
         d.pop("provenance")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_experiment_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"check": "lemma_limits", "n_grid": [1000],
+                               "population": {"kind": "power_law",
+                                              "alpha": 2.0}}))
+    assert run("experiment", "--config", str(cfg), "--out", str(out),
+               "--threads", threads) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: threads") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("check,spec", [

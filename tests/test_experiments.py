@@ -29,6 +29,13 @@ def test_config_validation():
         _config(n_grid=(100, 50))
     with pytest.raises(ValueError, match="strictly increasing"):
         _config(n_grid=(1000, 1000))
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads"):
+            _config(threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            ex.ExperimentConfig.from_dict(
+                {"population": POP_SPEC, "n_grid": [100],
+                 "threads": threads}, "normality")
 
 
 def test_config_from_dict():

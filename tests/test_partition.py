@@ -20,8 +20,9 @@ from pitmanyor.inference import PriorSpec, forensic_lr, posterior_sigma
 from pitmanyor.partition import (PartitionStats, from_observations,
                                  from_occupancy, from_sizes,
                                  read_occupancy_csv, read_sample_counts,
-                                 read_sample_csv)
-from pitmanyor.sampler import OccupancyCounts
+                                 read_sample_csv, write_sample_csv)
+from pitmanyor.population import make_explicit
+from pitmanyor.sampler import RngStream, sample_iid_labels
 
 
 def _z(st):
@@ -142,8 +143,6 @@ def test_from_occupancy_forms():
     want = from_sizes([3, 1])
     assert from_occupancy({"a": 3, "b": 1}) == want
     assert from_occupancy(np.array([3, 0, 1])) == want
-    occ = OccupancyCounts(counts={7: 3, 9: 1}, regime="multinomial", n=4)
-    assert from_occupancy(occ) == want
 
 
 def test_from_occupancy_all_zero():
@@ -298,6 +297,30 @@ def test_read_sample_counts_rejects_short_row(tmp_path):
     path.write_text("id,species\n1,a\n2\n")
     with pytest.raises(ValueError, match="no `species` field"):
         read_sample_counts(path)
+
+
+def test_write_sample_csv(tmp_path):
+    pop = make_explicit([0.6, 0.4])
+    labels = sample_iid_labels(pop, 20, RngStream(1))
+    path = tmp_path / "s.csv"
+    write_sample_csv(path, labels)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "species"
+    assert len(lines) == 21
+
+
+def test_write_sample_csv_matches_csv_writer(tmp_path):
+    # labels that need quoting, over more rows than one write batch
+    labels = ["a,b", 'q"x', "plain", "7"] * (2 ** 14 + 5)
+    path, want = tmp_path / "s.csv", tmp_path / "ref.csv"
+    write_sample_csv(path, labels)
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["species"])
+        for lab in labels:
+            writer.writerow([lab])
+    assert path.read_bytes() == want.read_bytes()
+    assert path.read_bytes().startswith(b'species\r\n"a,b"\r\n"q""x"\r\n')
 
 
 def test_read_occupancy_csv(tmp_path):

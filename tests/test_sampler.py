@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import math
@@ -9,13 +8,12 @@ import numpy as np
 import pytest
 
 from pitmanyor.likelihood import log_eppf
-from pitmanyor.partition import from_sizes
+from pitmanyor.partition import (from_occupancy, from_sizes,
+                                 read_occupancy_csv, write_occupancy_csv)
 from pitmanyor.population import make_explicit, make_power_law, \
     make_synthetic
-from pitmanyor.sampler import (OccupancyCounts, RngStream,
-                               exact_partition_law, sample_iid,
-                               sample_iid_labels, sample_poissonized,
-                               sample_py_partition, write_sample_csv)
+from pitmanyor.sampler import (RngStream, exact_partition_law, sample_iid,
+                               sample_poissonized, sample_py_partition)
 
 
 def test_rng_stream_reproducible():
@@ -130,31 +128,31 @@ def test_sample_py_partition_linear_cost():
 
 def test_sample_iid_single_atom():
     pop = make_explicit([1.0])
-    occ = sample_iid(pop, 50, RngStream(0))
-    assert occ.regime == "multinomial"
-    assert occ.counts == {0: 50}
-    assert occ.values().sum() == 50
+    species, counts = sample_iid(pop, 50, RngStream(0))
+    assert species.tolist() == [0] and counts.tolist() == [50]
 
 
 def test_sample_iid_totals_and_determinism():
     pop = make_power_law(2.0)
     a = sample_iid(pop, 1000, RngStream(3))
     b = sample_iid(pop, 1000, RngStream(3))
-    assert a.counts == b.counts
-    assert a.values().sum() == 1000
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert a[1].sum() == 1000
+    assert a[0].dtype == a[1].dtype == np.int64
 
 
 def test_sample_iid_frequencies():
     pop = make_explicit([0.7, 0.2, 0.1])
-    occ = sample_iid(pop, 20000, RngStream(8))
-    freq = occ.counts[0] / 20000
+    species, counts = sample_iid(pop, 20000, RngStream(8))
+    assert species[0] == 0
+    freq = counts[0] / 20000
     assert abs(freq - 0.7) <= 5.0 * math.sqrt(0.7 * 0.3 / 20000)
 
 
 def test_sample_poissonized_mean_total():
     pop = make_power_law(2.0)
     n = 10000
-    totals = [sample_poissonized(pop, n, RngStream(17, r)).values().sum()
+    totals = [sample_poissonized(pop, n, RngStream(17, r))[1].sum()
               for r in range(40)]
     mean = float(np.mean(totals))
     # total is Poisson(n): sd = sqrt(n)
@@ -165,8 +163,8 @@ def test_sample_poissonized_occupied_scaling():
     # number of occupied species over alpha0(n) near Gamma(1 - sigma0)
     pop = make_power_law(2.0)
     n = 10 ** 6
-    occ = sample_poissonized(pop, n, RngStream(2))
-    ratio = len(occ.counts) / pop.alpha0(n)
+    species, _ = sample_poissonized(pop, n, RngStream(2))
+    ratio = species.size / pop.alpha0(n)
     assert abs(ratio / math.gamma(0.5) - 1.0) <= 0.05
 
 
@@ -196,7 +194,7 @@ def test_sample_poissonized_occupancy_law(pop, n):
     reps = 300
     seen = np.empty((reps, 5))
     for r in range(reps):
-        counts = sample_poissonized(pop, n, RngStream(23, r)).values()
+        _, counts = sample_poissonized(pop, n, RngStream(23, r))
         seen[r] = [counts.size] + [np.count_nonzero(counts == m)
                                    for m in range(1, 5)]
     se = seen.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -209,16 +207,18 @@ def test_sample_poissonized_tail_species_keep_their_atom_index():
     # through the tail and labelled by its atom, as inverse_cdf labels it
     pop = make_explicit([0.4, 0.3, 0.2, 0.1])
     assert pop.alpha0(1.5) == 0
-    occ = sample_poissonized(pop, 1.5, RngStream(3))
-    assert set(occ.counts) <= {0, 1, 2, 3}
+    species, _ = sample_poissonized(pop, 1.5, RngStream(3))
+    assert set(species.tolist()) <= {0, 1, 2, 3}
     synthetic = make_synthetic(0.5, 1.0)  # an empty head of an atom law
     assert synthetic.alpha0(2) == 0 and synthetic.atom_probs(0).size == 0
-    occ = sample_poissonized(synthetic, 2, RngStream(3))
-    assert occ.n == 2 and all(j >= 0 for j in occ.counts)
-    big = sample_poissonized(make_power_law(2.0), 50, RngStream(4))
+    species, counts = sample_poissonized(synthetic, 2, RngStream(3))
+    assert np.all(species >= 0) and np.all(counts >= 1)
+    species, counts = sample_poissonized(make_power_law(2.0), 50,
+                                         RngStream(4))
     head = make_power_law(2.0).alpha0(50)
-    assert list(big.counts) == sorted(big.counts)
-    assert any(j >= head for j in big.counts)
+    assert species.dtype == counts.dtype == np.int64
+    assert np.all(np.diff(species) > 0) and np.all(counts >= 1)
+    assert np.any(species >= head)
 
 
 @pytest.mark.parametrize("pop,n,digest", [
@@ -231,8 +231,8 @@ def test_sample_poissonized_tail_species_keep_their_atom_index():
 ])
 def test_sample_poissonized_frozen_draws(pop, n, digest):
     # seeded draws, the tail's atom indices and their order are frozen
-    occ = sample_poissonized(pop, n, RngStream(7, 3))
-    text = json.dumps(list(occ.counts.items()))
+    species, counts = sample_poissonized(pop, n, RngStream(7, 3))
+    text = json.dumps(list(zip(species.tolist(), counts.tolist())))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -249,39 +249,16 @@ def test_sample_poissonized_frozen_draws(pop, n, digest):
 def test_sample_iid_frozen_draws(pop, n, digest):
     # seeded draws, the labels past the table and the key order are frozen;
     # the synthetic sample holds draws past its full 2^22-atom table
-    occ = sample_iid(pop, n, RngStream(7, 3))
-    text = json.dumps(list(occ.counts.items()))
+    species, counts = sample_iid(pop, n, RngStream(7, 3))
+    text = json.dumps(list(zip(species.tolist(), counts.tolist())))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_occupancy_csv_round_trip(tmp_path):
-    occ = OccupancyCounts(counts={2: 3, 5: 1}, regime="multinomial", n=4)
     path = tmp_path / "occ.csv"
-    occ.write_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "species,count"
-    assert text[1:] == ["2,3", "5,1"]
-
-
-def test_write_sample_csv(tmp_path):
-    pop = make_explicit([0.6, 0.4])
-    labels = sample_iid_labels(pop, 20, RngStream(1))
-    path = tmp_path / "s.csv"
-    write_sample_csv(path, labels)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "species"
-    assert len(lines) == 21
-
-
-def test_write_sample_csv_matches_csv_writer(tmp_path):
-    # labels that need quoting, over more rows than one write batch
-    labels = ["a,b", 'q"x', "plain", "7"] * (2 ** 14 + 5)
-    path, want = tmp_path / "s.csv", tmp_path / "ref.csv"
-    write_sample_csv(path, labels)
-    with open(want, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["species"])
-        for lab in labels:
-            writer.writerow([lab])
-    assert path.read_bytes() == want.read_bytes()
-    assert path.read_bytes().startswith(b'species\r\n"a,b"\r\n"q""x"\r\n')
+    write_occupancy_csv(path, np.array([5, 2]), np.array([1, 3]))
+    assert path.read_bytes() == b"species,count\r\n2,3\r\n5,1\r\n"
+    assert read_occupancy_csv(path) == from_sizes([3, 1])
+    species, counts = sample_iid(make_power_law(2.0), 500, RngStream(6))
+    write_occupancy_csv(path, species, counts)
+    assert read_occupancy_csv(path) == from_occupancy(counts)

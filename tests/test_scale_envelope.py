@@ -55,8 +55,8 @@ CASES = {
         "from pitmanyor.population import make_power_law\n"
         "from pitmanyor.sampler import RngStream, sample_poissonized\n"
         "pop = make_power_law(1.1)",
-        "occ = sample_poissonized(pop, 10 ** 6, RngStream(0))\n"
-        "assert 3e5 < len(occ.counts) < 4e5, len(occ.counts)", 6.0, 256.0),
+        "species, _ = sample_poissonized(pop, 10 ** 6, RngStream(0))\n"
+        "assert 3e5 < species.size < 4e5, species.size", 6.0, 256.0),
     # K ~ n: a million distinct species
     "profile_mle_all_distinct": (
         "from pitmanyor.estimators import UPPER_SIGMA, profile_mle\n"
