@@ -192,11 +192,16 @@ class PowerLawPopulation(Population):
 
     def _tail_indices(self, u, cached, cum_last):
         # Exact inversion via the Hurwitz zeta tail mass, for all draws at
-        # once: hi doubles from 2^40 until cdf(hi) >= u, then bisection on
-        # (cached, hi] finds the first such hi, and the index is hi - 1.  A
-        # draw with cdf(_INDEX_CAP) < u (alpha near 1) gets a fresh label at
-        # or above the cap, which no exact index reaches.  cdf is exact up to
-        # the zeta's rounding, so a u that close to an atom boundary (in
+        # once: the index is hi - 1 for the first hi with cdf(hi) >= u.  As
+        # c zeta(alpha, j + 1) = c (j + 1/2)^(1 - alpha)/(alpha - 1) up to a
+        # relative O(j^-2), hi lies within w = 1e-9 g + 2.3e-16 g^alpha/c + 2
+        # of g = (c/((alpha - 1)(1 - u)))^(1/(alpha - 1)) - 1/2; w covers the
+        # asymptote's error and two ulps of the float cdf.  A draw whose
+        # bracket fails its end checks instead doubles hi from 2^40 until
+        # cdf(hi) >= u.  Bisection on (lo, hi] then finds the first such hi.
+        # A draw with cdf(_INDEX_CAP) < u (alpha near 1) gets a fresh label
+        # at or above the cap, which no exact index reaches.  cdf is exact up
+        # to the zeta's rounding, so a u that close to an atom boundary (in
         # practice at indices beyond 1e10) may take the neighbouring atom.
         lo = np.full(u.size, cached, dtype=np.int64)
         hi = np.full(u.size, max(2 * cached, 1 << 40), dtype=np.int64)
@@ -205,6 +210,17 @@ class PowerLawPopulation(Population):
             q = (j + 1).astype(float)
             return 1.0 - self.c * hurwitz_zeta(self.alpha, q) < u[i]
 
+        a = self.alpha - 1.0
+        with np.errstate(divide="ignore"):  # u = 1 sits past the cap
+            x = np.log(self.c / (a * (1.0 - u))) / a
+        g = np.exp(np.minimum(x, 43.0)) - 0.5  # _INDEX_CAP < e^43 < 2^63
+        w = 1e-9 * g + 2.3e-16 * g ** self.alpha / self.c + 2.0
+        near_lo = np.maximum(np.floor(g - w), cached).astype(np.int64)
+        near_hi = np.ceil(np.minimum(g + w, _INDEX_CAP)).astype(np.int64)
+        i = np.flatnonzero(near_hi < _INDEX_CAP)
+        i = i[below(i, near_lo[i])]
+        i = i[~below(i, near_hi[i])]
+        lo[i], hi[i] = near_lo[i], near_hi[i]
         i = np.arange(u.size)
         while i.size:
             i = i[hi[i] < _INDEX_CAP]

@@ -4,6 +4,7 @@ samples.
 All randomness flows through RngStream, a (seed, stream_id) pair backing a
 counter-based Philox generator, so replications can be parallelized with
 stream_id = replication index and remain bit-reproducible under any schedule.
+The Philox key takes the seed and the stream id modulo 2^64.
 """
 
 from __future__ import annotations
@@ -22,31 +23,20 @@ class RngStream:
 
     def generator(self):
         return np.random.Generator(
-            np.random.Philox(key=[self.seed & 0xFFFFFFFFFFFFFFFF,
-                                  self.stream_id & 0xFFFFFFFFFFFFFFFF]))
-
-    def substream(self, stream_id):
-        if self.stream_id != 0:
-            raise ValueError("substreams only split from a root stream")
-        return RngStream(seed=self.seed, stream_id=stream_id)
-
-
-# uniforms drawn per numpy batch
-_CHUNK = 1 << 16
+            np.random.Philox(key=np.array(
+                [self.seed & 0xFFFFFFFFFFFFFFFF,
+                 self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)))
 
 
 def sample_py_partition(sigma, M, n, rng):
-    """Partition of n observations grown by the prediction rule: observation
-    k joins block b with probability (N_b - sigma)/(M + k) and opens a new
-    block with probability (M + K sigma)/(M + k).
-
-    Exact O(n) rejection form of the rule (Pitman 2006, Combinatorial
-    Stochastic Processes, section 3.1): pick i uniformly on [0, M + k); if
-    i < k, propose the block b of observation i and accept it with
-    probability (N_b - sigma)/N_b, that is when N_b > floor(sigma/(1 - v))
-    for a second uniform v.  Otherwise, the case i >= k included, open a
-    new block.  Each step costs O(1); the block of every observation so far
-    is the only O(n) memory.
+    """Partition of n observations from the Pitman-Yor (sigma, M) law, by
+    size-biased peeling (Pitman 2006, Combinatorial Stochastic Processes,
+    chapter 3): while r observations are left, block b = 1, 2, ... holds the
+    first of them and Binomial(r - 1, V_b) of the others, with V_b ~ Beta(1 -
+    sigma, M + b sigma), and the observations outside it form a Pitman-Yor
+    (sigma, M + b sigma) partition.  The generator draws V_1, the first
+    Binomial, V_2, the second Binomial, and so on: 2K draws, and the K block
+    sizes are the only memory.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
@@ -55,23 +45,13 @@ def sample_py_partition(sigma, M, n, rng):
     if n < 1:
         raise ValueError("n must be positive")
     gen = rng.generator()
-    block = [0]  # block of each observation so far
-    sizes = [1]
-    for start in range(1, n, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, n))
-        pos = np.floor(gen.random(k.size) * (M + k))
-        picks = np.where(pos < k, pos, -1).astype(np.int64).tolist()
-        cuts = np.floor(sigma / (1.0 - gen.random(k.size)))
-        for pick, cut in zip(picks, cuts.astype(np.int64).tolist()):
-            if pick >= 0:
-                b = block[pick]
-                size = sizes[b]
-                if size > cut:
-                    sizes[b] = size + 1
-                    block.append(b)
-                    continue
-            block.append(len(sizes))
-            sizes.append(1)
+    sizes = []
+    left = n
+    while left:
+        v = gen.beta(1.0 - sigma, M + sigma * (len(sizes) + 1))
+        size = 1 + gen.binomial(left - 1, v)
+        sizes.append(size)
+        left -= size
     return partition.from_sizes(sizes)
 
 

@@ -326,7 +326,7 @@ def _tail_index_reference(pop, u, cached):
     return hi - 1
 
 
-@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5])
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 2.0, 3.0])
 def test_tail_indices_match_the_scalar_search(alpha):
     # the array search gives each draw the index of the one-draw search on
     # the scalar zeta, deep-tail near ties included; fresh labels count up
@@ -342,6 +342,36 @@ def test_tail_indices_match_the_scalar_search(alpha):
             idx, fresh = fresh, fresh + 1
         want.append(idx)
     assert pop._tail_indices(u, cached, 1.0 - tail).tolist() == want
+
+
+_TAIL_POPS = {alpha: make_power_law(alpha) for alpha in (1.1, 1.5, 2.0, 3.0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.sampled_from(sorted(_TAIL_POPS)),
+       hst.lists(hst.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                 max_size=20),
+       hst.floats(1.0, 8.0))
+def test_tail_index_is_the_first_atom_whose_cdf_reaches_u(alpha, v, power):
+    # each draw past the table lands on the atom j with
+    # cdf(j) < u <= cdf(j + 1), or on a label at or past the cap when
+    # cdf(_INDEX_CAP) < u; deep draws come from small v and a high power.
+    # The table has already put u at or past cdf(cached), so a draw equal
+    # to it takes the atom `cached`
+    pop = _TAIL_POPS[alpha]
+    cached = 1 << 22
+
+    def cdf(j):  # P(index < j)
+        return 1.0 - pop.c * hurwitz_zeta(alpha, float(j + 1))
+
+    tail = 1.0 - cdf(cached)
+    u = 1.0 - tail * np.array(v) ** power
+    for ui, j in zip(u.tolist(), pop._tail_indices(u, cached, 1.0 - tail)):
+        if j >= _INDEX_CAP:
+            assert cdf(_INDEX_CAP) < ui
+        else:
+            assert cached <= j and ui <= cdf(j + 1)
+            assert j == cached or cdf(j) < ui
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.2])

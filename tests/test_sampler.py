@@ -24,12 +24,17 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_substream_from_root_only():
-    root = RngStream(7)
-    sub = root.substream(3)
-    assert sub == RngStream(7, 3)
-    with pytest.raises(ValueError):
-        sub.substream(4)
+def test_rng_stream_keys_are_taken_modulo_2_64():
+    # seeds and stream ids at or above 2^63, negative ones included, keep
+    # every bit of their key (a RuntimeWarning fails the test)
+    def draws(seed, stream_id=0):
+        return RngStream(seed, stream_id).generator().random(4).tolist()
+
+    keys = [(-1, 0), (-2, 0), (2 ** 63, 0), (2 ** 63 + 1, 0), (5, 0),
+            (0, -1), (0, -2), (0, 2 ** 63)]
+    assert len({tuple(draws(*key)) for key in keys}) == len(keys)
+    assert draws(2 ** 64 + 5) == draws(5)
+    assert draws(-1) == draws(2 ** 64 - 1)
 
 
 def test_sample_py_partition_shape():
@@ -69,24 +74,33 @@ def test_exact_law_matches_eppf():
                 math.exp(log_eppf(st, sigma, M)), abs=1e-13)
 
 
+def _assert_block_sizes_follow_law(sigma, M, n, reps):
+    # empirical frequencies of the sorted block sizes against the exact law
+    law = {}
+    for blocks, prob in exact_partition_law(sigma, M, n).items():
+        key = tuple(sorted((len(b) for b in blocks), reverse=True))
+        law[key] = law.get(key, 0.0) + prob
+    seen = {}
+    for r in range(reps):
+        st = sample_py_partition(sigma, M, n, RngStream(123, r))
+        key = tuple(st.N.tolist())
+        seen[key] = seen.get(key, 0) + 1
+    assert set(seen) <= set(law)
+    for key, prob in law.items():
+        freq = seen.get(key, 0) / reps
+        se = math.sqrt(prob * (1.0 - prob) / reps)
+        assert abs(freq - prob) <= 5.0 * se + 1e-3, (key, freq, prob)
+
+
 def test_sequential_frequencies_match_law():
-    # empirical frequencies of the sequential sampler against the exact law
-    n, reps = 4, 4000
     for sigma, M in ((0.5, 1.0), (0.9, 0.0)):
-        law = {}
-        for blocks, prob in exact_partition_law(sigma, M, n).items():
-            key = tuple(sorted((len(b) for b in blocks), reverse=True))
-            law[key] = law.get(key, 0.0) + prob
-        seen = {}
-        for r in range(reps):
-            st = sample_py_partition(sigma, M, n, RngStream(123, r))
-            key = tuple(st.N.tolist())
-            seen[key] = seen.get(key, 0) + 1
-        assert set(seen) <= set(law)
-        for key, prob in law.items():
-            freq = seen.get(key, 0) / reps
-            se = math.sqrt(prob * (1.0 - prob) / reps)
-            assert abs(freq - prob) <= 5.0 * se + 1e-3
+        _assert_block_sizes_follow_law(sigma, M, 4, 4000)
+
+
+@pytest.mark.parametrize("sigma,M", [(0.5, 1.0), (0.9, 0.0), (0.25, 5.0)])
+def test_block_sizes_at_n6_match_law(sigma, M):
+    # eleven block-size patterns, of one to six blocks
+    _assert_block_sizes_follow_law(sigma, M, 6, 20000)
 
 
 def _expected_blocks(sigma, M, n):
@@ -112,7 +126,7 @@ def test_mean_blocks_match_closed_form(sigma, M):
 
 @pytest.mark.slow
 def test_sample_py_partition_linear_cost():
-    # sigma near 1 gives K ~ n^0.9 blocks; the rejection rule stays O(n)
+    # sigma near 1 gives K ~ n^0.9 blocks; peeling costs O(K) draws
     t0 = time.perf_counter()
     st = sample_py_partition(0.9, 1.0, 10 ** 6, RngStream(3))
     assert time.perf_counter() - t0 <= 2.0

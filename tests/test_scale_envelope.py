@@ -1,7 +1,8 @@
 """Scale envelope: wall time and peak memory of the finite-n sums and of the
 Poissonized sampler on heavy-tailed populations, of the profile MLE on a
-sample with K ~ n, of the MLE and the profile MLE at K = 1e6 with ties, and
-of simulate and fit --stats on a single block of n.
+sample with K ~ n, of the MLE and the profile MLE at K = 1e6 with ties, of
+simulate and fit --stats on a single block of n, and of a Pitman-Yor
+partition of n = 1e7.
 
 Each case runs in a fresh `python -c` child, which times the one call and
 then prints its VmHWM (peak resident set) from /proc/self/status.  A fresh
@@ -36,7 +37,7 @@ print(json.dumps({{"seconds": seconds, "mib": kib / 1024}}))
 
 # name -> (setup, call, seconds, MiB); measured: 0.44 s and 42 MiB, 0.03 s
 # and 33 MiB, 1.4 s and 128 MiB, 1.7 s and 53 MiB, 0.01 s and 31 MiB, 5.2 s
-# and 284 MiB
+# and 284 MiB, 0.06 s and 36 MiB
 CASES = {
     "sigma0n_root": (
         "from pitmanyor.asymptotics import sigma0n_root\n"
@@ -92,6 +93,12 @@ CASES = {
         "assert main(['fit', '--stats', str(out.with_suffix('.json')),\n"
         "             '--out', str(out.with_suffix('.fit'))]) == 0\n"
         "tmp.cleanup()", 24.0, 576.0),
+    # a Pitman-Yor partition of n = 1e7 into K ~ 1e4 blocks, peeled in O(K)
+    "sample_py_partition": (
+        "from pitmanyor.sampler import RngStream, sample_py_partition",
+        "st = sample_py_partition(0.5, 1.0, 10 ** 7, RngStream(0))\n"
+        "assert st.n == 10 ** 7 and 10 ** 3 < st.K < 10 ** 5, st.K",
+        0.25, 72.0),
 }
 
 
