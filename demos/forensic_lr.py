@@ -40,7 +40,6 @@ print("lr * E[1 - sigma | data] = n + 1 + M.  Here:")
 from pitmanyor import posterior_sigma  # noqa: E402
 
 post = posterior_sigma(stats, PriorSpec(M_value=M))
-mid = 0.5 * (post.sigma_nodes[:-1] + post.sigma_nodes[1:])
-e_one_minus = float(np.sum(post.cell_mass * (1.0 - mid)))
+e_one_minus = float(post.cell_mass @ (1.0 - post.sigma_nodes))
 print(f"  lr * E[1 - sigma | data] = {report['lr'] * e_one_minus:.3f}")
 print(f"  n + 1 + M                = {n + 1 + M:.3f}")

@@ -1,9 +1,10 @@
 """Full-Bayes grid posterior over sigma (optionally sigma x M), the Gaussian
 comparison gap, posterior summaries, and the forensic likelihood ratio.
 
-The posterior is evaluated on a deterministic adaptive grid rather than by
-MCMC: the parameter is one- (or two-) dimensional, each likelihood
-evaluation is cheap, and total-variation distances need reproducible masses.
+The posterior is evaluated by composite Gauss-Legendre quadrature on a
+deterministic span rather than by MCMC: the parameter is one- (or two-)
+dimensional, each likelihood evaluation is cheap, and total-variation
+distances need reproducible masses.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .numerics import gl_panels, log_sum_exp, normal_cdf
 from .partition import json_key, json_number, json_numbers, json_object
 
 _GRID_EPS = 1e-6
-_COARSE_NODES = 512
-_DENSE_NODES = 2049
+_SCAN_PANELS = 32
+_PANELS = 64
 _M_PANELS = 4
-_SPAN_SDS = 10.0
+_SPAN_NATS = 50.0  # the drop of a Gaussian at 10 sd
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,12 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    sigma_nodes: np.ndarray
+    sigma_nodes: np.ndarray  # Gauss-Legendre nodes, rising
     log_density: np.ndarray  # normalized log density over sigma
     mean: float
     sd: float
-    cell_mass: np.ndarray  # trapezoid masses, one per cell, sum 1
+    cell_mass: np.ndarray  # mass of node i's cell, one per node, sum 1
+    cell_edges: np.ndarray  # cell i is [cell_edges[i], cell_edges[i + 1]]
     degenerate: bool = False
     phi_moments: tuple | None = None  # (E phi, Var phi) when requested
 
@@ -106,17 +108,15 @@ class PosteriorGrid:
         i = min(max(i, 0), self.cell_mass.size - 1)
         mass = self.cell_mass[i]
         frac = 0.0 if mass <= 0 else (q - cum[i]) / mass
-        nodes = self.sigma_nodes
-        return float(nodes[i] + frac * (nodes[i + 1] - nodes[i]))
+        edges = self.cell_edges
+        return float(edges[i] + frac * (edges[i + 1] - edges[i]))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sigma", "log_density", "cell_mass"])
-            for i, x in enumerate(self.sigma_nodes):
-                mass = self.cell_mass[i] if i < self.cell_mass.size else ""
-                writer.writerow([f"{x:.12g}", f"{self.log_density[i]:.12g}",
-                                 mass and f"{mass:.12g}"])
+            for row in zip(self.sigma_nodes, self.log_density, self.cell_mass):
+                writer.writerow([f"{x:.12g}" for x in row])
 
 
 def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
@@ -129,7 +129,7 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
     shift = np.max(cols, axis=1, keepdims=True)
     dens = np.exp(cols - shift)
     norm = dens @ w
-    lp = shift[:, 0] + np.log(norm)
+    lp = shift[:, 0] + np.log(norm) + prior.log_density_sigma(sigma_nodes)
     if not collect_phi:
         return lp, None
     phi_m = (1.0 - sigma_nodes)[:, None] / (stats.n + m_nodes)[None, :]
@@ -140,59 +140,47 @@ def _log_post_on(stats, prior, sigma_nodes, collect_phi=False):
 
 
 def posterior_sigma(stats, prior=None, collect_phi=False):
-    """Two-pass adaptive grid posterior for sigma.
+    """Grid posterior for sigma by composite Gauss-Legendre quadrature.
 
-    Pass 1 scans (eps, 1-eps) coarsely for the argmax and an sd: from the
-    curvature, or at an end or where flat from the coarse nodes within 50
-    nats; pass 2 re-evaluates on a dense grid spanning the argmax +- 10 sd
-    and at least its coarse neighbours, which bracket the mode of a concave
-    log posterior.  Cell masses are trapezoidal; a degenerate flag is
+    A scan of (eps, 1-eps) by `gl_panels` finds the nodes within 50 nats of
+    the highest; the span runs from the scan node below them to the one
+    above (or to the end of the range), so it brackets the mode of a
+    concave log posterior however narrow.  The posterior is integrated by
+    `gl_panels` on that span: node i carries mass w_i p_i, and its cell is
+    [a + sum_{j<i} w_j, a + sum_{j<=i} w_j], which holds the node (the
+    Chebyshev-Markov-Stieltjes separation theorem).  A degenerate flag is
     raised when the outermost cells carry almost all mass.
     """
     if stats.n < 2:
         raise ValueError("need n >= 2 observations")
     prior = prior or PriorSpec()
     lo, hi = _GRID_EPS, 1.0 - _GRID_EPS
-    coarse = np.linspace(lo, hi, _COARSE_NODES)
-    lp, _ = _log_post_on(stats, prior, coarse)
-    lp = lp + prior.log_density_sigma(coarse)
-    i = int(np.argmax(lp))
-    step = coarse[1] - coarse[0]
-    curv = (lp[i + 1] - 2.0 * lp[i] + lp[i - 1]) / step ** 2 \
-        if 0 < i < coarse.size - 1 else 0.0
-    if curv < 0:
-        sd0 = 1.0 / math.sqrt(-curv)
-    else:  # 50 nats: the drop of a Gaussian at 10 sd
-        near = coarse[lp >= lp[i] - 0.5 * _SPAN_SDS ** 2]
-        sd0 = (near[-1] - near[0] + step) / _SPAN_SDS
-    a = min(coarse[i] - _SPAN_SDS * sd0, coarse[max(i - 1, 0)])
-    b = max(coarse[i] + _SPAN_SDS * sd0, coarse[min(i + 1, coarse.size - 1)])
-    nodes = np.linspace(max(lo, a), min(hi, b), _DENSE_NODES)
+    scan, _ = gl_panels(lo, hi, _SCAN_PANELS)
+    lp, _ = _log_post_on(stats, prior, scan)
+    near = np.flatnonzero(lp >= np.max(lp) - _SPAN_NATS)
+    a = scan[near[0] - 1] if near[0] > 0 else lo
+    b = scan[near[-1] + 1] if near[-1] < scan.size - 1 else hi
+    nodes, w = gl_panels(a, b, _PANELS)
     lp, phi = _log_post_on(stats, prior, nodes, collect_phi=collect_phi)
-    lp = lp + prior.log_density_sigma(nodes)
-    # trapezoid normalization in the log domain
-    dx = nodes[1] - nodes[0]
-    cell_log = np.logaddexp(lp[:-1], lp[1:]) + math.log(0.5 * dx)
-    log_norm = log_sum_exp(cell_log)
-    cell_mass = np.exp(cell_log - log_norm)
-    log_density = lp - log_norm
-    w = np.full(nodes.size, dx)
-    w[0] = w[-1] = 0.5 * dx
-    dens = np.exp(log_density) * w
-    mean = float(np.sum(dens * nodes))
-    var = float(np.sum(dens * (nodes - mean) ** 2))
-    degenerate = bool(cell_mass[0] + cell_mass[-1] > 0.99)
+    lp -= np.max(lp)  # before the sum, which a large |lp| would round
+    log_mass = lp + np.log(w)
+    log_norm = log_sum_exp(log_mass)
+    mass = np.exp(log_mass - log_norm)
+    edges = np.concatenate(([a], a + np.cumsum(w)))
+    edges[-1] = b
+    mean = float(mass @ nodes)
+    var = float(mass @ (nodes - mean) ** 2)
     phi_moments = None
     if collect_phi:
         # Var phi = E[Var(phi|sigma)] + Var E[phi|sigma], both centred
         e1, within = phi
-        phi_mean = float(np.sum(dens * e1))
-        phi_var = float(np.sum(dens * (within + (e1 - phi_mean) ** 2)))
+        phi_mean = float(mass @ e1)
+        phi_var = float(mass @ (within + (e1 - phi_mean) ** 2))
         phi_moments = (phi_mean, phi_var)
     return PosteriorGrid(
-        sigma_nodes=nodes, log_density=log_density, mean=mean,
-        sd=math.sqrt(max(var, 0.0)), cell_mass=cell_mass,
-        degenerate=degenerate, phi_moments=phi_moments)
+        sigma_nodes=nodes, log_density=lp - log_norm, mean=mean,
+        sd=math.sqrt(max(var, 0.0)), cell_mass=mass, cell_edges=edges,
+        degenerate=bool(mass[0] + mass[-1] > 0.99), phi_moments=phi_moments)
 
 
 def bvm_gap(post, sigma_hat, var_bvm):
@@ -202,8 +190,7 @@ def bvm_gap(post, sigma_hat, var_bvm):
     if var_bvm <= 0.0:
         raise ValueError("var_bvm must be positive")
     sd = math.sqrt(var_bvm)
-    nodes = post.sigma_nodes
-    gauss_cdf = normal_cdf((nodes - sigma_hat) / sd)
+    gauss_cdf = normal_cdf((post.cell_edges - sigma_hat) / sd)
     gauss_cells = np.diff(gauss_cdf)
     outside = gauss_cdf[0] + (1.0 - gauss_cdf[-1])
     return float(0.5 * np.sum(np.abs(post.cell_mass - gauss_cells))

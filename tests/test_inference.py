@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 from scipy.special import gammaln, logsumexp
 
@@ -11,6 +12,7 @@ from pitmanyor.likelihood import log_eppf_grid
 from pitmanyor.inference import (PosteriorGrid, PriorSpec, bvm_gap,
                                  forensic_lr, forensic_report,
                                  posterior_mean_and_interval, posterior_sigma)
+from pitmanyor.numerics import gl_panels
 from pitmanyor.partition import from_sizes
 from pitmanyor.sampler import RngStream, sample_py_partition
 
@@ -22,16 +24,18 @@ def _stats(n=2000, sigma=0.5, M=1.0, seed=1):
 def _cdf(post, x):
     """Posterior mass below x, linear in x within each cell."""
     cum = np.concatenate(([0.0], np.cumsum(post.cell_mass)))
-    return float(np.interp(x, post.sigma_nodes, cum, right=1.0))
+    return float(np.interp(x, post.cell_edges, cum, right=1.0))
 
 
 def _gaussian_grid(center, sd, nodes=8193, span=10.0):
-    x = np.linspace(center - span * sd, center + span * sd, nodes)
+    # `nodes` cell edges, each cell's node at its midpoint
+    edges = np.linspace(center - span * sd, center + span * sd, nodes)
+    x = 0.5 * (edges[:-1] + edges[1:])
     logd = -0.5 * ((x - center) / sd) ** 2 - math.log(sd * math.sqrt(2 * math.pi))
-    cell = np.diff(sps.norm.cdf(x, loc=center, scale=sd))
+    cell = np.diff(sps.norm.cdf(edges, loc=center, scale=sd))
     cell = cell / cell.sum()
     return PosteriorGrid(sigma_nodes=x, log_density=logd, mean=center, sd=sd,
-                         cell_mass=cell)
+                         cell_mass=cell, cell_edges=edges)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -96,12 +100,12 @@ def test_posterior_grid_doubling_invariance():
     import pitmanyor.inference as inf
     st = _stats()
     post = posterior_sigma(st)
-    saved = inf._DENSE_NODES
+    saved = inf._PANELS
     try:
-        inf._DENSE_NODES = 2 * saved - 1
+        inf._PANELS = 2 * saved
         dense = posterior_sigma(st)
     finally:
-        inf._DENSE_NODES = saved
+        inf._PANELS = saved
     assert abs(dense.mean - post.mean) <= 1e-8
     assert abs(dense.sd - post.sd) <= 1e-6
 
@@ -140,9 +144,8 @@ def test_bvm_gap_metric_properties():
 
 def test_bvm_gap_matches_scipy_norm_reference():
     post = posterior_sigma(_stats())
-    nodes = post.sigma_nodes
     for sigma_hat, sd in ((post.mean, post.sd), (0.45, 0.03), (0.7, 0.2)):
-        cdf = sps.norm.cdf(nodes, loc=sigma_hat, scale=sd)
+        cdf = sps.norm.cdf(post.cell_edges, loc=sigma_hat, scale=sd)
         want = 0.5 * np.sum(np.abs(post.cell_mass - np.diff(cdf))) \
             + 0.5 * (cdf[0] + 1.0 - cdf[-1])
         assert abs(bvm_gap(post, sigma_hat, sd ** 2) - want) <= 1e-15
@@ -177,9 +180,7 @@ def test_forensic_lr_bound_and_identity():
     assert phi_sd >= 0.0
     # fixed-M identity: lr * E[1 - sigma | data] = n + 1 + M
     post = posterior_sigma(stats_crime, PriorSpec(M_value=M))
-    w = post.cell_mass
-    mid = 0.5 * (post.sigma_nodes[:-1] + post.sigma_nodes[1:])
-    one_minus_sigma = float(np.sum(w * (1.0 - mid)))
+    one_minus_sigma = float(post.cell_mass @ (1.0 - post.sigma_nodes))
     assert lr * one_minus_sigma == pytest.approx(n + 1 + M, rel=1e-5)
 
 
@@ -193,9 +194,7 @@ def test_forensic_phi_sd_matches_centred_sum(prior):
     res = forensic_lr(stats, prior)
     sigma = res.posterior.sigma_nodes
     m_nodes, w_m = prior.M_quadrature()
-    w_sigma = np.full(sigma.size, sigma[1] - sigma[0])
-    w_sigma[0] *= 0.5
-    w_sigma[-1] *= 0.5
+    w_sigma = np.diff(res.posterior.cell_edges)  # the rule's weights
     log_joint = np.longdouble(log_eppf_grid(stats, sigma, m_nodes)
                               + prior.log_density_sigma(sigma)[:, None])
     joint = np.exp(log_joint - log_joint.max()) \
@@ -237,6 +236,8 @@ def _accuracy_sample(shape):
         return _stats(n=2000, sigma=0.5, M=2.0)
     if shape == "py_small":
         return _stats(n=500, sigma=0.3, M=0.5)
+    if shape == "py_narrow":  # posterior sd 1.5e-4
+        return _stats(n=3_000_000, sigma=0.97, M=1.0, seed=3)
     # the benchmark's sample shapes: 1e6 Zipf(2) rows and 2e4 Zipf(1.1) rows
     a, rows = {"cli_tall": (2.0, 10 ** 6), "cli_wide": (1.1, 20_000)}[shape]
     labels = np.random.default_rng(0).zipf(a, rows)
@@ -264,24 +265,32 @@ def _brute_force_moments(stats, m, w, lo, hi):
     return mean, math.sqrt(float(dens @ (sigma - mean) ** 2)), ends
 
 
-def _uniform_m_errors(shape, M_max):
-    """(mean error, sd error) of the uniform-M posterior against the brute
-    force, in units of the brute-force sd."""
-    stats = _accuracy_sample(shape)
-    post = posterior_sigma(stats, PriorSpec(M_kind="uniform", M_max=M_max))
+def _brute_force_errors(stats, prior):
+    """(mean error, sd error) of the posterior under a uniform sigma prior
+    against the brute force, in units of the brute-force sd."""
+    post = posterior_sigma(stats, prior)
     # post.mean +- 12 post.sd, within the grid's range (1e-6, 1 - 1e-6)
     lo = max(1e-6, post.mean - 12.0 * post.sd)
     hi = min(1.0 - 1e-6, post.mean + 12.0 * post.sd)
-    # 32-point Gauss-Legendre on 32 panels of [0, M_max]: 1,024 M nodes
-    x, w = np.polynomial.legendre.leggauss(32)
-    half = M_max / 64.0
-    m = (np.linspace(0.0, M_max, 33)[:-1, None] + half * (1.0 + x)).ravel()
-    mean, sd, ends = _brute_force_moments(stats, m, np.tile(half * w, 32),
-                                          lo, hi)
+    if prior.M_kind == "fixed":
+        m, w = np.array([prior.M_value]), np.ones(1)
+    else:
+        # 32-point Gauss-Legendre on 32 panels of [0, M_max]: 1,024 M nodes
+        x, w = np.polynomial.legendre.leggauss(32)
+        half = prior.M_max / 64.0
+        m = (np.linspace(0.0, prior.M_max, 33)[:-1, None]
+             + half * (1.0 + x)).ravel()
+        w = np.tile(half * w, 32)
+    mean, sd, ends = _brute_force_moments(stats, m, w, lo, hi)
     # the window holds the mass wherever it ends inside the range
     assert lo == 1e-6 or ends[0] < 1e-12
     assert hi == 1.0 - 1e-6 or ends[1] < 1e-12
     return abs(post.mean - mean) / sd, abs(post.sd - sd) / sd
+
+
+def _uniform_m_errors(shape, M_max):
+    return _brute_force_errors(_accuracy_sample(shape),
+                               PriorSpec(M_kind="uniform", M_max=M_max))
 
 
 @pytest.mark.parametrize("M_max", [10.0, 50.0])
@@ -303,27 +312,83 @@ def test_uniform_m_posterior_beats_the_trapezoid_on_a_small_sample():
 
 @pytest.mark.parametrize("M", [1.0, 5.0])
 def test_posterior_piled_at_sigma_zero_keeps_its_tail(M):
-    # the coarse argmax is the first node, and a fallback sd0 of one coarse
-    # step cut the dense grid at 0.0196 and put the mean 1.1 sd low
+    # the highest scan node is the first, so the span runs to the end of the
+    # range; a span of one scan step from there would cut the tail at 0.02
+    # and put the mean 1.1 sd low.  The uniform trapezoid that the
+    # Gauss-Legendre cells replaced was 1.0e-6 and 2.7e-6 sd off
     stats = from_sizes([20, 10, 5, 1])
     post = posterior_sigma(stats, PriorSpec(M_value=M))
     mean, sd, _ = _brute_force_moments(stats, np.array([M]), np.ones(1),
                                        1e-6, 1.0 - 1e-6)
-    assert post.sigma_nodes[0] == 1e-6 and mean < 0.2
-    assert abs(post.mean - mean) < 1e-5 * sd and abs(post.sd - sd) < 1e-5 * sd
+    assert post.cell_edges[0] == 1e-6 and mean < 0.2
+    assert abs(post.mean - mean) < 1e-7 * sd and abs(post.sd - sd) < 1e-7 * sd
 
 
 def test_dense_span_brackets_a_posterior_narrower_than_the_coarse_step():
-    # PY(0.97, 1) at n = 3e6: the posterior sd (1.1e-4) is below a tenth of
-    # the coarse step (2e-3), and argmax +- 10 sd0 alone left the mean 2.3 sd
-    # from the dense grid's left edge, whose cell held 3.4e-4 of the mass
-    stats = _stats(n=3_000_000, sigma=0.97, M=1.0, seed=3)
-    step = (1.0 - 2e-6) / 511
+    # PY(0.97, 1) at n = 3e6: the posterior sd (1.5e-4) is below a tenth of
+    # the scan's mean node spacing (1.95e-3), and the spacing at the mode
+    # (1.2e-3) is 8 sd, so the few scan nodes within 50 nats of the highest
+    # do not reach the tails; the scan nodes on either side of them bracket
+    # the mode, and the cells at the span's ends hold no mass
+    stats = _accuracy_sample("py_narrow")
+    scan, _ = gl_panels(1e-6, 1.0 - 1e-6, 32)
+    step = (scan[-1] - scan[0]) / (scan.size - 1)
     for prior in (PriorSpec(), PriorSpec(M_kind="uniform", M_max=10.0)):
         post = posterior_sigma(stats, prior)
         assert post.sd < 0.1 * step
+        assert post.cell_edges[0] < post.mean < post.cell_edges[-1]
         assert post.cell_mass[0] < 1e-12 and post.cell_mass[-1] < 1e-12
         assert not post.degenerate
+
+
+@pytest.mark.parametrize("prior", [PriorSpec(),
+                                   PriorSpec(M_kind="uniform", M_max=10.0)],
+                         ids=["fixed_M", "uniform_M"])
+def test_narrow_posterior_matches_brute_force(prior):
+    # PY(0.97, 1) at n = 3e6: the 2,049-node trapezoid that the
+    # Gauss-Legendre cells replaced put the mean 1.2e-6 sd (fixed M) and
+    # 1.6e-6 sd (uniform M) off the brute force
+    mean_err, sd_err = _brute_force_errors(_accuracy_sample("py_narrow"),
+                                           prior)
+    assert mean_err < 1e-8 and sd_err < 1e-8
+
+
+@pytest.mark.parametrize("shape", ["default", "pile", "py_narrow"])
+def test_cells_partition_the_span_around_their_nodes(shape):
+    stats = {"default": _stats, "pile": lambda: from_sizes([20, 10, 5, 1]),
+             "py_narrow": lambda: _accuracy_sample("py_narrow")}[shape]()
+    post = posterior_sigma(stats)
+    edges, nodes = post.cell_edges, post.sigma_nodes
+    assert edges.size == nodes.size + 1 == post.cell_mass.size + 1
+    assert np.all(np.diff(edges) > 0.0)
+    assert np.all((edges[:-1] < nodes) & (nodes < edges[1:]))
+    assert float(post.cell_mass.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_beta_prior_below_one_holds_its_pile():
+    # a Beta(0.5, 2) prior's density rises without bound towards sigma = 0;
+    # the uniform trapezoid that the Gauss-Legendre cells replaced weighted
+    # its node at 1e-6 with half a step and put the mean 0.18 sd low
+    stats, M = from_sizes([20, 10, 5, 1]), 1.0
+    prior = PriorSpec(sigma_kind="beta", beta_a=0.5, beta_b=2.0, M_value=M)
+    s, c = stats.sizes.astype(float), stats.counts.astype(float)
+
+    def density(t, k):
+        # sigma = t^2 takes the prior's sigma^(-1/2) into the Jacobian 2t
+        sigma = t * t
+        a = M / sigma
+        lp = ((stats.K - 1) * math.log(sigma) + gammaln(s - sigma) @ c
+              - stats.K * gammaln(1.0 - sigma) + gammaln(a + stats.K)
+              - gammaln(a + 1.0) + prior.log_density_sigma(sigma))
+        return math.exp(lp) * 2.0 * t * sigma ** k
+
+    z = [integrate.quad(density, 1e-3, math.sqrt(1.0 - 1e-6), args=(k,),
+                        epsabs=0.0, epsrel=1e-12, limit=200)[0]
+         for k in range(3)]
+    mean = z[1] / z[0]
+    sd = math.sqrt(z[2] / z[0] - mean ** 2)
+    post = posterior_sigma(stats, prior)
+    assert abs(post.mean - mean) < 1e-2 * sd and abs(post.sd - sd) < 1e-2 * sd
 
 
 def test_posterior_csv_export(tmp_path):
@@ -333,3 +398,4 @@ def test_posterior_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "sigma,log_density,cell_mass"
     assert len(lines) == post.sigma_nodes.size + 1
+    assert all(all(field for field in line.split(",")) for line in lines)
