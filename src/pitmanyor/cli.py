@@ -230,7 +230,7 @@ def cmd_experiment(args):
         raise CliError(f"unknown check {check!r}; choose from "
                        f"{', '.join(experiments.CHECKS)}", 2)
     spec["threads"] = args.threads
-    config = experiments.ExperimentConfig.from_dict(spec, check)
+    config = experiments.ExperimentConfig.from_dict(spec)
     # looked up at call time, so a wrapper rebound on the module is honoured
     report = getattr(experiments, f"run_{check}")(config)
     payload = json.loads(report.to_json())

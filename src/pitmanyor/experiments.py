@@ -1,11 +1,11 @@
 """Monte Carlo and deterministic verification harness.
 
 Every check is run_<check>(config) -> ExperimentReport for a name in CHECKS,
-configured by one ExperimentConfig (from_dict reads its JSON form and
-applies the per-check defaults of CHECKS).  Replication r draws from
-RngStream(config.seed, r) and results fold in index order, so a report's
-JSON is byte-identical across reruns and worker counts (modulo the
-wall-clock field).  With config.threads > 1 the replications run on forked
+configured by one ExperimentConfig (from_dict reads its JSON form; the run
+fills each field left None from the check's defaults in CHECKS).
+Replication r draws from RngStream(config.seed, r) and results fold in
+index order, so a report's JSON is byte-identical across reruns and worker
+counts (modulo the wall-clock field).  With config.threads > 1 the replications run on forked
 worker processes, after the parent has run replication 0 and so built the
 tables and caches they inherit (_map_replications).  The deterministic
 occupancy checks own no numerics of their own: their left-hand sides come
@@ -33,15 +33,15 @@ from .sampler import RngStream, sample_iid, sample_poissonized
 
 _BOUNDARY_LOGLIK_SLACK = 0.5  # profile boundary indistinguishability
 
-# check name -> the defaults it takes in place of ExperimentConfig's own
+# check name -> the values its run gives the ExperimentConfig fields left None
 CHECKS = {
-    "normality": {},
-    "bvm": {},
-    "lemma_limits": {"tolerance": 0.05},
-    "root_rate": {},
+    "normality": {"replications": 2},
+    "bvm": {"replications": 2},
+    "lemma_limits": {"replications": 2, "tolerance": 0.05},
+    "root_rate": {"replications": 2},
     "tau1_mc": {"replications": 400, "tolerance": 0.10},
-    "precision_profile": {},
-    "forensic": {},
+    "precision_profile": {"replications": 2},
+    "forensic": {"replications": 2},
 }
 
 
@@ -59,7 +59,7 @@ _OPTIONAL_KEYS = {"replications": partition.json_integer,
 class ExperimentConfig:
     population: dict
     n_grid: tuple
-    replications: int = 2
+    replications: int | None = None  # see CHECKS
     M_values: tuple = (0.0,)
     prior: inference.PriorSpec = field(default_factory=inference.PriorSpec)
     seed: int = 0
@@ -69,7 +69,7 @@ class ExperimentConfig:
     sigma: float | None = None  # lemma_limits; None means sigma0
 
     def __post_init__(self):
-        if self.replications < 2:
+        if self.replications is not None and self.replications < 2:
             raise ValueError("need at least 2 replications")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
@@ -91,23 +91,28 @@ class ExperimentConfig:
         return population_from_json(self.population)
 
     @classmethod
-    def from_dict(cls, d, check):
-        """Config of `check` from experiment JSON, the only reader of that
-        format.  A key that is absent or null takes the check's default
-        from CHECKS, else the field default; other keys (such as `check`)
-        are ignored."""
-        d = partition.json_object(d, "experiment config")
-        spec = {**CHECKS[check], **{k: v for k, v in d.items()
-                                    if v is not None}}
+    def from_dict(cls, d):
+        """Config from experiment JSON, the only reader of that format.  A
+        key that is absent or null keeps the field default, which a check's
+        run replaces by its own where CHECKS has one (`resolved`); other
+        keys (such as `check`) are ignored."""
+        d = {k: v for k, v in partition.json_object(
+            d, "experiment config").items() if v is not None}
         optional = {}
         for key, read in _OPTIONAL_KEYS.items():
-            if key in spec:
+            if key in d:
                 try:
-                    optional[key] = read(spec[key])
+                    optional[key] = read(d[key])
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{key}: {exc}") from None
-        return cls(population=spec["population"], n_grid=spec["n_grid"],
+        return cls(population=d["population"], n_grid=d["n_grid"],
                    **optional)
+
+    def resolved(self, check):
+        """The config `check` runs: each field left None takes the check's
+        default from CHECKS."""
+        return replace(self, **{k: v for k, v in CHECKS[check].items()
+                                if getattr(self, k) is None})
 
     def to_dict(self):
         """The report's config block: every set field except `threads`."""
@@ -143,16 +148,15 @@ def _jsonable(x):
 
 def _check(body):
     """run_<check>(config) -> ExperimentReport from body(config, population)
-    -> (results, passed); the one place a check is timed and reported.  A
-    config field left None takes the check's default from CHECKS, as in
-    from_dict, so a config built directly runs too."""
+    -> (results, passed); the one place a check is timed and reported, and
+    the one place its config takes the check's defaults (`resolved`), so a
+    config built directly and one read by from_dict run alike."""
     name = body.__name__.removeprefix("run_")
 
     @functools.wraps(body)
     def run(config):
         t0 = time.time()
-        config = replace(config, **{k: v for k, v in CHECKS[name].items()
-                                    if getattr(config, k) is None})
+        config = config.resolved(name)
         pop = config.make_population()
         if pop.rv is None:
             raise ValueError(f"{name} needs a power_law or synthetic "
@@ -579,8 +583,8 @@ def verify_suite(fast=True):
         for blocks, prob in exact_partition_law(sigma, M, 4).items():
             stats = partition.from_sizes([len(b) for b in blocks])
             worst = max(worst, abs(prob - math.exp(log_eppf(stats, sigma, M))))
-    rows.append(("sampler law vs eppf (n = 4)", worst <= 1e-12,
-                 f"max deviation = {worst:.2e}"))
+    rows.append(("sequential construction law vs eppf (n = 4)",
+                 worst <= 1e-12, f"max deviation = {worst:.2e}"))
 
     worst = 0.0
     for gamma in (0.2, 0.35, 0.5, 0.65, 0.8):

@@ -5,24 +5,19 @@ pairs or on a sigma x M grid, its derivatives (two in sigma, those in M
 behind the profile slope), and the h correction term.  The sums over the
 block sizes come from the statistic's `numerics.SizeSums`, built once per
 statistic, after which they cost O(1) per sigma whatever the number of
-distinct sizes.  The sums over the K - 1 new-block factors M + l sigma cost
-O(1) per (sigma, M) pair whatever K (`numerics.new_block_sums`), or are
-summed directly when a call has few terms.
+distinct sizes.  The sums over the K - 1 new-block factors M + l sigma (and,
+in the M derivatives, over the n - 1 factors M + i) are
+`numerics.new_block_sums`, which chooses between summing them directly and
+its closed forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (digamma, log_ascending_factorial, new_block_sums,
-                       trigamma)
+from .numerics import log_ascending_factorial, new_block_sums
 
 SIGMA_EPS = 1e-9
-# A call with at most this many new-block terms sums them directly.  On a
-# 2-core x86-64 host a float pair pays about 5 ns a term there, against about
-# 70 us for the closed forms (130-190 us for arrays), and the direct cost
-# triples past about 17,000 terms
-_DIRECT_TERMS = 16384
 
 
 def _float_if_scalar(x):
@@ -86,41 +81,12 @@ def _log_eppf_kernel(stats, sigmas, M):
     return np.where(ok, head + new_blocks - denominator, -np.inf)
 
 
-def _new_block_sums(K, sigma, M, *powers):
-    """[sum_{l=1}^{K-1} l^p/(M + l sigma)^q for (p, q) in powers],
-    elementwise over sigma and M (broadcast).  A call of at most
-    _DIRECT_TERMS terms sums them; a larger one takes
-    `numerics.new_block_sums` at a = M/sigma, times sigma^-q."""
-    sigma, M = np.asarray(sigma, dtype=float), np.asarray(M, dtype=float)
-    if np.broadcast(sigma, M).size * (K - 1) > _DIRECT_TERMS:
-        sums = new_block_sums(K, M / sigma, *powers)
-        return [s / sigma ** q for s, (_, q) in zip(sums, powers)]
-    l = np.arange(1.0, K)
-    den = M[..., None] + l * sigma[..., None]
-    return [_DIRECT_SUMS[pq](l, den) for pq in powers]
-
-
-def _dot(u, v):
-    """u @ v over the last axis, broadcast over the others."""
-    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
-
-
-# the direct sums of _new_block_sums from l and the factors M + l sigma
-_DIRECT_SUMS = {
-    (1, 1): lambda l, den: (l / den).sum(-1),
-    (2, 2): lambda l, den: ((l / den) ** 2).sum(-1),
-    (0, 1): lambda l, den: (1.0 / den).sum(-1),
-    (0, 2): lambda l, den: _dot(1.0 / den, 1.0 / den),
-    (1, 2): lambda l, den: _dot(l, (1.0 / den) ** 2),
-}
-
-
 def score_sigma(stats, sigma, M):
     """d/d sigma of log_eppf, elementwise over sigma and M (broadcast; a
     float pair gives a float):
     sum_{l<K} l/(M + l sigma) - sum_s c_s [psi(s - sigma) - psi(1 - sigma)],
     both sums at O(1) cost per element."""
-    (new,) = _new_block_sums(stats.K, sigma, M, (1, 1))
+    (new,) = new_block_sums(stats.K, sigma, M, (1, 1))
     return _float_if_scalar(new - stats.size_sums.g(sigma))
 
 
@@ -129,20 +95,21 @@ def hess_sigma(stats, sigma, M):
     negative for n >= 2:
     -sum_{l<K} (l/(M + l sigma))^2
     - sum_s c_s [psi'(1 - sigma) - psi'(s - sigma)]."""
-    (new,) = _new_block_sums(stats.K, sigma, M, (2, 2))
+    (new,) = new_block_sums(stats.K, sigma, M, (2, 2))
     return _float_if_scalar(-new - stats.size_sums.gdot(sigma))
 
 
 def m_derivatives(stats, sigma, M):
     """(d/dM, d2/dM2, d2/(d sigma dM)) of log_eppf at a float pair:
-    sum_{l<K} 1/(M + l sigma) - psi(M + n) + psi(M + 1),
-    psi'(M + 1) - psi'(M + n) - sum_{l<K} 1/(M + l sigma)^2,
-    -sum_{l<K} l/(M + l sigma)^2."""
-    inv, inv2, cross = _new_block_sums(
+    sum_{l<K} 1/(M + l sigma) - sum_{i<n} 1/(M + i),
+    sum_{i<n} 1/(M + i)^2 - sum_{l<K} 1/(M + l sigma)^2,
+    -sum_{l<K} l/(M + l sigma)^2;
+    the sums over i, psi(M + n) - psi(M + 1) and psi'(M + 1) - psi'(M + n),
+    are the new-block sums at sigma = 1 over n - 1 terms."""
+    inv, inv2, cross = new_block_sums(
         stats.K, sigma, M, (0, 1), (0, 2), (1, 2))
-    d1, dn = digamma(M + 1.0), digamma(M + stats.n)
-    t1, tn = trigamma(M + 1.0), trigamma(M + stats.n)
-    return float(inv - (dn - d1)), float(t1 - tn - inv2), -float(cross)
+    inv_i, inv2_i = new_block_sums(stats.n, 1.0, M, (0, 1), (0, 2))
+    return float(inv - inv_i), float(inv2_i - inv2), -float(cross)
 
 
 def eppf_total_mass(n, sigma, M):
@@ -192,4 +159,4 @@ def h_precision(k, sigma, M):
         raise ValueError("k must be positive")
     if M == 0.0 or k == 1:
         return 1.0
-    return 1.0 + M * float(_new_block_sums(k, sigma, M, (0, 1))[0])
+    return 1.0 + M * float(new_block_sums(k, sigma, M, (0, 1))[0])

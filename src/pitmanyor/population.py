@@ -152,13 +152,6 @@ class Population:
         # in a sample of 3e5 draws.
         return cached + np.arange(u.size)
 
-    # ---- serialization ----------------------------------------------------
-    def spec_dict(self):
-        raise NotImplementedError
-
-    def to_json(self):
-        return json.dumps(self.spec_dict(), sort_keys=True)
-
 
 class PowerLawPopulation(Population):
     """p_j = c / j^alpha with c = 1/zeta(alpha); alpha0(u) = floor((cu)^(1/alpha))."""
@@ -237,9 +230,6 @@ class PowerLawPopulation(Population):
         out = hi - 1
         out[fresh] = _INDEX_CAP + np.arange(np.count_nonzero(fresh))
         return out
-
-    def spec_dict(self):
-        return {"kind": self.kind, "alpha": self.alpha}
 
 
 class SyntheticPopulation(Population):
@@ -334,9 +324,6 @@ class SyntheticPopulation(Population):
                                               + self.r / (self.shift + y)))
         return (self._raw_tail_integral(x, k) + slope / 24.0) / self.norm ** k
 
-    def spec_dict(self):
-        return {"kind": self.kind, "gamma": self.gamma, "r": self.r}
-
 
 class ExplicitPopulation(Population):
     """Finite list of atom probabilities; for ingestion and robustness tests.
@@ -379,9 +366,6 @@ class ExplicitPopulation(Population):
         # belongs to the last atom
         cum = self._ensure_cumulative(self.n_atoms())
         return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-
-    def spec_dict(self):
-        return {"kind": self.kind, "probs": [float(x) for x in self.probs]}
 
 
 def make_power_law(alpha):

@@ -122,9 +122,11 @@ def test_criterion_07_occupancy_moment_limits(alpha, tolerance):
     detail = {k: round(v, 4) for k, v in ratios.items()}
     assert rep.passed, (
         f"alpha = {alpha}: ratios at n = 1e6: {detail}. "
-        "The limits themselves are correct but the approach is log-slow for "
-        "alpha = 3: recomputing the worst entry (viii) at n = 1e8, 1e10, "
-        "1e12 gives 0.9264, 0.9736, 0.9914, and the deterministic left side "
+        "The limits themselves are correct but approached slowly for "
+        "alpha = 3: the deficit of the worst entry (viii) falls like "
+        "n^(-1/3) (log n)^3, the second term of the power law's Mellin "
+        "expansion; recomputing it at n = 1e8, 1e10, 1e12 gives 0.9264, "
+        "0.9736, 0.9914, and the deterministic left side "
         "matches a direct Monte Carlo estimate (18913.2 vs 18907.3 +/- 14.5 "
         "over 40 replications), so the 10% gate is simply not reachable by "
         "n = 1e6 for this population.")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -238,6 +239,30 @@ def test_lr_reports_bound(tmp_path, capsys):
     assert payload["lr"] > payload["n"] + 1
 
 
+def _documented_keys(section):
+    """The top-level keys that a docs/formats.md section lists, from the
+    head of each bullet: "- `key` — ..." or "- `a`, `b` — ..."."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md") \
+        .read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return {key for line in body.splitlines() if line.startswith("- ")
+            for key in re.findall(r"`(\w+)`", line.split(" — ", 1)[0])}
+
+
+@pytest.mark.parametrize("section,argv", [
+    ("Fit JSON", ["fit", "--m", "1", "--se"]),
+    ("Fit JSON", ["fit", "--profile"]),
+    ("Posterior JSON", ["posterior", "--m", "1"]),
+    ("Posterior JSON", ["posterior", "--m-uniform-max", "10"]),
+    ("Likelihood-ratio JSON", ["lr", "--crime-profile", "NEW", "--m", "1"]),
+])
+def test_cli_json_keys_are_documented(sample, capsys, section, argv):
+    source = ["--db" if argv[0] == "lr" else "--sample", str(sample)]
+    assert run(*argv, *source) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == _documented_keys(section)
+
+
 def test_lr_rejects_seen_profile(tmp_path):
     db = tmp_path / "db.csv"
     db.write_text("species\na\nb\na\n")
@@ -314,8 +339,7 @@ def test_experiment_population_checks_match_runner(tmp_path, check, spec):
     code = run("experiment", "--config", str(cfg), "--out", str(out),
                "--threads", "2")
     report = json.loads(out.read_text())
-    config = experiments.ExperimentConfig.from_dict(dict(spec, threads=2),
-                                                    check)
+    config = experiments.ExperimentConfig.from_dict(dict(spec, threads=2))
     direct = json.loads(getattr(experiments, f"run_{check}")(config)
                         .to_json())
     assert code == (0 if direct["passed"] else 1)

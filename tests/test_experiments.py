@@ -35,7 +35,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="threads"):
             ex.ExperimentConfig.from_dict(
                 {"population": POP_SPEC, "n_grid": [100],
-                 "threads": threads}, "normality")
+                 "threads": threads})
 
 
 def test_config_from_dict():
@@ -43,7 +43,7 @@ def test_config_from_dict():
         "population": POP_SPEC, "n_grid": [100, 200], "replications": 3,
         "seed": 9, "prior": {"sigma": "beta", "beta": [2.0, 2.0],
                              "M": {"kind": "uniform", "max": 4.0}},
-    }, "normality")
+    })
     assert cfg.n_grid == (100, 200)
     assert cfg.prior.sigma_kind == "beta"
     assert cfg.prior.M_kind == "uniform"
@@ -52,7 +52,7 @@ def test_config_from_dict():
 
 def test_config_from_dict_check_defaults():
     spec = {"population": POP_SPEC, "n_grid": [100], "threads": 3}
-    cfg = {check: ex.ExperimentConfig.from_dict(spec, check)
+    cfg = {check: ex.ExperimentConfig.from_dict(spec).resolved(check)
            for check in ex.CHECKS}
     assert (cfg["normality"].replications, cfg["normality"].tolerance) \
         == (2, None)
@@ -61,13 +61,25 @@ def test_config_from_dict_check_defaults():
         == (400, 0.10)
     # a key given in the JSON wins; null counts as absent
     tau1 = ex.ExperimentConfig.from_dict(
-        dict(spec, replications=8, tolerance=None, sigma=0.4), "tau1_mc")
+        dict(spec, replications=8, tolerance=None, sigma=0.4)
+    ).resolved("tau1_mc")
     assert (tau1.replications, tau1.tolerance, tau1.sigma) == (8, 0.10, 0.4)
     # the report's config block: every set field except the thread count
     assert cfg["lemma_limits"].to_dict() == {
         "population": POP_SPEC, "n_grid": (100,), "replications": 2,
         "M_values": (0.0,), "prior": PriorSpec().to_dict(), "seed": 0,
         "M_max": 5.0, "tolerance": 0.05}
+
+
+@pytest.mark.parametrize("check", sorted(ex.CHECKS))
+def test_both_entry_points_resolve_alike(check):
+    # a config built directly and one read from JSON run the same config
+    keys = {"population": {"kind": "power_law", "alpha": 2.0},
+            "n_grid": (10 ** 4,)}
+    direct = ex.ExperimentConfig(**keys).resolved(check)
+    read = ex.ExperimentConfig.from_dict(dict(keys, check=check))
+    assert read.resolved(check).to_dict() == direct.to_dict()
+    assert direct.replications == (400 if check == "tau1_mc" else 2)
 
 
 def test_directly_built_configs_take_the_check_defaults():
@@ -78,6 +90,11 @@ def test_directly_built_configs_take_the_check_defaults():
     rep = ex.run_lemma_limits(_config(n_grid=(10 ** 3,)))
     assert rep.config["tolerance"] == rep.results["tolerance"] == 0.05
     assert "sigma" not in rep.config  # no default: sigma0 is used
+    # replications left unset: tau1_mc runs its documented 400, not 2
+    rep = ex.run_tau1_mc(ex.ExperimentConfig(population=POP_SPEC,
+                                             n_grid=(10 ** 4,)))
+    assert rep.config["replications"] == rep.results["replications"] == 400
+    assert rep.results["jackknife_se"] > 0.0
 
 
 def test_run_normality_smoke_reports_ses():

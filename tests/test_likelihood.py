@@ -1,12 +1,16 @@
+import hashlib
+import json
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy import special
 
+from pitmanyor import numerics
 from pitmanyor.likelihood import (SIGMA_EPS, eppf_total_mass, h_precision,
                                   hess_sigma, log_eppf, log_eppf_grid,
                                   m_derivatives, score_sigma)
@@ -307,11 +311,41 @@ def _new_block_direct(K, sigma, M):
 @example(K=10 ** 6, sigma=1.0 - SIGMA_EPS, M=0.0)
 def test_new_block_closed_forms_match_direct_sums(K, sigma, M):
     # at sigma = SIGMA_EPS with M > 0, a = M/sigma >> K: there the plain
-    # digamma forms lose the digits of a/K
+    # digamma forms lose the digits of a/K.  With no call summed directly,
+    # every K takes the closed forms past l = H
     direct = _new_block_direct(K, sigma, M)
-    closed = new_block_sums(K, np.array([M / sigma]), *direct)
-    for ((p, q), want), got in zip(direct.items(), closed):
-        assert abs(got[0] / sigma ** q - want) <= 1e-12 * want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_DIRECT_TERMS", 0)
+        closed = new_block_sums(K, np.array([sigma]), M, *direct)
+    for want, got in zip(direct.values(), closed):
+        assert abs(got[0] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("sigma,M", [(0.5, 1.0), (SIGMA_EPS, 50.0),
+                                     (1.0 - SIGMA_EPS, 0.0), (0.3, 1e3)])
+def test_new_block_sums_agree_across_the_switch(sigma, M):
+    # 2^14 terms are summed directly, 2^14 + 1 take the closed forms; the
+    # two differ by the last term
+    powers = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    K = numerics._DIRECT_TERMS + 1
+    direct = new_block_sums(K, sigma, M, *powers)
+    closed = new_block_sums(K + 1, sigma, M, *powers)
+    for (p, q), lo, hi in zip(powers, direct, closed):
+        assert abs(hi - (lo + K ** p / (M + K * sigma) ** q)) <= 1e-12 * hi
+
+
+@pytest.mark.parametrize("n,M", [(2, 50.0), (3, 1e3), (10, 50.0), (200, 5.0),
+                                 (10 ** 6, 0.4), (10 ** 7, 0.0)])
+def test_m_derivatives_match_mpmath(n, M):
+    # one block of size n: K = 1 leaves psi(M + 1) - psi(M + n) and
+    # psi'(M + 1) - psi'(M + n), the new-block sums at sigma = 1
+    d_M, d_MM, d_sM = m_derivatives(from_sizes([n]), 0.5, M)
+    with mpmath.workdps(40):
+        want = (mpmath.psi(0, M + 1) - mpmath.psi(0, M + n),
+                mpmath.psi(1, M + 1) - mpmath.psi(1, M + n))
+    for got, ref in zip((d_M, d_MM), want):
+        assert abs(got - ref) <= 4.0 * 2.0 ** -52 * abs(ref)
+    assert d_sM == 0.0
 
 
 @pytest.mark.parametrize("sizes", [
@@ -335,6 +369,39 @@ def test_array_calls_match_float_calls(sizes):
             assert abs(hessians[i] - hess_sigma(st, sigma, M)) \
                 <= 1e-12 * _derivative_scale(st, sigma, M, 2)
             assert lams[i] == log_eppf(st, sigma, M)
+
+
+def _direct_path_values(st):
+    """score_sigma and hess_sigma on a 4-node sigma array and on each of its
+    float pairs, and h_precision(K, sigma, M), at M = 0, 1 and 50: every call
+    sums at most 4 (K - 1) <= 2^14 new-block terms directly."""
+    sigmas = np.array([SIGMA_EPS, 0.3, 0.5, 0.9])
+    out = []
+    for M in (0.0, 1.0, 50.0):
+        out += score_sigma(st, sigmas, M).tolist()
+        out += hess_sigma(st, sigmas, M).tolist()
+        for sigma in sigmas.tolist():
+            out += [score_sigma(st, sigma, M), hess_sigma(st, sigma, M),
+                    h_precision(st.K, sigma, M)]
+    return out
+
+
+@pytest.mark.parametrize("sizes,digest", [
+    ([1] * 2000,
+     "c3273d4986f473c830fdbd852df885a54459c6477ed6177ac63b691d4465bbf6"),
+    ([50, 5, 2, 1] * 500,
+     "fa703b7d209c7b3e3616cf878b512ad9c5046e64c190d9467758c629bf396f80"),
+    (list(range(1, 400)),
+     "fcc4f4ad24c4ca7372aad86820279397e0e742206c78dcd1e35c717159ab8bfa"),
+    (np.random.default_rng(7).zipf(2.0, 1400),  # K = 1,400 blocks
+     "1dd9ed88c5fe6dc85c59c809b9fb63936ea23cfc8d185093501a83c553d36bb3"),
+])
+def test_direct_new_block_sums_frozen_bits(sizes, digest):
+    # calls of at most 2^14 new-block terms sum them directly: their bits
+    # are frozen
+    values = _direct_path_values(from_sizes(sizes))
+    text = json.dumps([float(v).hex() for v in values])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_log_eppf_negative_M_raises():

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -409,12 +410,18 @@ def test_synthetic_tail_power_sum_against_explicit_sum(gamma, r):
 
 
 def test_json_round_trip():
-    for pop in (make_power_law(2.5), make_synthetic(0.4, 1.0),
-                make_explicit([0.6, 0.4])):
-        clone = population_from_json(pop.to_json())
-        assert clone.spec_dict() == pop.spec_dict()
-        np.testing.assert_allclose(clone.atom_probs(50), pop.atom_probs(50),
-                                   rtol=1e-12)
+    # a spec as JSON text or as a dict reads as the population it names
+    for spec, pop in (
+            ({"kind": "power_law", "alpha": 2.5}, make_power_law(2.5)),
+            ({"kind": "synthetic", "gamma": 0.4, "r": 1.0},
+             make_synthetic(0.4, 1.0)),
+            ({"kind": "explicit", "probs": [0.6, 0.4]},
+             make_explicit([0.6, 0.4]))):
+        for text in (json.dumps(spec), spec):
+            clone = population_from_json(text)
+            assert type(clone) is type(pop)
+            np.testing.assert_allclose(clone.atom_probs(50),
+                                       pop.atom_probs(50), rtol=1e-12)
 
 
 def test_population_from_json_unknown_kind():
