@@ -180,6 +180,8 @@ def cmd_posterior(args):
     for path in (args.csv_out, args.out):
         if path:
             _guard_output(path, args.force)
+    if not 0.0 < args.level < 1.0:
+        raise CliError("level must lie in (0, 1)", 1)
     stats, inputs = _load_stats(args)
     prior = _parse_prior(args)
     post = inference.posterior_sigma(stats, prior)

@@ -92,12 +92,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Config from experiment JSON, the only reader of that format.  A
-        key that is absent or null keeps the field default, which a check's
-        run replaces by its own where CHECKS has one (`resolved`); other
-        keys (such as `check`) are ignored."""
+        """Config from experiment JSON, the only reader of that format.
+        `population` and `n_grid` are required.  Another key that is absent
+        or null keeps the field default, which a check's run replaces by its
+        own where CHECKS has one (`resolved`); other keys (such as `check`)
+        are ignored."""
         d = {k: v for k, v in partition.json_object(
             d, "experiment config").items() if v is not None}
+        if missing := [k for k in ("population", "n_grid") if k not in d]:
+            raise ValueError(f"experiment config has no key {missing[0]!r}")
         optional = {}
         for key, read in _OPTIONAL_KEYS.items():
             if key in d:

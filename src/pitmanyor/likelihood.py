@@ -5,17 +5,17 @@ pairs or on a sigma x M grid, its derivatives (two in sigma, those in M
 behind the profile slope), and the h correction term.  The sums over the
 block sizes come from the statistic's `numerics.SizeSums`, built once per
 statistic, after which they cost O(1) per sigma whatever the number of
-distinct sizes.  The sums over the K - 1 new-block factors M + l sigma (and,
-in the M derivatives, over the n - 1 factors M + i) are
-`numerics.new_block_sums`, which chooses between summing them directly and
-its closed forms.
+distinct sizes.  The sums over the K - 1 new-block factors M + l sigma and
+over the n - 1 factors M + i, of logs in the log-EPPF and of powers in its
+derivatives, are `numerics.new_block_sums`, which chooses between summing
+them directly and its closed forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import log_ascending_factorial, new_block_sums
+from .numerics import new_block_sums
 
 SIGMA_EPS = 1e-9
 
@@ -44,15 +44,19 @@ def log_eppf(stats, sigma, M):
 def log_eppf_grid(stats, sigmas, M):
     """log_eppf on every (sigma, M) pair: shape sigmas.shape + shape(M).
 
-    With a = M/sigma and c_s blocks of size s,
+    With c_s blocks of size s,
 
         Lambda = sum_s c_s [lnGamma(s - sigma) - lnGamma(1 - sigma)]
-               + (K - 1) ln sigma + ln (a + 1)^[K-1] - ln (M + 1)^[n-1],
+               + sum_{l<K} ln(M + l sigma) - sum_{i<n} ln(M + i).
 
-    where x^[m] = x(x+1)...(x+m-1).  The size-count sum
-    (`SizeSums.log_rising`) and ln sigma are computed once per sigma node;
-    only the two rising factorials span the sigma x M grid.  Cost
-    O(nodes x M nodes) after the statistic's O(distinct sizes) set-up.
+    The size-count sum (`SizeSums.log_rising`) is computed once per sigma
+    node, without its sigma-free constant; the sum over the new-block factors
+    M + l sigma is the log form of `numerics.new_block_sums`, and the sum
+    over i is its log form at sigma = 1 over n - 1 terms.  That sum and the
+    size-count constant make C(M), formed once per M and added last, so each
+    value is rounded once at its own size, not at the size of the constants
+    (of order 1e7 at n = 1e6).  Cost O(nodes x M nodes) after the
+    statistic's O(distinct sizes) set-up.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -62,23 +66,19 @@ def log_eppf_grid(stats, sigmas, M):
 
 def _log_eppf_kernel(stats, sigmas, M):
     """log_eppf over sigmas and M broadcast against each other, with the
-    sigma terms computed once per entry of sigmas and ln (M + 1)^[n-1] once
-    per entry of M."""
+    size-count sum computed once per entry of sigmas and C(M) once per entry
+    of M."""
     M = np.asarray(M, dtype=float)
     if np.any(M < 0.0):
         raise ValueError("M must be nonnegative")
     ok = (sigmas >= SIGMA_EPS) & (sigmas <= 1.0 - SIGMA_EPS)
     s = np.where(ok, sigmas, 0.5)  # a stand-in where the value is -inf
-    k1 = stats.K - 1
-    head = stats.size_sums.log_rising(s.ravel()).reshape(s.shape) \
-        + k1 * np.log(s)
-    # ln (M/sigma + 1)^[K-1] and ln (M + 1)^[n-1] from one call
-    a = M / s + 1.0
-    rising = log_ascending_factorial(
-        np.append(a, M + 1.0), np.repeat([k1, stats.n - 1], [a.size, M.size]))
-    new_blocks = rising[:a.size].reshape(a.shape)
-    denominator = rising[a.size:].reshape(M.shape)
-    return np.where(ok, head + new_blocks - denominator, -np.inf)
+    size_sums = stats.size_sums
+    (new_blocks,) = new_block_sums(stats.K, s, M, "log")
+    (denominator,) = new_block_sums(stats.n, 1.0, M, "log")
+    constant = size_sums.lr_constant - denominator
+    head = size_sums.log_rising(s.ravel()).reshape(s.shape) + new_blocks
+    return np.where(ok, head + constant, -np.inf)
 
 
 def score_sigma(stats, sigma, M):

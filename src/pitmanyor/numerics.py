@@ -10,8 +10,6 @@ to x >= H and then sum an asymptotic series in 1/x (Abramowitz & Stegun
 the Hurwitz zeta function (the scheme of Cephes `zeta.c`):
 
 - `log_gamma`: ln Gamma, elementwise;
-- `log_ascending_factorial`: ln a^[n], one Stirling difference after a is
-  shifted to a >= H;
 - `digamma`, `trigamma`, `rgamma`: psi, psi' and 1/Gamma of a scalar;
 - `hurwitz_zeta`: zeta(s, q), elementwise;
 - `normal_cdf`: the standard normal distribution function, elementwise;
@@ -20,9 +18,11 @@ the Hurwitz zeta function (the scheme of Cephes `zeta.c`):
   psi or psi' series above;
 - `SizeSums`: the likelihood's sums of ln(l - sigma), 1/(l - sigma) and
   1/(l - sigma)^2 over a block-size histogram;
-- `new_block_sums`: the likelihood's sums of l^p/(M + l sigma)^q over
-  l < K, summed directly in a call of at most 2^14 terms, else summed up to
-  H and then Euler-Maclaurin with the psi and psi' series.
+- `new_block_sums`: the likelihood's sums of l^p/(M + l sigma)^q and of
+  ln(M + l sigma) over l < K: the powers summed directly in a call of at
+  most 2^14 terms, else summed up to H and then Euler-Maclaurin with the
+  psi and psi' series; the logs summed up to H and then Stirling's series
+  in every call.
 
 Quadrature.  The package's one rule is the 16-point Gauss-Legendre rule
 (`GL16_NODES`, `GL16_WEIGHTS`) on equal panels (`gl_panels`);
@@ -155,39 +155,6 @@ def log_gamma(x):
     return float(out[0]) if scalar else out
 
 
-def log_ascending_factorial(a, n):
-    """ln a^[n] = ln a(a+1)...(a+n-1), with a^[0] = 1 (broadcasts; real n >= 0).
-
-    One Stirling difference, whose large terms are subtracted analytically:
-    ln Gamma(b + n) - ln Gamma(b) = (b - 1/2) log1p(n/b) + n (ln(b + n) - 1)
-    + c(b + n) - c(b), c the series of `_stirling_tail`, so no digits are lost
-    at a >> n.  b = a for a >= H; a smaller a is shifted to b = a + H by
-    a^[n] = (a + H)^[n] prod_{j<H} (a + j)/(a + n + j).
-    """
-    a = np.asarray(a, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if (a <= 0).any():
-        raise ValueError("log_ascending_factorial requires a > 0")
-    if (n < 0).any():
-        raise ValueError("n must be nonnegative")
-    a, n = np.broadcast_arrays(a, n)
-    shape = a.shape
-    a, n = a.ravel(), n.ravel()
-    low = a < H
-    b = np.where(low, a + H, a)
-    tails = _stirling_tail(np.concatenate((b + n, b)))  # c(b + n), c(b)
-    out = ((b - 0.5) * np.log1p(n / b) + n * (np.log(b + n) - 1.0)
-           + (tails[:b.size] - tails[b.size:]))
-    if low.any():
-        # the factor j = 0 by log1p, the others as two products over j
-        # (finite for n < 1e20)
-        al, nl = a[low], n[low]
-        num = np.prod(_J[:, None] + al, axis=0)
-        den = np.prod(_J[:, None] + (al + nl), axis=0)
-        out[low] -= np.log1p(nl / al) + np.log(den / num)
-    return float(out[0]) if shape == () else out.reshape(shape)
-
-
 def _g_kernel(m, sigma, power):
     """sum_{l=1}^{m-1} (l - sigma)^-power over an integer array m (0 for
     m < 2): a running sum for m <= H; above, its value at H plus
@@ -238,7 +205,10 @@ class SizeSums:
     Their coefficients, Hurwitz zeta sums over the slice, are computed once,
     so an evaluation costs O(H + _SIZE_TERMS) however many sizes there are.
     The terms with l < H, W_l (l - sigma)^-p with W_l = #{blocks of size > l},
-    follow that polynomial one by one.
+    follow that polynomial one by one.  The constant of log_rising's
+    polynomial, sum_{s>H} c_s [ln Gamma(s) - ln Gamma(H)], is `lr_constant`,
+    which `log_rising` leaves out: at n = 1e6 it is of order 1e7, and a caller
+    that adds it once, after the per-sigma terms, rounds it once.
     """
 
     def __init__(self, sizes, counts):
@@ -252,6 +222,7 @@ class SizeSums:
         split = int(np.searchsorted(sizes, H, side="right"))
         if split == sizes.size:
             self._lr_poly = self._g_poly = self._gdot_poly = (0.0,)
+            self.lr_constant = 0.0
             return
         # the slice above H, with the -F(H - sigma) terms as weight -C at H
         s = np.append(sizes[split:], H).astype(float)
@@ -261,11 +232,11 @@ class SizeSums:
         psi0 = float(c @ _psi_series(s))
         self._g_poly = (psi0,) + tuple((-z).tolist())
         self._gdot_poly = tuple((-k * z).tolist())
-        self._lr_poly = (float(c @ log_gamma(s)), -psi0) \
-            + tuple((z / (k + 1.0)).tolist())
+        self.lr_constant = float(c @ log_gamma(s))
+        self._lr_poly = (0.0, -psi0) + tuple((z / (k + 1.0)).tolist())
 
     def log_rising(self, sigmas):
-        """log_rising at each entry of a 1-d sigma array."""
+        """log_rising - lr_constant at each entry of a 1-d sigma array."""
         return np.broadcast_to(self._sum(self._lr_poly, sigmas, lambda w, d: (
             np.multiply(w, np.log(d, out=d), out=d))), sigmas.shape)
 
@@ -306,10 +277,10 @@ _EM_WEIGHTS[0, 0::2] = _PSI_SERIES
 _EM_WEIGHTS[1, 1::2] = _B2K
 
 
-# A call with at most this many terms sums them directly.  On a 2-core
-# x86-64 host a float pair pays about 5 ns a term there, against about 70 us
-# for the closed forms (130-190 us for arrays), and the direct cost triples
-# past about 17,000 terms
+# A call of the power forms with at most this many terms sums them
+# directly.  On a 2-core x86-64 host a float pair pays about 5 ns a term
+# there, against about 70 us for the closed forms (130-190 us for arrays),
+# and the direct cost triples past about 17,000 terms
 _DIRECT_TERMS = 16384
 
 
@@ -328,48 +299,92 @@ _DIRECT_SUMS = {
 }
 
 
-def new_block_sums(K, sigma, M, *powers):
-    """[sum_{l=1}^{K-1} l^p/(M + l sigma)^q for (p, q) in powers],
-    elementwise over sigma > 0 and M >= 0 (broadcast), for (p, q) among
-    (0, 1), (0, 2), (1, 1), (1, 2), (2, 2).
+def new_block_sums(K, sigma, M, *forms):
+    """[sum_{l=1}^{K-1} f(l) for f in forms], elementwise over sigma > 0 and
+    M >= 0 (broadcast), a form being "log" for ln(M + l sigma) or (p, q) for
+    l^p/(M + l sigma)^q, (p, q) among (0, 1), (0, 2), (1, 1), (1, 2), (2, 2).
 
-    A call of at most _DIRECT_TERMS terms sums them all on the factors
-    M + l sigma.  A larger call sums the terms with l < H the same way and
-    adds the rest, l = H..K-1, at a = M/sigma times sigma^-q, from
-    Euler-Maclaurin with x = a + H, y = a + K, v = (K - H)/x: the integral
-    of each term of sum l^p/(a + l)^q in the cancellation-free forms
+    The terms with l < H are summed on the factors M + l sigma; for K > H
+    the rest, l = H..K-1, are added in closed form at a = M/sigma, with
+    x = a + H, y = a + K, v = (K - H)/x.  The log form adds
+    ln Gamma(y) - ln Gamma(x) + (K - H) ln sigma by Stirling's series,
+
+        (K - H) ln(M + H sigma) + y chi(v) - ln(1 + v)/2 + c(y) - c(x),
+
+    c the series of `_stirling_tail`.  A form (p, q) adds sigma^-q times
+    Euler-Maclaurin for sum l^p/(a + l)^q: the integral of each term in
 
         (0, 1): ln(1 + v),    (0, 2): v/y,     (1, 1): x phi(v) + H ln(1 + v),
         (1, 2): chi(v) + H v/y,    (2, 2): x omega(v) + 2H chi(v) + H^2 v/y,
 
     then the end-point terms of the psi and psi' series, whose differences
-    y^-m - x^-m = x^-m expm1(-m ln(1 + v)) keep their digits.  The plain
-    closed forms, for instance (1, 1) = K - 1 - a [psi(a + K) - psi(a + 1)],
+    y^-m - x^-m = x^-m expm1(-m ln(1 + v)) keep their digits.  With phi,
+    chi and omega from their series at small v nothing cancels: the plain
+    closed forms, for instance (1, 1) = K - 1 - a [psi(a + K) - psi(a + 1)]
+    or the log form as (K - 1) ln sigma + ln Gamma(a + K) - ln Gamma(a + 1),
     lose the digits of a/K where a >> K; these stay within a few ulp
-    whatever a and K.  Each element of a larger call costs O(H + the series
-    lengths), and its bits do not depend on the other elements.
+    whatever a and K.  Each element costs O(H + the series lengths), and its
+    bits do not depend on the other elements.
+
+    The power forms of a call of at most _DIRECT_TERMS terms are summed
+    directly instead, all K - 1 of them.  The log form takes no such switch,
+    so that a log-EPPF value has the same bits alone and on a grid.
     """
     sigma, M = np.asarray(sigma, dtype=float), np.asarray(M, dtype=float)
+    powers = [f for f in forms if f != "log"]
+    sums = dict(zip(powers, _power_sums(K, sigma, M, powers))) if powers \
+        else {}
+    if "log" in forms:
+        sums["log"] = _log_sum(K, sigma, M)
+    return [sums[f] for f in forms]
+
+
+def _tail_pieces(K, sigma, M, rows):
+    """(a, x, y, v, ln(1 + v), remainders) of the closed forms of
+    `new_block_sums`, the remainders being [phi(v), chi(v), omega(v)][r] for
+    r in rows: the direct forms, or the series where v <= _V_SERIES."""
+    a = M / sigma
+    x, y = a + H, a + K
+    v = (K - H) / x
+    lg = np.log1p(v)
+    u = v / (1.0 + v)
+    direct = (lambda: v - lg, lambda: lg - u, lambda: v - 2.0 * lg + u)
+    rem = [direct[r]() for r in rows]
+    small = v <= _V_SERIES
+    if small.any():
+        vs = np.where(small, v, 0.0)
+        series = (np.power.outer(vs, _J_SERIES)[..., None, :]
+                  * _LOG1P_SERIES[rows]).sum(-1)
+        lead = (vs * vs, vs * vs, vs * vs * vs)
+        rem = [np.where(small, lead[r] * series[..., i], out)
+               for i, (r, out) in enumerate(zip(rows, rem))]
+    return a, x, y, v, lg, rem
+
+
+def _log_sum(K, sigma, M):
+    """The log form of `new_block_sums`: the terms with l < H are added in
+    the order of l, one array per l, then the closed form."""
+    col = (-1,) + (1,) * max(sigma.ndim, M.ndim)
+    logs = np.log(M + np.arange(1.0, min(K, H)).reshape(col) * sigma)
+    out = np.zeros(logs.shape[1:])
+    for t in logs if logs.ndim > 1 else logs.tolist():  # floats: fast
+        out = out + t
+    if K <= H:
+        return out
+    _, x, y, v, lg, (chi,) = _tail_pieces(K, sigma, M, [1])
+    return out + ((K - H) * np.log(M + H * sigma) + y * chi - 0.5 * lg
+                  + (_stirling_tail(y) - _stirling_tail(x)))
+
+
+def _power_sums(K, sigma, M, powers):
+    """The power forms of `new_block_sums`."""
     direct = np.broadcast(sigma, M).size * (K - 1) <= _DIRECT_TERMS
     l = np.arange(1.0, K if direct else min(K, H))
     den = M[..., None] + l * sigma[..., None]
     out = [_DIRECT_SUMS[pq](l, den) for pq in powers]
     if direct or K <= H:
         return out
-    a = M / sigma
-    x, y = a + H, a + K
-    v = (K - H) / x
-    lg = np.log1p(v)
-    u = v / (1.0 + v)
-    phi, chi, omega = v - lg, lg - u, v - 2.0 * lg + u
-    small = v <= _V_SERIES
-    if small.any():
-        vs = np.where(small, v, 0.0)
-        series = (np.power.outer(vs, _J_SERIES)[..., None, :]
-                  * _LOG1P_SERIES).sum(-1)
-        phi = np.where(small, vs * vs * series[..., 0], phi)
-        chi = np.where(small, vs * vs * series[..., 1], chi)
-        omega = np.where(small, vs * vs * vs * series[..., 2], omega)
+    a, x, y, v, lg, (phi, chi, omega) = _tail_pieces(K, sigma, M, [0, 1, 2])
     d = np.power.outer(x, -_EM_POWERS) * np.expm1(np.multiply.outer(
         lg, -_EM_POWERS))  # y^-m - x^-m
     e = (d[..., None, :] * _EM_WEIGHTS).sum(-1)

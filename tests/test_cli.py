@@ -229,6 +229,16 @@ def test_posterior_checks_both_outputs_before_writing(sample, tmp_path):
     assert json.loads(out.read_text())["level"] == 0.95
 
 
+@pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+def test_posterior_checks_level_before_reading(tmp_path, capsys, level):
+    # the sample path does not exist: the level is refused first
+    out = tmp_path / "post.json"
+    assert run("posterior", "--sample", str(tmp_path / "missing.csv"),
+               "--level", level, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: level must lie in (0, 1)\n"
+    assert not out.exists()
+
+
 def test_lr_reports_bound(tmp_path, capsys):
     db = tmp_path / "db.csv"
     labels = ["a"] * 300 + ["b"] * 150 + [f"s{i}" for i in range(80)]
@@ -425,6 +435,22 @@ def test_malformed_json_input_is_one_error_line(tmp_path, capsys, command,
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("population", None),
+                                       ("n_grid", None), ("n_grid", "drop"),
+                                       ("population", "drop")])
+def test_experiment_names_a_missing_required_key(tmp_path, capsys, key,
+                                                 value):
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    spec = dict(_NORMALITY, **{key: value})
+    if value == "drop":
+        del spec[key]
+    cfg.write_text(json.dumps(spec))
+    assert run("experiment", "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err \
+        == f"error: experiment config has no key {key!r}\n"
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from scipy import special
 
 from pitmanyor import numerics
+from pitmanyor.estimators import mle_sigma
 from pitmanyor.likelihood import (SIGMA_EPS, eppf_total_mass, h_precision,
                                   hess_sigma, log_eppf, log_eppf_grid,
                                   m_derivatives, score_sigma)
@@ -292,12 +293,13 @@ def test_kernel_edge_cases(sizes, sigma, M):
 # the direct sums they replace.
 
 def _new_block_direct(K, sigma, M):
-    """sum_{l<K} l^p/(M + l sigma)^q as direct sums, keyed by (p, q)."""
+    """The terms of sum_{l<K} l^p/(M + l sigma)^q and of the log form
+    sum_{l<K} ln(M + l sigma), keyed by (p, q) and "log"."""
     l = np.arange(1.0, K)
     inv = 1.0 / (M + l * sigma)
-    return {(0, 1): inv.sum(), (0, 2): (inv * inv).sum(),
-            (1, 1): (l * inv).sum(), (1, 2): (l * inv * inv).sum(),
-            (2, 2): ((l * inv) ** 2).sum()}
+    return {(0, 1): inv, (0, 2): inv * inv, (1, 1): l * inv,
+            (1, 2): l * inv * inv, (2, 2): (l * inv) ** 2,
+            "log": np.log(M + l * sigma)}
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -312,26 +314,30 @@ def _new_block_direct(K, sigma, M):
 def test_new_block_closed_forms_match_direct_sums(K, sigma, M):
     # at sigma = SIGMA_EPS with M > 0, a = M/sigma >> K: there the plain
     # digamma forms lose the digits of a/K.  With no call summed directly,
-    # every K takes the closed forms past l = H
+    # every K takes the closed forms past l = H; the log form always does.
+    # The scale is the sum of |terms|, the sum itself for the power forms
     direct = _new_block_direct(K, sigma, M)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_DIRECT_TERMS", 0)
         closed = new_block_sums(K, np.array([sigma]), M, *direct)
-    for want, got in zip(direct.values(), closed):
-        assert abs(got[0] - want) <= 1e-12 * want
+    for terms, got in zip(direct.values(), closed):
+        assert abs(got[0] - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 @pytest.mark.parametrize("sigma,M", [(0.5, 1.0), (SIGMA_EPS, 50.0),
                                      (1.0 - SIGMA_EPS, 0.0), (0.3, 1e3)])
 def test_new_block_sums_agree_across_the_switch(sigma, M):
     # 2^14 terms are summed directly, 2^14 + 1 take the closed forms; the
-    # two differ by the last term
-    powers = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    # two differ by the last term.  The log form takes its closed form at
+    # both
+    forms = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2), "log"]
     K = numerics._DIRECT_TERMS + 1
-    direct = new_block_sums(K, sigma, M, *powers)
-    closed = new_block_sums(K + 1, sigma, M, *powers)
-    for (p, q), lo, hi in zip(powers, direct, closed):
-        assert abs(hi - (lo + K ** p / (M + K * sigma) ** q)) <= 1e-12 * hi
+    direct = new_block_sums(K, sigma, M, *forms)
+    closed = new_block_sums(K + 1, sigma, M, *forms)
+    for form, lo, hi in zip(forms, direct, closed):
+        last = math.log(M + K * sigma) if form == "log" \
+            else K ** form[0] / (M + K * sigma) ** form[1]
+        assert abs(hi - (lo + last)) <= 1e-12 * abs(hi)
 
 
 @pytest.mark.parametrize("n,M", [(2, 50.0), (3, 1e3), (10, 50.0), (200, 5.0),
@@ -410,3 +416,30 @@ def test_log_eppf_negative_M_raises():
         log_eppf(st, 0.5, -1.0)
     with pytest.raises(ValueError):
         log_eppf_grid(st, np.array([0.5]), np.array([1.0, -1.0]))
+
+
+def test_log_eppf_grid_errors_do_not_spread_across_nodes():
+    # a Zipf(2) sample of 1e6 observations: the sigma-free terms of the
+    # log-EPPF, of order 1e7, are added once per M after the per-node terms,
+    # so each node's error against 40-digit mpmath is the rounding of its
+    # own value (of order 1e6), and the errors spread by at most 2 ulp
+    st = from_observations(np.random.default_rng(1).zipf(2.0, 10 ** 6))
+    sigma_hat = mle_sigma(st, 1.0).sigma_hat
+    nodes = sigma_hat + np.linspace(-0.05, 0.05, 41)
+    got = log_eppf_grid(st, nodes, 1.0)
+    errors = []
+    with mpmath.workdps(40):
+        sizes = [(mpmath.mpf(int(s)), int(c))
+                 for s, c in zip(st.sizes, st.counts)]
+        denominator = mpmath.loggamma(st.n + 1) - mpmath.loggamma(2)
+        for sigma, value in zip(nodes.tolist(), got.tolist()):
+            s = mpmath.mpf(sigma)
+            a = 1 / s
+            ref = (mpmath.fsum(c * mpmath.loggamma(size - s)
+                               for size, c in sizes)
+                   - st.K * mpmath.loggamma(1 - s)
+                   + (st.K - 1) * mpmath.log(s) + mpmath.loggamma(a + st.K)
+                   - mpmath.loggamma(a + 1) - denominator)
+            errors.append(float(value - ref))
+    ulp = float(np.spacing(np.abs(got)).max())
+    assert max(errors) - min(errors) <= 2.0 * ulp

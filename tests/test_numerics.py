@@ -11,10 +11,9 @@ from scipy import special
 from pitmanyor.likelihood import SIGMA_EPS
 from pitmanyor.numerics import (H, IntegrationError, SizeSums,
                                 adaptive_integrate, digamma, g_sigma_values,
-                                gdot_sigma_values, hurwitz_zeta,
-                                log_ascending_factorial, log_gamma,
-                                log_sum_exp, newton_root, normal_cdf, rgamma,
-                                trigamma)
+                                gdot_sigma_values, hurwitz_zeta, log_gamma,
+                                log_sum_exp, new_block_sums, newton_root,
+                                normal_cdf, rgamma, trigamma)
 
 
 def _g_direct(m, sigma):
@@ -43,38 +42,47 @@ def test_log_gamma_domain():
         log_gamma(-1.5)
 
 
-def test_log_ascending_factorial_against_product():
-    for a in [0.1, 0.5, 1.0, 2.5, 10.0]:
-        for n in [0, 1, 2, 7, 33, 100]:
-            direct = float(np.sum(np.log(a + np.arange(n)))) if n else 0.0
-            got = log_ascending_factorial(a, n)
-            assert abs(got - direct) <= 1e-12 * max(abs(direct), 1.0)
+def _log_form(K, sigma, M):
+    """sum_{l=1}^{K-1} ln(M + l sigma), the log form of new_block_sums."""
+    (out,) = new_block_sums(K, sigma, M, "log")
+    return out
+
+
+def test_log_new_block_sum_against_direct_sum():
+    for M in [0.0, 0.1, 0.5, 1.0, 2.5, 10.0]:
+        for sigma in [1e-6, 0.3, 1.0]:
+            for K in [1, 2, 3, 8, 17, 34, 101]:
+                direct = float(np.sum(np.log(M + sigma * np.arange(1, K))))
+                got = _log_form(K, sigma, M)
+                assert abs(got - direct) <= 1e-12 * max(abs(direct), 1.0)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(log10_a=hst.floats(-3.0, 12.0), n=hst.integers(0, 3000))
-def test_log_ascending_factorial_against_fsum(log10_a, n):
-    a = 10.0 ** log10_a
-    ref = math.fsum(math.log(a + l) for l in range(n))
-    got = log_ascending_factorial(a, n)
-    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+@given(log10_M=hst.floats(-3.0, 12.0), K=hst.integers(1, 3001),
+       sigma=hst.floats(1e-9, 1.0))
+def test_log_new_block_sum_against_fsum(log10_M, K, sigma):
+    M = 10.0 ** log10_M
+    terms = [math.log(M + l * sigma) for l in range(1, K)]
+    ref = math.fsum(terms)
+    scale = max(math.fsum(map(abs, terms)), 1.0)
+    assert abs(_log_form(K, sigma, M) - ref) <= 1e-12 * scale
 
 
-def test_log_ascending_factorial_broadcasts():
-    a = np.array([0.5, 999.0, 1e3, 5e10])
-    n = np.array([[0], [1], [9999]])
-    got = log_ascending_factorial(a, n)
-    assert got.shape == (3, 4)
-    for i, j in np.ndindex(got.shape):
-        assert got[i, j] == log_ascending_factorial(float(a[j]), int(n[i, 0]))
-    with pytest.raises(ValueError):
-        log_ascending_factorial(np.array([1.0, 0.0]), 2)
+def test_log_new_block_sum_broadcasts():
+    # each element has the bits of its own float call, whatever the shape
+    sigma = np.array([1e-9, 0.5, 0.999, 1.0])
+    M = np.array([[0.0], [1.0], [5e10]])
+    for K in (1, 2, H, H + 1, 9999):
+        got = _log_form(K, sigma, M)
+        assert got.shape == (3, 4)
+        for i, j in np.ndindex(got.shape):
+            assert got[i, j] == _log_form(K, float(sigma[j]), float(M[i, 0]))
 
 
-def test_log_ascending_factorial_examples():
-    assert log_ascending_factorial(1.0, 3) == pytest.approx(math.log(6.0))
-    assert log_ascending_factorial(2.0, 0) == 0.0
-    assert log_ascending_factorial(3.0, 1) == pytest.approx(math.log(3.0))
+def test_log_new_block_sum_examples():
+    assert _log_form(4, 1.0, 0.0) == pytest.approx(math.log(6.0))
+    assert _log_form(1, 0.5, 2.0) == 0.0
+    assert _log_form(2, 1.0, 2.0) == math.log(3.0)
 
 
 def test_g_sigma_base_cases():
@@ -247,14 +255,35 @@ def test_log_gamma_array_matches_scipy(x):
 
 
 @_KERNEL
-@given(a=hst.lists(hst.floats(1e-6, 1e9), min_size=1, max_size=20),
-       n=hst.floats(0.0, 1e7))
-def test_log_ascending_factorial_matches_scipy(a, n):
-    a = np.array(a)
-    ref = special.gammaln(a + n) - special.gammaln(a)
+@given(sigma=hst.lists(hst.floats(1e-9, 1.0), min_size=1, max_size=20),
+       M=hst.floats(0.0, 1e9), K=hst.integers(1, 10 ** 7))
+def test_log_new_block_sum_matches_scipy(sigma, M, K):
+    sigma = np.array(sigma)
+    a = M / sigma
+    ref = (K - 1) * np.log(sigma) + special.gammaln(a + K) \
+        - special.gammaln(a + 1.0)
     # the reference difference loses digits to the size of its terms
-    scale = np.maximum(1.0, np.abs(special.gammaln(a + n)))
-    assert np.all(np.abs(log_ascending_factorial(a, n) - ref) <= _RTOL * scale)
+    scale = np.maximum(1.0, np.abs(special.gammaln(a + K))
+                       + (K - 1) * np.abs(np.log(sigma)))
+    assert np.all(np.abs(_log_form(K, sigma, M) - ref) <= _RTOL * scale)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-6, 0.1, 0.5, 0.97, 1.0])
+def test_log_new_block_sum_matches_mpmath(sigma):
+    # direct (K = 2) and closed form (K > H), within 1e-12 of
+    # max(|value|, 1); as one array call and as float calls
+    Ks = [2, 17, 100, 440, 1400, 2 * 10 ** 4, 10 ** 6, 10 ** 7]
+    Ms = [0.0, 1e-3, 1.0, 50.0, 1e4, 1e9]
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        for K in Ks:
+            got = _log_form(K, sigma, np.array(Ms))
+            for M, value in zip(Ms, got.tolist()):
+                a = mpmath.mpf(M) / s
+                ref = (K - 1) * mpmath.log(s) + mpmath.loggamma(a + K) \
+                    - mpmath.loggamma(a + 1)
+                assert _mp_close(value, ref, 1e-12)
+                assert _log_form(K, sigma, M) == value
 
 
 @_KERNEL
@@ -347,8 +376,10 @@ def test_kernels_at_hard_points_match_mpmath(sigma):
     assert _mp_close(log_gamma(x), mpmath.loggamma(xm))
     assert _mp_close(float(log_gamma(np.array([x]))[0]), mpmath.loggamma(xm))
     assert _mp_close(rgamma(x), mpmath.rgamma(xm))
-    assert _mp_close(log_ascending_factorial(x, 1e6),
-                     mpmath.loggamma(xm + 10 ** 6) - mpmath.loggamma(xm))
+    # the log form at M = x: sum_{l=1}^{1e6} ln(x + l)
+    n = 10 ** 6
+    assert _mp_close(_log_form(n + 1, 1.0, x),
+                     mpmath.loggamma(xm + n + 1) - mpmath.loggamma(xm + 1))
 
 
 def test_rgamma_is_zero_at_the_poles():
@@ -390,6 +421,7 @@ def test_size_sums_match_direct_sums(hist, sigma):
     counts = np.array([hist[s] for s in sizes])
     lr, lr_abs, g, gdot = _size_sums_direct(sizes, counts, sigma)
     ss = SizeSums(sizes, counts)
-    assert abs(ss.log_rising(np.array([sigma]))[0] - lr) <= 1e-12 * (1 + lr_abs)
+    assert abs(ss.log_rising(np.array([sigma]))[0] + ss.lr_constant - lr) \
+        <= 1e-12 * (1 + lr_abs)
     assert abs(ss.g(sigma) - g) <= 1e-12 * (1.0 + g)
     assert abs(ss.gdot(sigma) - gdot) <= 1e-12 * (1.0 + gdot)
