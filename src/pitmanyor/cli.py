@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__, experiments, inference, partition
 from .estimators import INTERIOR, mle_sigma, profile_mle
-from .numerics import IntegrationError
 from .population import population_from_json
 from .sampler import RngStream, sample_iid_labels, sample_py_partition
 
@@ -332,8 +331,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            IntegrationError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -87,9 +87,6 @@ class ExperimentConfig:
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be nonempty and strictly increasing")
 
-    def make_population(self):
-        return population_from_json(self.population)
-
     @classmethod
     def from_dict(cls, d):
         """Config from experiment JSON, the only reader of that format.
@@ -160,7 +157,7 @@ def _check(body):
     def run(config):
         t0 = time.time()
         config = config.resolved(name)
-        pop = config.make_population()
+        pop = population_from_json(config.population)
         if pop.rv is None:
             raise ValueError(f"{name} needs a power_law or synthetic "
                              f"population, not {pop.kind}")
@@ -243,6 +240,8 @@ def _excluded_guard(excluded, total):
 
 @_check
 def run_normality(config, pop):
+    if not config.M_values:
+        raise ValueError("normality needs at least one M_values entry")
     M = config.M_values[0]
     R = config.replications
     per_n = {}

@@ -72,12 +72,12 @@ def _log_eppf_kernel(stats, sigmas, M):
     if np.any(M < 0.0):
         raise ValueError("M must be nonnegative")
     ok = (sigmas >= SIGMA_EPS) & (sigmas <= 1.0 - SIGMA_EPS)
-    s = np.where(ok, sigmas, 0.5)  # a stand-in where the value is -inf
+    s = np.where(ok, sigmas, 0.5)[()]  # 0.5 stands in where it is -inf
     size_sums = stats.size_sums
     (new_blocks,) = new_block_sums(stats.K, s, M, "log")
     (denominator,) = new_block_sums(stats.n, 1.0, M, "log")
     constant = size_sums.lr_constant - denominator
-    head = size_sums.log_rising(s.ravel()).reshape(s.shape) + new_blocks
+    head = size_sums.log_rising(s) + new_blocks
     return np.where(ok, head + constant, -np.inf)
 
 

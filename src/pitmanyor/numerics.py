@@ -190,7 +190,9 @@ _SIZE_TERMS = 16  # Taylor terms in sigma; the last is below 1e-18 of the first
 
 class SizeSums:
     """The sigma-dependent sums of the log-EPPF over a block-size histogram
-    (distinct sizes ascending, counts c_s), for sigma in (0, 1):
+    (distinct sizes ascending, counts c_s), for sigma in (0, 1), a float or
+    an array of any shape (elementwise; a float gives a float, and a
+    histogram of singletons 0.0):
 
         log_rising(sigma) = sum_s c_s sum_{l<s} ln(l - sigma)
                           = sum_s c_s [ln Gamma(s - sigma) - ln Gamma(1 - sigma)],
@@ -235,10 +237,10 @@ class SizeSums:
         self.lr_constant = float(c @ log_gamma(s))
         self._lr_poly = (0.0, -psi0) + tuple((z / (k + 1.0)).tolist())
 
-    def log_rising(self, sigmas):
-        """log_rising - lr_constant at each entry of a 1-d sigma array."""
-        return np.broadcast_to(self._sum(self._lr_poly, sigmas, lambda w, d: (
-            np.multiply(w, np.log(d, out=d), out=d))), sigmas.shape)
+    def log_rising(self, sigma):
+        """log_rising - lr_constant at sigma."""
+        return self._sum(self._lr_poly, sigma, lambda w, d: (
+            np.multiply(w, np.log(d, out=d), out=d)))
 
     def g(self, sigma):
         return self._sum(self._g_poly, sigma,

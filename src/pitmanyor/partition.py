@@ -79,10 +79,6 @@ class PartitionStats:
         at_least = np.cumsum(self.counts[::-1])[::-1]
         return at_least, np.diff(self.sizes, prepend=0)
 
-    def _occupancy_counts(self):
-        """Z as an array, which from_json checks a record's Z against."""
-        return np.repeat(*self._z_runs())
-
     def _json_lists(self, sep):
         """The items of N and of Z in JSON, separated by `sep`, written from
         the histogram's runs without either list."""
@@ -116,7 +112,7 @@ class PartitionStats:
         Z = _json_integers(d, "Z")
         # the length check first: a huge max N must not allocate its Z
         if Z.size != stats.sizes[-1] \
-                or not np.array_equal(Z, stats._occupancy_counts()):
+                or not np.array_equal(Z, np.repeat(*stats._z_runs())):
             raise ValueError("Z inconsistent with N")
         return stats
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import adaptive_integrate, hurwitz_zeta
-from .partition import json_key, json_number, json_object
+from .partition import json_key, json_number, json_numbers, json_object
 
 _INDEX_CAP = 1 << 62  # exact power-law tail indices stay below this
 _BLOCK = 1 << 14  # atoms per block of the cumulative table
@@ -81,8 +81,8 @@ class Population:
     _CACHE_MAX = 1 << 22
     _cum = None  # the published cumulative table, a prefix of _buf
 
-    def _capacity(self):
-        return min(self._CACHE_MAX, self.n_atoms() or self._CACHE_MAX)
+    def _capacity(self):  # a finite family's table holds every atom
+        return self.n_atoms() or self._CACHE_MAX
 
     def _ensure_cumulative(self, count):
         """The cumulative table with at least `count` entries (a power of two
@@ -120,7 +120,7 @@ class Population:
         idx = np.searchsorted(cum, u, side="right")
         overflow = idx >= cum.size
         if np.any(overflow):
-            idx[overflow] = self._tail_indices(u[overflow], cum.size, cum[-1])
+            idx[overflow] = self._tail_indices(u[overflow], cum.size)
         return idx
 
     def occupancy(self, sorted_uniforms):
@@ -144,7 +144,7 @@ class Population:
         return (np.concatenate((species, rest)),
                 np.concatenate((counts[species], rest_counts)))
 
-    def _tail_indices(self, u, cached, cum_last):
+    def _tail_indices(self, u, cached):
         # A draw past the table gets a fresh label, one new species each;
         # concrete families may override with an exact inversion.  The mass
         # past the full table is small but not negligible: for
@@ -183,7 +183,7 @@ class PowerLawPopulation(Population):
     def tail_power_sum(self, after, k):
         return self.c ** k * hurwitz_zeta(k * self.alpha, after + 1)
 
-    def _tail_indices(self, u, cached, cum_last):
+    def _tail_indices(self, u, cached):
         # Exact inversion via the Hurwitz zeta tail mass, for all draws at
         # once: the index is hi - 1 for the first hi with cdf(hi) >= u.  As
         # c zeta(alpha, j + 1) = c (j + 1/2)^(1 - alpha)/(alpha - 1) up to a
@@ -345,9 +345,6 @@ class ExplicitPopulation(Population):
     def n_atoms(self):
         return int(self.probs.size)
 
-    def _capacity(self):
-        return self.n_atoms()  # the table holds every atom
-
     def atom_probs_range(self, start, stop):
         return self.probs[start:stop]
 
@@ -359,7 +356,7 @@ class ExplicitPopulation(Population):
     def tail_power_sum(self, after, k):
         return float(np.sum(self.probs[after:] ** k))
 
-    def _tail_indices(self, u, cached, cum_last):
+    def _tail_indices(self, u, cached):
         # inverse_cdf stops growing the table once it holds all but 1e-9 of
         # the mass, so search the full table; a draw past its last entry
         # only marks the rounding shortfall of the summed probabilities and
@@ -385,12 +382,17 @@ def make_explicit(probs):
 def population_from_json(text):
     spec = json_object(json.loads(text) if isinstance(text, str) else text,
                        "population spec")
+
+    def key(name, read=json_number):
+        if name not in spec:
+            raise ValueError(f"population spec has no key {name!r}")
+        return json_key(spec, name, read)
+
     kind = spec.get("kind")
     if kind == "power_law":
-        return make_power_law(json_key(spec, "alpha", json_number))
+        return make_power_law(key("alpha"))
     if kind == "synthetic":
-        return make_synthetic(json_key(spec, "gamma", json_number),
-                              json_key(spec, "r", json_number))
+        return make_synthetic(key("gamma"), key("r"))
     if kind == "explicit":
-        return make_explicit(spec["probs"])
+        return make_explicit(key("probs", json_numbers))
     raise ValueError(f"unknown population kind: {kind!r}")

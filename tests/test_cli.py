@@ -413,6 +413,17 @@ _NORMALITY = {"check": "normality",
     ("simulate", "[1]", "population spec must be a JSON object"),
     ("simulate", '{"kind": "power_law", "alpha": "2"}',
      "alpha: must be a number, got '2'"),
+    ("simulate", '{"kind": "power_law"}',
+     "population spec has no key 'alpha'"),
+    ("simulate", '{"kind": "synthetic", "r": 1.0}',
+     "population spec has no key 'gamma'"),
+    ("simulate", '{"kind": "synthetic", "gamma": 0.5}',
+     "population spec has no key 'r'"),
+    ("simulate", '{"kind": "explicit"}', "population spec has no key 'probs'"),
+    ("simulate", '{"kind": "explicit", "probs": 0.5}',
+     "probs: must be a list of numbers"),
+    ("simulate", '{"kind": "explicit", "probs": ["0.5", "0.5"]}',
+     "probs: must be a number, got '0.5'"),
     ("experiment", "[1]", "experiment config must be a JSON object"),
     ("experiment", json.dumps(dict(_NORMALITY, population=[1])),
      "population spec must be a JSON object"),
@@ -422,6 +433,8 @@ _NORMALITY = {"check": "normality",
      "prior: M must be a JSON object"),
     ("experiment", json.dumps(dict(_NORMALITY, M_values=["a"])),
      "M_values: must be a number, got 'a'"),
+    ("experiment", json.dumps(dict(_NORMALITY, M_values=[])),
+     "normality needs at least one M_values entry"),
 ])
 def test_malformed_json_input_is_one_error_line(tmp_path, capsys, command,
                                                 text, message):
@@ -451,6 +464,20 @@ def test_experiment_names_a_missing_required_key(tmp_path, capsys, key,
     assert run("experiment", "--config", str(cfg), "--out", str(out)) == 1
     assert capsys.readouterr().err \
         == f"error: experiment config has no key {key!r}\n"
+    assert not out.exists()
+
+
+def test_experiment_runtime_error_is_an_error_line(tmp_path, capsys):
+    # at n = 8 and alpha = 1.2 many estimates sit on the boundary, so the
+    # check's exclusion guard raises RuntimeError
+    cfg, out = tmp_path / "exp.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "check": "normality", "population": {"kind": "power_law",
+                                             "alpha": 1.2},
+        "n_grid": [8], "replications": 40}))
+    assert run("experiment", "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err \
+        == "error: boundary-estimate exclusion rate 30.0% exceeds 5%\n"
     assert not out.exists()
 
 

@@ -421,7 +421,12 @@ def test_size_sums_match_direct_sums(hist, sigma):
     counts = np.array([hist[s] for s in sizes])
     lr, lr_abs, g, gdot = _size_sums_direct(sizes, counts, sigma)
     ss = SizeSums(sizes, counts)
-    assert abs(ss.log_rising(np.array([sigma]))[0] + ss.lr_constant - lr) \
+    assert abs(ss.log_rising(sigma) + ss.lr_constant - lr) \
         <= 1e-12 * (1 + lr_abs)
     assert abs(ss.g(sigma) - g) <= 1e-12 * (1.0 + g)
     assert abs(ss.gdot(sigma) - gdot) <= 1e-12 * (1.0 + gdot)
+    # a float sigma gives a float, with the bits of a one-element array
+    for f in (ss.log_rising, ss.g, ss.gdot):
+        value = f(sigma)
+        assert isinstance(value, float)
+        assert value == f(np.array([sigma]))

@@ -342,7 +342,7 @@ def test_tail_indices_match_the_scalar_search(alpha):
         if idx is None:
             idx, fresh = fresh, fresh + 1
         want.append(idx)
-    assert pop._tail_indices(u, cached, 1.0 - tail).tolist() == want
+    assert pop._tail_indices(u, cached).tolist() == want
 
 
 _TAIL_POPS = {alpha: make_power_law(alpha) for alpha in (1.1, 1.5, 2.0, 3.0)}
@@ -367,7 +367,7 @@ def test_tail_index_is_the_first_atom_whose_cdf_reaches_u(alpha, v, power):
 
     tail = 1.0 - cdf(cached)
     u = 1.0 - tail * np.array(v) ** power
-    for ui, j in zip(u.tolist(), pop._tail_indices(u, cached, 1.0 - tail)):
+    for ui, j in zip(u.tolist(), pop._tail_indices(u, cached)):
         if j >= _INDEX_CAP:
             assert cdf(_INDEX_CAP) < ui
         else:
