@@ -162,7 +162,7 @@ def cmd_fit(args):
     for key, root in (("converged", "sigma"), ("M_converged", "M")):
         if res.diagnostics.get(key) is False:
             warnings.append(f"the {root} root did not converge")
-    payload = json.loads(res.to_json(stats))
+    payload = res.to_dict(stats)
     payload["warnings"] = warnings
     payload["provenance"] = _provenance(args, inputs)
     _emit(args, payload)

@@ -9,7 +9,6 @@ errors (sandwich primary, curvature secondary).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +45,7 @@ class EstimateResult:
     def interior(self):
         return self.boundary == INTERIOR
 
-    def to_json(self, stats=None):
+    def to_dict(self, stats=None):
         out = {
             "sigma_hat": self.sigma_hat, "M_hat": self.M_hat,
             "boundary": self.boundary, "score_at_opt": self.score_at_opt,
@@ -56,7 +55,7 @@ class EstimateResult:
         if stats is not None:
             out["n"] = stats.n
             out["K"] = stats.K
-        return json.dumps(out, sort_keys=True)
+        return out
 
 
 def score_roots(stats, M):

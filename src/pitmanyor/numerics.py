@@ -344,22 +344,23 @@ def new_block_sums(K, sigma, M, *forms):
 def _tail_pieces(K, sigma, M, rows):
     """(a, x, y, v, ln(1 + v), remainders) of the closed forms of
     `new_block_sums`, the remainders being [phi(v), chi(v), omega(v)][r] for
-    r in rows: the direct forms, or the series where v <= _V_SERIES."""
+    r in rows: the direct forms, overwritten by the series at the elements
+    with v <= _V_SERIES, on which alone the series runs."""
     a = M / sigma
     x, y = a + H, a + K
     v = (K - H) / x
     lg = np.log1p(v)
     u = v / (1.0 + v)
     direct = (lambda: v - lg, lambda: lg - u, lambda: v - 2.0 * lg + u)
-    rem = [direct[r]() for r in rows]
+    rem = [np.asarray(direct[r]()) for r in rows]  # fresh, writable
     small = v <= _V_SERIES
     if small.any():
-        vs = np.where(small, v, 0.0)
+        vs = np.asarray(v)[small]
         series = (np.power.outer(vs, _J_SERIES)[..., None, :]
                   * _LOG1P_SERIES[rows]).sum(-1)
         lead = (vs * vs, vs * vs, vs * vs * vs)
-        rem = [np.where(small, lead[r] * series[..., i], out)
-               for i, (r, out) in enumerate(zip(rows, rem))]
+        for i, r in enumerate(rows):
+            rem[i][small] = lead[r] * series[:, i]
     return a, x, y, v, lg, rem
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import json
 import locale
 import re
 from collections import Counter
@@ -92,14 +91,9 @@ class PartitionStats:
         return f'{{"K": {self.K}, "N": [{N}], "Z": [{Z}], "n": {self.n}}}'
 
     @classmethod
-    def from_json(cls, text):
-        """Inverse of to_json; rejects a record whose N or Z breaks the
-        invariants listed in docs/formats.md."""
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, d):
-        """from_json for the record already parsed from JSON."""
+        """Inverse of to_json on the parsed record; rejects a record whose N
+        or Z breaks the invariants listed in docs/formats.md."""
         d = json_object(d, "stats JSON")
         if missing := [key for key in ("n", "K", "N", "Z") if key not in d]:
             raise ValueError(f"stats JSON has no key {missing[0]!r}")
@@ -230,19 +224,22 @@ def from_occupancy(counts):
     return from_sizes(values)
 
 
-# rows per csv writer call of write_sample_csv
+# rows per write of write_sample_csv
 _ROWS = 1 << 16
 
 
 def write_sample_csv(path, labels):
-    """One row per observation, single `species` column, CRLF row ends;
-    the rows go to the csv writer _ROWS at a time."""
+    """One row per observation of the integer labels (any other dtype
+    raises ValueError), single `species` column, CRLF row ends: csv.writer's
+    bytes, formatted _ROWS rows at a time."""
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"sample labels must be integers, got {labels.dtype}")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["species"])
+        fh.write("species\r\n")
         for start in range(0, labels.size, _ROWS):
-            writer.writerows(zip(labels[start:start + _ROWS].tolist()))
+            rows = labels[start:start + _ROWS].tolist()
+            fh.write(("%d\r\n" * len(rows)) % tuple(rows))
 
 
 def read_sample_counts(path):

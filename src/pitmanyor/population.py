@@ -388,7 +388,7 @@ def population_from_json(text):
             raise ValueError(f"population spec has no key {name!r}")
         return json_key(spec, name, read)
 
-    kind = spec.get("kind")
+    kind = key("kind", lambda value: value)
     if kind == "power_law":
         return make_power_law(key("alpha"))
     if kind == "synthetic":

@@ -413,6 +413,7 @@ _NORMALITY = {"check": "normality",
     ("simulate", "[1]", "population spec must be a JSON object"),
     ("simulate", '{"kind": "power_law", "alpha": "2"}',
      "alpha: must be a number, got '2'"),
+    ("simulate", '{"alpha": 2.0}', "population spec has no key 'kind'"),
     ("simulate", '{"kind": "power_law"}',
      "population spec has no key 'alpha'"),
     ("simulate", '{"kind": "synthetic", "r": 1.0}',

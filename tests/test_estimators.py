@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath as mp
@@ -26,7 +25,7 @@ def test_interior_estimate_reports_solver_diagnostics():
     res = mle_sigma(st, 1.0, se=True)
     assert res.diagnostics["converged"] is True
     assert 1 <= res.diagnostics["iterations"] <= 200
-    assert "diagnostics" not in json.loads(res.to_json())
+    assert "diagnostics" not in res.to_dict()
     assert mle_sigma(from_sizes([1] * 50), 1.0).diagnostics == {}
 
 
@@ -215,7 +214,6 @@ def test_sandwich_se_shrinks_with_n():
 def test_result_json():
     st = from_sizes([3, 2, 1])
     res = mle_sigma(st, 1.0)
-    import json
-    d = json.loads(res.to_json(st))
+    d = res.to_dict(st)
     assert d["n"] == 6 and d["K"] == 3
     assert d["boundary"] == res.boundary

@@ -340,6 +340,24 @@ def test_new_block_sums_agree_across_the_switch(sigma, M):
         assert abs(hi - (lo + last)) <= 1e-12 * abs(hi)
 
 
+def test_new_block_sums_elements_match_float_calls():
+    # v = (K - H)/(M/sigma + H) straddles 1/2 over the grid, so the series
+    # runs on some elements and the direct forms serve the rest; each element
+    # keeps the bits of its own float-pair call.  K is past _DIRECT_TERMS,
+    # so the float pairs take the closed forms too
+    forms = ["log", (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    K, sigmas = 20_000, np.geomspace(1e-9, 0.99, 97)
+    Ms = np.array([0.0, 1.0, 10.0, 1e3])
+    v = (K - numerics.H) / (Ms / sigmas[:, None] + numerics.H)
+    assert (v <= 0.5).any() and (v > 0.5).any()
+    grid = new_block_sums(K, sigmas[:, None], Ms, *forms)
+    for (i, sigma), (j, M) in product(enumerate(sigmas.tolist()),
+                                      enumerate(Ms.tolist())):
+        pair = new_block_sums(K, sigma, M, *forms)
+        for form, values, value in zip(forms, grid, pair):
+            assert values[i, j] == value, (form, sigma, M)
+
+
 @pytest.mark.parametrize("n,M", [(2, 50.0), (3, 1e3), (10, 50.0), (200, 5.0),
                                  (10 ** 6, 0.4), (10 ** 7, 0.0)])
 def test_m_derivatives_match_mpmath(n, M):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from pitmanyor import cli, partition
+from pitmanyor import cli, partition, population
 from pitmanyor.estimators import mle_sigma
 from pitmanyor.inference import PriorSpec, forensic_lr, posterior_sigma
 from pitmanyor.partition import (PartitionStats, from_observations,
@@ -73,28 +73,30 @@ def _record(n, K, N, Z):
 def test_invariant_validation():
     # increasing N, wrong sum, Z inconsistent with N
     with pytest.raises(ValueError):
-        PartitionStats.from_json(_record(3, 2, [1, 2], [2, 1]))
+        PartitionStats.from_dict(json.loads(_record(3, 2, [1, 2], [2, 1])))
     with pytest.raises(ValueError):
-        PartitionStats.from_json(_record(4, 2, [2, 1], [2, 1]))
+        PartitionStats.from_dict(json.loads(_record(4, 2, [2, 1], [2, 1])))
     with pytest.raises(ValueError, match="Z inconsistent with N"):
-        PartitionStats.from_json(_record(3, 2, [2, 1], [1, 1]))
+        PartitionStats.from_dict(json.loads(_record(3, 2, [2, 1], [1, 1])))
     # right length, Z_1 = K, nonincreasing, sums to n, yet not the true
     # Z = [3, 1, 1, 1]
     with pytest.raises(ValueError, match="Z inconsistent with N"):
-        PartitionStats.from_json(_record(6, 3, [4, 1, 1], [3, 2, 1, 0]))
+        PartitionStats.from_dict(
+            json.loads(_record(6, 3, [4, 1, 1], [3, 2, 1, 0])))
     # entries that are not JSON integers are rejected, not truncated or cast
     for record in (_record(3, 2, [2.7, 1], [2, 1]),
                    _record(3, 2, [2, 1], [2.9, 1.2]),
                    _record(3, 2, ["2", 1], [2, 1])):
         with pytest.raises(ValueError, match="must be a list of integers"):
-            PartitionStats.from_json(record)
+            PartitionStats.from_dict(json.loads(record))
     # int64 is the limit, and a short Z is refused before max N is allocated
     for record in (_record(2 ** 64, 1, [2 ** 64], [1]),
                    _record(1, 1, [1], [2 ** 65])):
         with pytest.raises(ValueError, match="beyond int64"):
-            PartitionStats.from_json(record)
+            PartitionStats.from_dict(json.loads(record))
     with pytest.raises(ValueError, match="Z inconsistent with N"):
-        PartitionStats.from_json(_record(2 ** 40, 1, [2 ** 40], [1]))
+        PartitionStats.from_dict(
+            json.loads(_record(2 ** 40, 1, [2 ** 40], [1])))
     # n and K follow the same integer rule, and a missing key is named
     for record, message in ((_record(3.0, 2, [2, 1], [2, 1]), "n: must be"),
                             (_record(3, 2.0, [2, 1], [2, 1]), "K: must be"),
@@ -102,7 +104,7 @@ def test_invariant_validation():
                             (json.dumps({"n": 1, "K": 1, "N": [1]}), "'Z'"),
                             (json.dumps({"n": 1, "N": [1], "Z": [1]}), "'K'")):
         with pytest.raises(ValueError, match=message):
-            PartitionStats.from_json(record)
+            PartitionStats.from_dict(json.loads(record))
 
 
 def test_histogram_validation():
@@ -136,7 +138,7 @@ def test_expand_round_trip():
 
 def test_json_round_trip():
     st = from_sizes([5, 2, 1, 1])
-    assert PartitionStats.from_json(st.to_json()) == st
+    assert PartitionStats.from_dict(json.loads(st.to_json())) == st
 
 
 def test_from_occupancy_forms():
@@ -310,17 +312,25 @@ def test_write_sample_csv(tmp_path):
 
 
 def test_write_sample_csv_matches_csv_writer(tmp_path):
-    # labels that need quoting, over more rows than one write batch
-    labels = ["a,b", 'q"x', "plain", "7"] * (2 ** 14 + 5)
+    # integer labels over more rows than two write batches: 0, small labels
+    # and fresh power-law labels at and above 2^62, and a uint64 array
+    rows = 2 * partition._ROWS + 5
+    cap = population._INDEX_CAP
     path, want = tmp_path / "s.csv", tmp_path / "ref.csv"
-    write_sample_csv(path, labels)
-    with open(want, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["species"])
-        for lab in labels:
-            writer.writerow([lab])
-    assert path.read_bytes() == want.read_bytes()
-    assert path.read_bytes().startswith(b'species\r\n"a,b"\r\n"q""x"\r\n')
+    for labels in (np.resize([0, 1, 7, 12345, cap, cap + 1, 2**63 - 1], rows),
+                   np.resize(np.array([0, 3, 2 ** 63, 2 ** 64 - 1],
+                                      dtype=np.uint64), rows)):
+        write_sample_csv(path, labels)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["species"])
+            writer.writerows([lab] for lab in labels.tolist())
+        assert path.read_bytes() == want.read_bytes()
+        assert read_sample_counts(path) == Counter(map(str, labels.tolist()))
+    # the writer takes integers only, so no row needs quoting
+    for labels in (np.array([0.5, 1.0]), ["a,b", "7"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            write_sample_csv(path, labels)
 
 
 def test_read_occupancy_csv(tmp_path):
@@ -382,7 +392,7 @@ def test_json_matches_n_and_z_reference(sizes):
         assert path.read_text() == json.dumps(
             {"provenance": provenance, "stats": record}, sort_keys=True,
             indent=2) + "\n"
-    assert PartitionStats.from_json(st.to_json()) == st
+    assert PartitionStats.from_dict(json.loads(st.to_json())) == st
     assert np.array_equal(
         st.expand(), np.repeat(np.arange(len(sizes)), sorted(sizes)[::-1]))
 
@@ -391,7 +401,7 @@ def test_documented_json_example():
     doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
     section = doc.split("## Partition statistics JSON", 1)[1]
     example_text = re.search(r"```json\n(.*?)\n```", section, re.S).group(1)
-    st = PartitionStats.from_json(example_text)
+    st = PartitionStats.from_dict(json.loads(example_text))
     assert st.to_json() == json.dumps(json.loads(example_text),
                                       sort_keys=True)
 
